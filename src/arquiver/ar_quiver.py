@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import root_system as rs
@@ -74,9 +75,9 @@ class ARQuiver:
         self.phi = {root: coord for coord, root in root_at.items()}
         self.arrows = arrows
         self.m = m
-        self._descendants: Optional[dict[Coord, frozenset[Coord]]] = None
-        self._paths_cache: Optional[list[SectionalPath]] = None
-        self._swings_cache: Optional[list[Swing]] = None
+        # tables the orders module fills on first use
+        self.pairs_cache: dict[Root, tuple[tuple[Root, Root], ...]] = {}
+        self.oracle_cache: dict[tuple[Root, Root, Root], bool] = {}
 
     # --- basic queries -------------------------------------------------------
 
@@ -136,18 +137,20 @@ class ARQuiver:
 
     # --- reachability / the convex partial order ------------------------------
 
+    @cached_property
+    def _closure(self) -> dict[Coord, frozenset[Coord]]:
+        closure: dict[Coord, frozenset[Coord]] = {}
+        for c in sorted(self.root_at, key=lambda c: -c[1]):
+            acc: set[Coord] = set()
+            for nxt in self.out_arrows(c):
+                acc.add(nxt)
+                acc |= closure[nxt]
+            closure[c] = frozenset(acc)
+        return closure
+
     def descendants(self, coord: Coord) -> frozenset[Coord]:
         """All coordinates reachable from coord along arrows (coord excluded)."""
-        if self._descendants is None:
-            closure: dict[Coord, frozenset[Coord]] = {}
-            for c in sorted(self.root_at, key=lambda c: -c[1]):
-                acc: set[Coord] = set()
-                for nxt in self.out_arrows(c):
-                    acc.add(nxt)
-                    acc |= closure[nxt]
-                closure[c] = frozenset(acc)
-            self._descendants = closure
-        return self._descendants[coord]
+        return self._closure[coord]
 
     def prec(self, alpha: Root, beta: Root) -> bool:
         """alpha strictly precedes beta: a path from beta down to alpha exists."""
@@ -221,9 +224,11 @@ class ARQuiver:
 
     def sectional_paths(self) -> list[SectionalPath]:
         """All maximal sectional brooms, S-kind then N-kind, by start coordinate."""
-        if self._paths_cache is None:
-            self._paths_cache = self._sectional(kind="S") + self._sectional(kind="N")
-        return list(self._paths_cache)
+        return list(self._sectional_paths)
+
+    @cached_property
+    def _sectional_paths(self) -> tuple[SectionalPath, ...]:
+        return tuple(self._sectional(kind="S") + self._sectional(kind="N"))
 
     def _sectional(self, kind: str) -> list[SectionalPath]:
         step = self._is_s_arrow if kind == "S" else self._is_n_arrow
@@ -265,8 +270,10 @@ class ARQuiver:
         """Maximal swings, one per fork column with stems on both sides."""
         if self.datum.diagram_type != "D":
             raise ARQuiverError("swings exist only in type D")
-        if self._swings_cache is not None:
-            return list(self._swings_cache)
+        return list(self._swings)
+
+    @cached_property
+    def _swings(self) -> tuple[Swing, ...]:
         n = self.rank
         swings = []
         columns = sorted(
@@ -295,8 +302,7 @@ class ARQuiver:
                     n_part=tuple(n_part),
                 )
             )
-        self._swings_cache = sorted(swings, key=lambda s: s.shared_index)
-        return list(self._swings_cache)
+        return tuple(sorted(swings, key=lambda s: s.shared_index))
 
     def _swing_shared_index(self, s_part, fork, n_part) -> int:
         common: Optional[set[int]] = None
@@ -462,49 +468,79 @@ def build(quiver: DynkinQuiver, xi, validate: bool = True) -> ARQuiver:
     return ar
 
 
-def validate_build(ar: ARQuiver) -> Optional[str]:
-    """Check the defining invariants; returns a diagnostic or None.
+# --- the defining invariants, shared by build(validate=True) and verify ---------
 
-    Covers: the coordinate/root bijection, the column ranges, the Nakayama
-    relation between opposite levels, mesh additivity, and the arrow rule.
-    A failure here means the builder itself is wrong.
-    """
+def check_vertex_range(ar: ARQuiver) -> Optional[str]:
     datum = ar.datum
-    n = ar.rank
     roots = rs.enumerate_positive_roots(datum)
     if set(ar.phi) != set(roots) or len(ar.root_at) != len(roots):
-        return "vertex set is not in bijection with the positive roots"
-    for (i, p) in ar.root_at:
-        if (p - ar.xi[i - 1]) % 2:
-            return f"coordinate ({i},{p}) breaks the column parity of level {i}"
-        if not ar.xi[i - 1] - 2 * ar.m[i - 1] <= p <= ar.xi[i - 1]:
-            return f"coordinate ({i},{p}) is outside the level-{i} range"
-    h = datum.coxeter_number
+        return "vertex labels are not a bijection with the positive roots"
+    for i in datum.vertices:
+        expected = {
+            p for p in range(ar.xi[i - 1] - 2 * ar.m[i - 1], ar.xi[i - 1] + 1, 2)
+        }
+        actual = {p for (lvl, p) in ar.root_at if lvl == i}
+        if expected != actual:
+            return f"level {i} columns {sorted(actual)} != {sorted(expected)}"
+    return None
+
+
+def check_nakayama(ar: ARQuiver) -> Optional[str]:
+    datum = ar.datum
     star = rs.longest_element_star(datum)
+    h = datum.coxeter_number
     for i in datum.vertices:
         lhs = ar.xi[star[i] - 1] - 2 * ar.m[star[i] - 1]
-        if lhs != ar.xi[i - 1] - h + 2:
-            return f"Nakayama relation fails at level {i}"
+        rhs = ar.xi[i - 1] - h + 2
+        if lhs != rhs:
+            return f"level {i}: xi_(i*) - 2m_(i*) = {lhs} != xi_i - h + 2 = {rhs}"
+    return None
+
+
+def check_mesh_additivity(ar: ARQuiver) -> Optional[str]:
     for (i, p), root in ar.root_at.items():
         prev = ar.root_at.get((i, p - 2))
         if prev is None:
             continue
-        mesh = [0] * n
-        for (j, q) in ar.in_arrows((i, p)):
-            for idx, c in enumerate(ar.root_at[(j, q)]):
+        mesh = [0] * ar.rank
+        for src in ar.in_arrows((i, p)):
+            if (src, (i, p)) not in ar.arrows:
+                continue
+            for idx, c in enumerate(ar.root_at[src]):
                 mesh[idx] += c
-        total = tuple(a + b for a, b in zip(root, prev))
-        if total != tuple(mesh):
-            return f"mesh additivity fails at ({i},{p})"
-    for (a, b) in ar.arrows:
-        if b[1] != a[1] + 1 or not datum.adjacent(a[0], b[0]):
-            return f"arrow {a}->{b} is not of the form (i,p)->(j,p+1)"
-        if a not in ar.root_at or b not in ar.root_at:
-            return f"arrow {a}->{b} has a dangling endpoint"
+        if tuple(mesh) != tuple(a + b for a, b in zip(root, prev)):
+            return f"mesh fails at ({i},{p})"
+    return None
+
+
+def check_arrow_rule(ar: ARQuiver) -> Optional[str]:
+    for a, b in ar.arrows:
+        if b[1] != a[1] + 1 or not ar.datum.adjacent(a[0], b[0]):
+            return f"arrow {a}->{b} malformed"
+    expected = set()
     for (i, p) in ar.root_at:
-        for j in datum.neighbors(i):
-            if (j, p + 1) in ar.root_at and ((i, p), (j, p + 1)) not in ar.arrows:
-                return f"missing arrow ({i},{p})->({j},{p + 1})"
+        for j in ar.datum.neighbors(i):
+            if (j, p + 1) in ar.root_at:
+                expected.add(((i, p), (j, p + 1)))
+    if expected != ar.arrows:
+        extra = ar.arrows - expected
+        missing = expected - ar.arrows
+        return f"arrow set off: extra {sorted(extra)}, missing {sorted(missing)}"
+    return None
+
+
+BUILD_CHECKS = (check_vertex_range, check_nakayama, check_mesh_additivity, check_arrow_rule)
+
+
+def validate_build(ar: ARQuiver) -> Optional[str]:
+    """The first diagnostic of BUILD_CHECKS, or None when every one holds.
+
+    A failure here means the builder itself is wrong.
+    """
+    for check in BUILD_CHECKS:
+        message = check(ar)
+        if message is not None:
+            return message
     return None
 
 
@@ -514,28 +550,12 @@ def from_json_dict(payload: dict) -> ARQuiver:
     datum = CartanDatum(diagram["type"], diagram["rank"])
     quiver = DynkinQuiver.from_arrows(datum, [tuple(a) for a in diagram["arrows"]])
     ar = build(quiver, tuple(payload["xi"]))
-    verts = ar.vertices
-    index = {c: i for i, c in enumerate(verts)}
-    got_vertices = [
-        {
-            "level": c[0],
-            "p": c[1],
-            "coeffs": list(ar.root_at[c]),
-            "eps": (
-                [rs.epsilon_form(datum, ar.root_at[c]).a,
-                 rs.epsilon_form(datum, ar.root_at[c]).b_signed]
-                if datum.diagram_type == "D"
-                else None
-            ),
-        }
-        for c in verts
-    ]
-    if got_vertices != payload["vertices"]:
+    rebuilt = ar.to_json_dict()
+    if rebuilt["vertices"] != payload["vertices"]:
         raise ARQuiverError("vertex table does not match the rebuilt quiver")
-    got_arrows = sorted([index[a], index[b]] for a, b in ar.arrows)
-    if got_arrows != [list(a) for a in payload["arrows"]]:
+    if rebuilt["arrows"] != [list(a) for a in payload["arrows"]]:
         raise ARQuiverError("arrow table does not match the rebuilt quiver")
-    if list(ar.m) != list(payload["m"]):
+    if rebuilt["m"] != list(payload["m"]):
         raise ARQuiverError("m values do not match the rebuilt quiver")
     return ar
 

@@ -197,12 +197,9 @@ def pairs_of(ar: ARQuiver, gamma: Root) -> list[tuple[Root, Root]]:
     datum = ar.datum
     if rs.ht(gamma) < 2:
         raise OrderError("simple roots have no pairs")
-    cache = getattr(ar, "_pairs_cache", None)
-    if cache is None:
-        cache = {}
-        ar._pairs_cache = cache
-    if gamma in cache:
-        return list(cache[gamma])
+    cached = ar.pairs_cache.get(gamma)
+    if cached is not None:
+        return list(cached)
     roots = rs.enumerate_positive_roots(datum)
     pairs = []
     seen = set()
@@ -216,24 +213,22 @@ def pairs_of(ar: ARQuiver, gamma: Root) -> list[tuple[Root, Root]]:
         seen.add(key)
         pairs.append(orient_pair(ar, alpha, beta))
     pairs.sort(key=lambda ab: ar.coord_of(ab[0]))
-    cache[gamma] = tuple(pairs)
+    ar.pairs_cache[gamma] = tuple(pairs)
     return pairs
 
 
 def orient_pair(ar: ARQuiver, alpha: Root, beta: Root) -> tuple[Root, Root]:
-    """Order a pair so the first member precedes the second.
+    """Order a pair so the first member precedes the second in the path order.
 
-    Uses the path order of Gamma_Q; for the (unobserved) incomparable case
-    it falls back to positions in the U1 canonical reading.
+    Two roots whose sum is a root pair to -1, which forces a nonzero Ext^1
+    between their indecomposables and hence a path in Gamma_Q; so an
+    incomparable pair is an error, not a case to break ties for.
     """
     if ar.prec(alpha, beta):
         return (alpha, beta)
     if ar.prec(beta, alpha):
         return (beta, alpha)
-    u1 = canonical_reading(ar, "U1")
-    if u1.index(alpha) < u1.index(beta):
-        return (alpha, beta)
-    return (beta, alpha)
+    raise OrderError(f"{alpha} and {beta} are incomparable in the path order")
 
 
 def classify_pair(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> PairVerdict:
@@ -289,48 +284,26 @@ def minimal_wrt(order: ConvexOrder, pair: tuple[Root, Root], gamma: Root) -> boo
 def oracle_classify(ar: ARQuiver, gamma: Root, pair) -> PairVerdict:
     """Ground truth by exhausting every reading of Gamma_Q (small ranks only)."""
     alpha, beta = _check_pair(ar, gamma, pair)
-    witnessed = _oracle_table(ar)
-    if (gamma, alpha, beta) in witnessed:
+    if _oracle_table(ar).get((gamma, alpha, beta), False):
         return PairVerdict(gamma, alpha, beta, Verdict.MINIMAL)
     return PairVerdict(gamma, alpha, beta, Verdict.NON_MINIMAL)
 
 
-def _oracle_table(ar: ARQuiver) -> frozenset[tuple[Root, Root, Root]]:
-    """(gamma, alpha, beta) triples witnessed minimal by at least one reading."""
-    cached = getattr(ar, "_oracle_witnessed", None)
-    if cached is not None:
-        return cached
-    targets: list[tuple[Root, tuple[Root, Root]]] = []
-    for gamma in sorted(ar.phi):
-        if rs.ht(gamma) < 2:
-            continue
-        for pair in pairs_of(ar, gamma):
-            targets.append((gamma, pair))
-    pending = {(gamma, a, b) for gamma, (a, b) in targets}
-    witnessed = set()
-    for coords in _reading_sequences(ar):
-        sequence = [ar.root_at[c] for c in coords]
-        position = {root: z for z, root in enumerate(sequence)}
-        for gamma, (alpha, beta) in targets:
-            key = (gamma, alpha, beta)
-            if key not in pending:
-                continue
-            if _minimal_by_positions(sequence, position, gamma, alpha, beta):
-                pending.discard(key)
-                witnessed.add(key)
+def _oracle_table(ar: ARQuiver) -> dict[tuple[Root, Root, Root], bool]:
+    """(gamma, alpha, beta) -> whether at least one reading makes the pair minimal."""
+    if ar.oracle_cache:
+        return ar.oracle_cache
+    keys = [
+        (gamma, *pair)
+        for gamma in sorted(ar.phi)
+        if rs.ht(gamma) >= 2
+        for pair in pairs_of(ar, gamma)
+    ]
+    pending = keys
+    for order in all_readings(ar):
+        pending = [(g, a, b) for g, a, b in pending if not minimal_wrt(order, (a, b), g)]
         if not pending:
             break
-    table = frozenset(witnessed)
-    ar._oracle_witnessed = table
-    return table
-
-
-def _minimal_by_positions(sequence, position, gamma, alpha, beta) -> bool:
-    lo, hi = sorted((position[alpha], position[beta]))
-    mid = position[gamma]
-    for z in range(lo + 1, mid):
-        partner = tuple(g - c for g, c in zip(gamma, sequence[z]))
-        zz = position.get(partner)
-        if zz is not None and mid < zz < hi:
-            return False
-    return True
+    unwitnessed = set(pending)
+    ar.oracle_cache.update((key, key not in unwitnessed) for key in keys)
+    return ar.oracle_cache

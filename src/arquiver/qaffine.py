@@ -99,10 +99,6 @@ class DenominatorPoly:
         return Counter(self.roots)
 
 
-def zero_multiplicity(poly: DenominatorPoly, at: SpectralParam) -> int:
-    return poly.zero_multiplicity(at)
-
-
 @lru_cache(maxsize=None)
 def denom_D1(n: int, k: int, l: int) -> DenominatorPoly:
     """Zeros of d_{k,l}(z) for the untwisted type-D algebra of rank n."""

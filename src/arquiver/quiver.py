@@ -64,9 +64,6 @@ class DynkinQuiver:
                 mask |= 1 << bit
         return mask
 
-    def arrows_at(self, i: int) -> tuple[tuple[int, int], ...]:
-        return tuple(a for a in self.arrows if i in a)
-
     def points_into(self, i: int) -> tuple[int, ...]:
         """Neighbors j with an arrow j -> i."""
         return tuple(src for src, dst in self.arrows if dst == i)

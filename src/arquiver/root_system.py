@@ -89,13 +89,9 @@ class CartanDatum:
 
     def pairing(self, a: Root, b: Root) -> int:
         """Symmetric bilinear form (a, b) induced by the Cartan matrix."""
-        total = 0
-        for i in self.vertices:
-            if a[i - 1] == 0:
-                continue
-            for j in self.vertices:
-                if b[j - 1]:
-                    total += a[i - 1] * b[j - 1] * self.cartan(i, j)
+        total = 2 * sum(x * y for x, y in zip(a, b))
+        for i, j in _edge_set(self):
+            total -= a[i - 1] * b[j - 1] + a[j - 1] * b[i - 1]
         return total
 
 
@@ -295,11 +291,6 @@ def root_from_epsilon(datum: CartanDatum, eps: EpsilonForm) -> Root:
     if not is_positive_root(datum, root):
         raise RootSystemError(f"bad epsilon form {eps}")
     return root
-
-
-def summand_indices(datum: CartanDatum, root: Root) -> tuple[int, int]:
-    """Signed summands (+a, +-b) of a type-D positive root."""
-    return epsilon_form(datum, root).summands
 
 
 def carries_summand(datum: CartanDatum, root: Root, signed_index: int) -> bool:

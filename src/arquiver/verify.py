@@ -3,8 +3,9 @@
 Every check is a pure function returning None on success or a short
 counterexample string.  The runner owns all iteration: per-orientation
 checks sweep the 2^(n-1) orientations of each rank (height anchored at
-vertex n = 0), global checks run once.  Reports are byte-stable across
-worker counts because records are merged by (rank, orientation, check).
+vertex n = 0), global checks run once.  Reports hold the same records,
+apart from ``elapsed``, for any worker count, because records are merged
+by (rank, orientation, check).
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from typing import Callable, Optional
 
 from . import ar_quiver, orders, qaffine
 from . import root_system as rs
-from .ar_quiver import ARQuiver
+from .ar_quiver import (
+    BUILD_CHECKS,
+    ARQuiver,
+    check_arrow_rule,
+    check_mesh_additivity,
+    check_nakayama,
+    check_vertex_range,
+)
 from .quiver import (
     DynkinQuiver,
     VertexClass,
@@ -61,66 +69,7 @@ class VerifyReport:
         return f"{total - bad}/{total} checks passed"
 
 
-# --- structure checks -------------------------------------------------------------
-
-def check_vertex_range(ar: ARQuiver) -> Optional[str]:
-    datum = ar.datum
-    roots = rs.enumerate_positive_roots(datum)
-    if set(ar.phi) != set(roots):
-        return "vertex labels are not a bijection with the positive roots"
-    for i in datum.vertices:
-        expected = {
-            p for p in range(ar.xi[i - 1] - 2 * ar.m[i - 1], ar.xi[i - 1] + 1, 2)
-        }
-        actual = {p for (lvl, p) in ar.root_at if lvl == i}
-        if expected != actual:
-            return f"level {i} columns {sorted(actual)} != {sorted(expected)}"
-    return None
-
-
-def check_nakayama(ar: ARQuiver) -> Optional[str]:
-    datum = ar.datum
-    star = rs.longest_element_star(datum)
-    h = datum.coxeter_number
-    for i in datum.vertices:
-        lhs = ar.xi[star[i] - 1] - 2 * ar.m[star[i] - 1]
-        rhs = ar.xi[i - 1] - h + 2
-        if lhs != rhs:
-            return f"level {i}: xi_(i*) - 2m_(i*) = {lhs} != xi_i - h + 2 = {rhs}"
-    return None
-
-
-def check_mesh_additivity(ar: ARQuiver) -> Optional[str]:
-    for (i, p), root in ar.root_at.items():
-        prev = ar.root_at.get((i, p - 2))
-        if prev is None:
-            continue
-        mesh = [0] * ar.rank
-        for src in ar.in_arrows((i, p)):
-            if (src, (i, p)) not in ar.arrows:
-                continue
-            for idx, c in enumerate(ar.root_at[src]):
-                mesh[idx] += c
-        if tuple(mesh) != tuple(a + b for a, b in zip(root, prev)):
-            return f"mesh fails at ({i},{p})"
-    return None
-
-
-def check_arrow_rule(ar: ARQuiver) -> Optional[str]:
-    for a, b in ar.arrows:
-        if b[1] != a[1] + 1 or not ar.datum.adjacent(a[0], b[0]):
-            return f"arrow {a}->{b} malformed"
-    expected = set()
-    for (i, p) in ar.root_at:
-        for j in ar.datum.neighbors(i):
-            if (j, p + 1) in ar.root_at:
-                expected.add(((i, p), (j, p + 1)))
-    if expected != set(ar.arrows):
-        extra = set(ar.arrows) - expected
-        missing = expected - set(ar.arrows)
-        return f"arrow set off: extra {sorted(extra)}, missing {sorted(missing)}"
-    return None
-
+# --- structure checks (the four build checks come from ar_quiver) ------------------
 
 def check_simple_root_coords(ar: ARQuiver) -> Optional[str]:
     datum = ar.datum
@@ -739,8 +688,9 @@ def _run_orientation_task(args) -> list[CheckRecord]:
     quiver = DynkinQuiver.from_bitmask(datum, mask)
     xi = make_height_function(quiver, rank, 0)
     records = []
+    # the structure suite records the build checks itself
     try:
-        ar = ar_quiver.build(quiver, xi)
+        ar = ar_quiver.build(quiver, xi, validate="structure" not in suites)
     except ar_quiver.ARQuiverError as exc:
         return [
             CheckRecord("build", "structure", rank, quiver.spec_string(),
@@ -766,6 +716,8 @@ def _run_orientation_task(args) -> list[CheckRecord]:
                 elapsed,
             )
         )
+        if message is not None and fn in BUILD_CHECKS:
+            break  # a broken build never reaches the later checks
     return records
 
 

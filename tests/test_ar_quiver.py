@@ -196,12 +196,33 @@ def test_json_roundtrip(example1_ar):
     assert rebuilt.xi == example1_ar.xi
 
 
-def test_json_detects_tampering(example1_ar):
+def _bump_m(payload):
+    payload["m"][0] += 1
+
+
+def _flip_eps_sign(payload):
+    payload["vertices"][0]["eps"][1] *= -1
+
+
+def _move_arrow_head(payload):
+    payload["arrows"][0][1] += 1
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_bump_m, "m values"),
+        (_flip_eps_sign, "vertex table"),
+        (_move_arrow_head, "arrow table"),
+    ],
+    ids=["m", "eps", "arrow"],
+)
+def test_json_detects_tampering(example1_ar, tamper, message):
     import json
 
     payload = example1_ar.to_json_dict()
-    payload["m"][0] += 1
-    with pytest.raises(ARQuiverError):
+    tamper(payload)
+    with pytest.raises(ARQuiverError, match=message):
         ar_quiver.from_json(json.dumps(payload))
 
 

@@ -1,7 +1,10 @@
+import functools
+
 import pytest
 
 from arquiver import ar_quiver, orders
 from arquiver import root_system as rs
+from arquiver.ar_quiver import ARQuiver
 from arquiver.orders import OrderError, Verdict
 from arquiver.quiver import is_adapted, make_height_function, parse_arrow_spec
 from arquiver.root_system import CartanDatum
@@ -193,3 +196,31 @@ def test_type_d_classifier_is_validated(example1_ar, d4):
     gamma = rs.parse_root(d4, "e1+e2")
     for pair in orders.pairs_of(example1_ar, gamma):
         assert orders.classify_pair(example1_ar, gamma, pair).validated is True
+
+
+def test_orient_pair_rejects_incomparable_roots(example1_ar):
+    # the two spin-level vertices of one column share no path
+    upper, lower = example1_ar.root_at[(3, -2)], example1_ar.root_at[(4, -2)]
+    with pytest.raises(OrderError, match="incomparable"):
+        orders.orient_pair(example1_ar, upper, lower)
+
+
+def test_caches_are_declared_fields(example1_ar):
+    ar = example1_ar
+    for coord in ar.root_at:
+        ar.descendants(coord)
+    ar.sectional_paths()
+    ar.swings()
+    for gamma in sorted(ar.phi):
+        if rs.ht(gamma) < 2:
+            continue
+        for pair in orders.pairs_of(ar, gamma):
+            orders.classify_pair(ar, gamma, pair)
+            orders.oracle_classify(ar, gamma, pair)
+    fresh = ARQuiver(ar.quiver, ar.xi, ar.tau_word, dict(ar.root_at), ar.arrows, ar.m)
+    cached = {
+        name
+        for name, value in vars(ARQuiver).items()
+        if isinstance(value, functools.cached_property)
+    }
+    assert set(vars(ar)) <= set(vars(fresh)) | cached

@@ -175,3 +175,19 @@ def test_root_stats_bundle(d4):
     gamma = (1, 2, 1, 1)
     assert rs.root_stats(gamma) == (5, frozenset({1, 2, 3, 4}), 2)
     assert rs.root_stats(gamma, k=2) == (5, frozenset({2}), 2)
+
+
+@pytest.mark.parametrize(
+    "diagram, rank", [("D", n) for n in (4, 5, 6)] + [("A", n) for n in (1, 2, 3, 4)]
+)
+def test_pairing_matches_the_cartan_matrix(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    roots = sorted(rs.enumerate_positive_roots(datum))
+    for a in roots:
+        for b in roots:
+            reference = sum(
+                a[i - 1] * b[j - 1] * datum.cartan(i, j)
+                for i in datum.vertices
+                for j in datum.vertices
+            )
+            assert datum.pairing(a, b) == reference

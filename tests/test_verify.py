@@ -56,27 +56,58 @@ def test_report_json_schema():
     )
 
 
-def test_injected_fault_is_caught(example1_ar):
-    # flip one arrow: the mesh at its former target loses a summand
+def _flipped_arrow_quiver(ar):
+    """ar with one arrow reversed: the mesh at its former target loses a summand."""
     target_arrow = ((1, -2), (2, -1))
-    assert target_arrow in example1_ar.arrows
-    tampered_arrows = (set(example1_ar.arrows) - {target_arrow}) | {
-        ((2, -1), (1, -2))
-    }
-    broken = ARQuiver(
-        example1_ar.quiver,
-        example1_ar.xi,
-        example1_ar.tau_word,
-        dict(example1_ar.root_at),
+    assert target_arrow in ar.arrows
+    tampered_arrows = (set(ar.arrows) - {target_arrow}) | {((2, -1), (1, -2))}
+    return ARQuiver(
+        ar.quiver,
+        ar.xi,
+        ar.tau_word,
+        dict(ar.root_at),
         frozenset(tampered_arrows),
-        example1_ar.m,
+        ar.m,
     )
+
+
+def test_injected_fault_is_caught(example1_ar):
+    broken = _flipped_arrow_quiver(example1_ar)
     message = verify.check_mesh_additivity(broken)
     assert message is not None and "(2,-1)" in message.replace(" ", "")
     assert verify.check_arrow_rule(broken) is not None
     # the pristine quiver passes both
     assert verify.check_mesh_additivity(example1_ar) is None
     assert verify.check_arrow_rule(example1_ar) is None
+
+
+def test_build_validation_and_structure_suite_share_the_checks(example1_ar):
+    assert verify.check_vertex_range is ar_quiver.check_vertex_range
+    assert verify.check_nakayama is ar_quiver.check_nakayama
+    assert verify.check_mesh_additivity is ar_quiver.check_mesh_additivity
+    assert verify.check_arrow_rule is ar_quiver.check_arrow_rule
+    broken = _flipped_arrow_quiver(example1_ar)
+    assert ar_quiver.validate_build(broken) == verify.check_mesh_additivity(broken)
+
+
+def test_broken_build_stops_its_orientation(example1_ar, monkeypatch):
+    broken = _flipped_arrow_quiver(example1_ar)
+    monkeypatch.setattr(
+        ar_quiver, "build", lambda quiver, xi, validate=True: broken
+    )
+    report = run_suite(4, suites={"structure"})
+    assert not report.ok
+    by_orientation = {}
+    for record in report.records:
+        by_orientation.setdefault(record.orientation, []).append(record)
+    assert len(by_orientation) == 8
+    for records in by_orientation.values():
+        status = {r.check_id: r.status for r in records}
+        assert status == {
+            "vertex_range": "pass",
+            "nakayama": "pass",
+            "mesh_additivity": "fail",
+        }
 
 
 def test_every_structure_check_passes_examplewise(example1_ar):
