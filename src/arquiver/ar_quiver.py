@@ -37,7 +37,6 @@ class SectionalPath:
 
     kind: str  # "S" or "N"
     coords: tuple[Coord, ...]
-    maximal: bool
     shallow: bool
 
 
@@ -260,9 +259,7 @@ class ARQuiver:
         for group in members.values():
             coords = tuple(sorted(group, key=lambda c: (c[1], c[0])))
             is_shallow = bool(spin) and not any(c[0] in spin for c in coords)
-            paths.append(
-                SectionalPath(kind=kind, coords=coords, maximal=True, shallow=is_shallow)
-            )
+            paths.append(SectionalPath(kind=kind, coords=coords, shallow=is_shallow))
         paths.sort(key=lambda path: path.coords)
         return paths
 

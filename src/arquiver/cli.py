@@ -386,7 +386,7 @@ def cmd_verify(args) -> int:
             handle.write(report.to_json())
     for record in report.failures():
         print(
-            f"FAIL {record.check_id} rank={record.rank} "
+            f"{record.status.upper()} {record.check_id} rank={record.rank} "
             f"orientation={record.orientation}: {record.counterexample}",
             file=sys.stderr,
         )
@@ -411,7 +411,7 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](args)
     except (CliError, QuiverError, RootSystemError, qaffine.QAffineError,
-            orders.OrderError, ar_quiver.ARQuiverError) as exc:
+            orders.OrderError, ar_quiver.ARQuiverError, verify.VerifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 Root = tuple[int, ...]
 SignedRoot = tuple[int, Root]
@@ -45,7 +45,7 @@ class CartanDatum:
     def vertices(self) -> range:
         return range(1, self.rank + 1)
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Undirected diagram edges, sorted by (min endpoint, max endpoint)."""
         n = self.rank
@@ -55,18 +55,42 @@ class CartanDatum:
         path.append((n - 2, n))
         return tuple(sorted(path))
 
+    @cached_property
+    def neighbor_table(self) -> dict[int, tuple[int, ...]]:
+        """Vertex -> its diagram neighbours, ascending."""
+        table: dict[int, list[int]] = {i: [] for i in self.vertices}
+        for i, j in self.edges:
+            table[i].append(j)
+            table[j].append(i)
+        return {i: tuple(sorted(js)) for i, js in table.items()}
+
+    @cached_property
+    def distance_table(self) -> dict[int, dict[int, int]]:
+        """Vertex -> {vertex: graph distance}, by breadth-first search."""
+        dist: dict[int, dict[int, int]] = {}
+        for source in self.vertices:
+            d = {source: 0}
+            frontier = [source]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for v in self.neighbor_table[u]:
+                        if v not in d:
+                            d[v] = d[u] + 1
+                            nxt.append(v)
+                frontier = nxt
+            dist[source] = d
+        return dist
+
     def adjacent(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self._edge_set()
+        return j in self.neighbors(i)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in self.vertices if self.adjacent(i, j))
-
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return _edge_set(self)
+        return self.neighbor_table.get(i, ())
 
     def distance(self, i: int, j: int) -> int:
         """Graph distance between diagram vertices."""
-        return _distances(self)[i][j]
+        return self.distance_table[i][j]
 
     def cartan(self, i: int, j: int) -> int:
         if i == j:
@@ -90,32 +114,9 @@ class CartanDatum:
     def pairing(self, a: Root, b: Root) -> int:
         """Symmetric bilinear form (a, b) induced by the Cartan matrix."""
         total = 2 * sum(x * y for x, y in zip(a, b))
-        for i, j in _edge_set(self):
+        for i, j in self.edges:
             total -= a[i - 1] * b[j - 1] + a[j - 1] * b[i - 1]
         return total
-
-
-@lru_cache(maxsize=None)
-def _edge_set(datum: CartanDatum) -> frozenset[tuple[int, int]]:
-    return frozenset(datum.edges)
-
-
-@lru_cache(maxsize=None)
-def _distances(datum: CartanDatum) -> dict[int, dict[int, int]]:
-    dist: dict[int, dict[int, int]] = {}
-    for source in datum.vertices:
-        d = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in datum.neighbors(u):
-                    if v not in d:
-                        d[v] = d[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        dist[source] = d
-    return dist
 
 
 def _as_signed(root: Root | SignedRoot) -> SignedRoot:
@@ -127,10 +128,8 @@ def _as_signed(root: Root | SignedRoot) -> SignedRoot:
 def reflect(datum: CartanDatum, i: int, root: Root | SignedRoot) -> SignedRoot:
     """Apply the simple reflection s_i to a (signed) root."""
     sign, coeffs = _as_signed(root)
-    pair = 0
-    for j in datum.vertices:
-        if coeffs[j - 1]:
-            pair += datum.cartan(i, j) * coeffs[j - 1]
+    # <alpha_i^vee, beta> = 2 c_i - sum of c_j over the neighbours j of i
+    pair = 2 * coeffs[i - 1] - sum(coeffs[j - 1] for j in datum.neighbor_table[i])
     out = list(coeffs)
     out[i - 1] -= pair
     if any(c < 0 for c in out):
@@ -189,11 +188,6 @@ def supp_ge(root: Root, k: int) -> frozenset[int]:
 
 def mul(root: Root) -> int:
     return max(root)
-
-
-def root_stats(root: Root, k: int = 1) -> tuple[int, frozenset[int], int]:
-    """(height, support at threshold k, multiplicity) of a positive root."""
-    return ht(root), supp_ge(root, k), mul(root)
 
 
 def longest_element_star(datum: CartanDatum) -> dict[int, int]:
@@ -293,10 +287,14 @@ def root_from_epsilon(datum: CartanDatum, eps: EpsilonForm) -> Root:
     return root
 
 
-def carries_summand(datum: CartanDatum, root: Root, signed_index: int) -> bool:
-    """Whether e_{|s|} (s > 0) or -e_{|s|} (s < 0) is a summand of the root."""
-    eps = epsilon_form(datum, root)
-    return signed_index == eps.a or signed_index == eps.b_signed
+@lru_cache(maxsize=None)
+def summand_class(datum: CartanDatum, signed_index: int) -> frozenset[Root]:
+    """Positive roots with e_{|s|} (s > 0) or -e_{|s|} (s < 0) as a summand (type D)."""
+    return frozenset(
+        root
+        for root in enumerate_positive_roots(datum)
+        if signed_index in epsilon_form(datum, root).summands
+    )
 
 
 # --- parsing and formatting -------------------------------------------------

@@ -1,9 +1,10 @@
 """Exhaustive theorem harness over all orientations at small rank.
 
 Every check is a pure function returning None on success or a short
-counterexample string.  The runner owns all iteration: per-orientation
-checks sweep the 2^(n-1) orientations of each rank (height anchored at
-vertex n = 0), global checks run once.  Reports hold the same records,
+counterexample string; a check that raises is recorded as an error and the
+sweep goes on.  The runner owns all iteration: per-orientation checks sweep
+the 2^(n-1) orientations of each rank (height anchored at vertex n = 0),
+global checks run once.  Reports hold the same records,
 apart from ``elapsed``, for any worker count, because records are merged
 by (rank, orientation, check).
 """
@@ -38,13 +39,17 @@ from .quiver import (
 from .root_system import CartanDatum
 
 
+class VerifyError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     check_id: str
     suite: str
     rank: Optional[int]
     orientation: Optional[str]
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "error" (the check raised)
     counterexample: Optional[str]
     elapsed: float
 
@@ -189,11 +194,7 @@ def check_swing_shapes(ar: ARQuiver) -> Optional[str]:
         return f"swing indices {[s.shared_index for s in swings]} != 1..{n - 2}"
     for swing in swings:
         a = swing.shared_index
-        carriers = {
-            root
-            for root in ar.phi
-            if rs.carries_summand(datum, root, a)
-        }
+        carriers = set(rs.summand_class(datum, a))
         members = {ar.root_at[c] for c in swing.coords}
         if members != carriers:
             return f"{a}-swing misses carriers {carriers - members} or adds extras"
@@ -234,22 +235,15 @@ def check_shallow_paths(ar: ARQuiver) -> Optional[str]:
         if k in seen_classes:
             return f"two shallow paths share -e_{k}"
         seen_classes.add(k)
-        carriers = {
-            root for root in ar.phi if rs.carries_summand(datum, root, -k)
-        }
         members = {ar.root_at[c] for c in path.coords}
-        if members != carriers:
+        if members != rs.summand_class(datum, -k):
             return f"shallow -e_{k} path does not hold the whole class"
     return None
 
 
 def _summand_class_path(ar: ARQuiver, signed: int):
     """The maximal broom holding every root with the given signed summand."""
-    carriers = {
-        ar.coord_of(root)
-        for root in ar.phi
-        if rs.carries_summand(ar.datum, root, signed)
-    }
+    carriers = {ar.coord_of(root) for root in rs.summand_class(ar.datum, signed)}
     for path in ar.sectional_paths():
         if carriers <= set(path.coords):
             return path
@@ -329,10 +323,7 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
         return f"kappa segment sum {eps_sum} is not e_1 + e_2"
     for pos, (root, j) in enumerate(zip(kappa_roots, kappa_idx), start=1):
         path = _summand_class_path(ar, j)
-        carriers = sum(
-            1 for other in ar.phi if rs.carries_summand(datum, other, j)
-        )
-        if carriers <= 1:
+        if len(rs.summand_class(datum, j)) <= 1:
             continue
         if path is None:
             return f"kappa_{pos} class {j} lies on no single broom"
@@ -682,6 +673,17 @@ def check_catalog() -> list[dict]:
     return sorted(catalog, key=lambda entry: (entry["suite"], entry["check_id"]))
 
 
+def _run_check(fn: Callable, *args) -> tuple[str, Optional[str], float]:
+    """(status, counterexample, elapsed) of one check; an exception is an error."""
+    start = time.perf_counter()
+    try:
+        message = fn(*args)
+        status = "pass" if message is None else "fail"
+    except Exception as exc:
+        message, status = f"{type(exc).__name__}: {exc}", "error"
+    return status, message, time.perf_counter() - start
+
+
 def _run_orientation_task(args) -> list[CheckRecord]:
     rank, mask, suites = args
     datum = CartanDatum("D", rank)
@@ -702,21 +704,12 @@ def _run_orientation_task(args) -> list[CheckRecord]:
         limit = RANK_LIMITS.get(check_id)
         if limit is not None and rank > limit:
             continue
-        start = time.perf_counter()
-        message = fn(ar)
-        elapsed = time.perf_counter() - start
+        status, message, elapsed = _run_check(fn, ar)
         records.append(
-            CheckRecord(
-                check_id,
-                suite,
-                rank,
-                quiver.spec_string(),
-                "pass" if message is None else "fail",
-                message,
-                elapsed,
-            )
+            CheckRecord(check_id, suite, rank, quiver.spec_string(),
+                        status, message, elapsed)
         )
-        if message is not None and fn in BUILD_CHECKS:
+        if status != "pass" and fn in BUILD_CHECKS:
             break  # a broken build never reaches the later checks
     return records
 
@@ -728,11 +721,13 @@ def run_suite(
 ) -> VerifyReport:
     """Run the selected suites over every orientation for 4 <= n <= rank_max."""
     if rank_max < 4:
-        raise ValueError("rank_max must be at least 4")
+        raise VerifyError("rank_max must be at least 4")
+    if parallelism < 1:
+        raise VerifyError("parallelism must be at least 1")
     selected = set(SUITES) if not suites else set(suites)
     unknown = selected - set(SUITES)
     if unknown:
-        raise ValueError(f"unknown suites {sorted(unknown)}")
+        raise VerifyError(f"unknown suites {sorted(unknown)}")
     tasks = [
         (rank, mask, tuple(sorted(selected)))
         for rank in range(4, rank_max + 1)
@@ -749,12 +744,9 @@ def run_suite(
     for check_id, (suite, fn) in GLOBAL_CHECKS.items():
         if suite not in selected:
             continue
-        start = time.perf_counter()
-        message = fn()
-        elapsed = time.perf_counter() - start
+        status, message, elapsed = _run_check(fn)
         records.append(
-            CheckRecord(check_id, suite, None, None,
-                        "pass" if message is None else "fail", message, elapsed)
+            CheckRecord(check_id, suite, None, None, status, message, elapsed)
         )
     records.sort(
         key=lambda r: (r.rank or 0, r.orientation or "", r.check_id)

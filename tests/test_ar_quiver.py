@@ -108,7 +108,6 @@ def test_sectional_paths_example1(example1_ar):
     assert frozenset({(1, -2), (2, -1), (3, 0)}) in coord_sets
     assert frozenset({(4, -6), (2, -5), (1, -4)}) in coord_sets
     for path in paths:
-        assert path.maximal
         assert not path.shallow  # none exist in this small example
 
 

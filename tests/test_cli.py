@@ -133,6 +133,9 @@ def test_parse_errors_exit_2(capsys):
         ["dorey", "--family", "D1", "--rank", "4", "--triple", "bogus"],
     )
     assert code == 2
+    for bad in (["--rank-max", "3"], ["--jobs", "0"], ["--jobs", "-3"]):
+        code, out, err = run(capsys, ["verify", "--suite", "structure", *bad])
+        assert code == 2 and err.startswith("error:") and out == ""
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver import root_system as rs
 from arquiver.root_system import CartanDatum, EpsilonForm, RootSystemError
@@ -171,10 +173,27 @@ def test_parse_and_format(d4):
         rs.parse_root(d4, "e1*e2")
 
 
-def test_root_stats_bundle(d4):
-    gamma = (1, 2, 1, 1)
-    assert rs.root_stats(gamma) == (5, frozenset({1, 2, 3, 4}), 2)
-    assert rs.root_stats(gamma, k=2) == (5, frozenset({2}), 2)
+@pytest.mark.parametrize(
+    "diagram, rank", [("D", n) for n in (4, 5, 6)] + [("A", n) for n in (1, 2, 3, 4)]
+)
+def _bfs_distances(datum):
+    """Diagram distances by breadth-first search over `edges` alone."""
+    links = {i: set() for i in datum.vertices}
+    for i, j in datum.edges:
+        links[i].add(j)
+        links[j].add(i)
+    table = {}
+    for source in datum.vertices:
+        dist, frontier = {source: 0}, [source]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in links[u] - dist.keys():
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+            frontier = nxt
+        table[source] = dist
+    return links, table
 
 
 @pytest.mark.parametrize(
@@ -182,12 +201,58 @@ def test_root_stats_bundle(d4):
 )
 def test_pairing_matches_the_cartan_matrix(diagram, rank):
     datum = CartanDatum(diagram, rank)
+    links, dist = _bfs_distances(datum)
+    for i in datum.vertices:
+        assert datum.neighbors(i) == tuple(sorted(links[i]))
+        for j in datum.vertices:
+            assert datum.adjacent(i, j) == (j in links[i])
+            assert datum.distance(i, j) == dist[i][j]
+    matrix = {
+        (i, j): 2 if i == j else (-1 if j in links[i] else 0)
+        for i in datum.vertices
+        for j in datum.vertices
+    }
+    assert all(datum.cartan(i, j) == a for (i, j), a in matrix.items())
     roots = sorted(rs.enumerate_positive_roots(datum))
     for a in roots:
         for b in roots:
             reference = sum(
-                a[i - 1] * b[j - 1] * datum.cartan(i, j)
+                a[i - 1] * b[j - 1] * matrix[i, j]
                 for i in datum.vertices
                 for j in datum.vertices
             )
             assert datum.pairing(a, b) == reference
+        for i in datum.vertices:
+            # s_i(c) = c - (sum_j a_ij c_j) e_i
+            image = list(a)
+            image[i - 1] -= sum(matrix[i, j] * a[j - 1] for j in datum.vertices)
+            sign = -1 if min(image) < 0 else 1
+            assert rs.reflect(datum, i, a) == (sign, tuple(sign * c for c in image))
+
+
+@pytest.mark.parametrize("rank", range(4, 9))
+def test_summand_class_holds_every_carrier(rank):
+    datum = CartanDatum("D", rank)
+    roots = rs.enumerate_positive_roots(datum)
+    for s in [*range(1, rank + 1), *range(-rank, 0)]:
+        carriers = {r for r in roots if s in rs.epsilon_form(datum, r).summands}
+        assert rs.summand_class(datum, s) == carriers
+
+
+@st.composite
+def signed_roots(draw):
+    diagram = draw(st.sampled_from("AD"))
+    rank = draw(st.integers(1 if diagram == "A" else 4, 9))
+    datum = CartanDatum(diagram, rank)
+    root = draw(st.sampled_from(sorted(rs.enumerate_positive_roots(datum))))
+    return datum, (draw(st.sampled_from((1, -1))), root), draw(st.integers(1, rank))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(signed_roots())
+def test_reflect_is_an_involution_of_the_signed_roots(case):
+    datum, root, i = case
+    image = rs.reflect(datum, i, root)
+    assert image[0] in (1, -1)
+    assert image[1] in rs.enumerate_positive_roots(datum)
+    assert rs.reflect(datum, i, image) == root

@@ -4,6 +4,8 @@ import pytest
 
 from arquiver import ar_quiver, verify
 from arquiver.ar_quiver import ARQuiver
+from arquiver.quiver import DynkinQuiver
+from arquiver.root_system import CartanDatum
 from arquiver.verify import check_catalog, run_suite
 
 
@@ -45,6 +47,8 @@ def test_run_suite_validates_arguments():
         run_suite(3)
     with pytest.raises(ValueError):
         run_suite(4, suites={"nonsense"})
+    with pytest.raises(ValueError):
+        run_suite(4, parallelism=0)
 
 
 def test_report_json_schema():
@@ -108,6 +112,31 @@ def test_broken_build_stops_its_orientation(example1_ar, monkeypatch):
             "nakayama": "pass",
             "mesh_additivity": "fail",
         }
+
+
+@pytest.mark.parametrize("check_id, kept", [("triangle", 15), ("nakayama", 2)])
+def test_raising_check_is_recorded_as_an_error(monkeypatch, check_id, kept):
+    # a raising build check stops its orientation, as a failing one does
+    target = DynkinQuiver.from_bitmask(CartanDatum("D", 4), 3).spec_string()
+    suite, check = verify.ORIENTATION_CHECKS[check_id]
+
+    def flaky(ar):
+        if ar.quiver.spec_string() == target:
+            raise KeyError("boom")
+        return check(ar)
+
+    monkeypatch.setitem(verify.ORIENTATION_CHECKS, check_id, (suite, flaky))
+    build_checks = tuple(flaky if fn is check else fn for fn in verify.BUILD_CHECKS)
+    monkeypatch.setattr(verify, "BUILD_CHECKS", build_checks)
+    report = run_suite(4, suites={"structure"})
+    assert not report.ok
+    errors = [r for r in report.records if r.status == "error"]
+    assert [(r.check_id, r.orientation, r.counterexample) for r in errors] == [
+        (check_id, target, "KeyError: 'boom'")
+    ]
+    assert report.failures() == errors
+    assert len({r.orientation for r in report.records}) == 8
+    assert sum(r.orientation == target for r in report.records) == kept
 
 
 def test_every_structure_check_passes_examplewise(example1_ar):
