@@ -18,11 +18,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import root_system as rs
 from .quiver import DynkinQuiver, check_height_function, coxeter_word, eta_zeta
 from .root_system import CartanDatum, Root
+
+if TYPE_CHECKING:
+    from .orders import ConvexOrder
 
 Coord = tuple[int, int]
 
@@ -77,6 +80,7 @@ class ARQuiver:
         # tables the orders module fills on first use
         self.pairs_cache: dict[Root, tuple[tuple[Root, Root], ...]] = {}
         self.oracle_cache: dict[tuple[Root, Root, Root], bool] = {}
+        self.readings_cache: dict[str, ConvexOrder] = {}
 
     # --- basic queries -------------------------------------------------------
 

@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order", help="one of the four canonical convex orders")
     _add_quiver_args(p)
-    p.add_argument("--strategy", choices=("u1", "u2", "l1", "l2"), required=True)
+    p.add_argument("--strategy", type=str.upper, choices=orders.STRATEGIES, required=True)
     _add_output_args(p)
 
     p = sub.add_parser("pairs", help="classify the pairs of a positive root")
@@ -262,10 +262,10 @@ def cmd_build(args) -> int:
 def cmd_order(args) -> int:
     datum, quiver, xi = _quiver_from_args(args)
     ar = ar_quiver.build(quiver, xi)
-    order = orders.canonical_reading(ar, args.strategy.upper())
+    order = orders.canonical_reading(ar, args.strategy)
     if args.format == "json":
         payload = {
-            "strategy": args.strategy.upper(),
+            "strategy": args.strategy,
             "word": list(order.word),
             "roots": [rs.format_root(datum, r) for r in order.roots],
             "coeffs": [list(r) for r in order.roots],
@@ -282,8 +282,6 @@ def cmd_pairs(args) -> int:
     datum, quiver, xi = _quiver_from_args(args)
     ar = ar_quiver.build(quiver, xi)
     gamma = rs.parse_root(datum, args.gamma)
-    if rs.ht(gamma) < 2:
-        raise CliError("simple roots have no pairs")
     results = []
     for pair in orders.pairs_of(ar, gamma):
         results.append(orders.classify_pair(ar, gamma, pair))

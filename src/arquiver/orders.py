@@ -93,7 +93,7 @@ def _order_from_reading(ar: ARQuiver, coords: list[Coord]) -> ConvexOrder:
     return ConvexOrder(ar.datum, word, roots)
 
 
-_STRATEGIES = ("U1", "U2", "L1", "L2")
+STRATEGIES = ("U1", "U2", "L1", "L2")
 
 
 def canonical_reading(ar: ARQuiver, strategy: str) -> ConvexOrder:
@@ -104,17 +104,25 @@ def canonical_reading(ar: ARQuiver, strategy: str) -> ConvexOrder:
     reverse).  L-orders scan so that d(1,i) + p descends, breaking ties by
     d(1,i) ascending and then by the sign of the spin summand (L1 reads the
     root with negative summand first, L2 the positive one).  Type A falls
-    back to a plain column-major reading.
+    back to a plain column-major reading.  Each reading is built and checked
+    for convexity once per quiver and kept in ``ar.readings_cache``.
     """
     strategy = strategy.upper()
-    if strategy not in _STRATEGIES:
+    if strategy not in STRATEGIES:
         raise OrderError(f"unknown strategy {strategy!r}")
-    datum = ar.datum
-    if datum.diagram_type != "D":
-        coords = sorted(ar.root_at, key=lambda c: (-c[1], c[0]))
+    order = ar.readings_cache.get(strategy)
+    if order is None:
+        coords = sorted(ar.root_at, key=_reading_key(ar, strategy))
         order = _order_from_reading(ar, coords)
         order.check_convexity()
-        return order
+        ar.readings_cache[strategy] = order
+    return order
+
+
+def _reading_key(ar: ARQuiver, strategy: str):
+    datum = ar.datum
+    if datum.diagram_type != "D":
+        return lambda c: (-c[1], c[0])
 
     def spin_sign(coord: Coord) -> int:
         eps = rs.epsilon_form(datum, ar.root_at[coord])
@@ -131,10 +139,7 @@ def canonical_reading(ar: ARQuiver, strategy: str) -> ConvexOrder:
             return (-(d + p), d, spin_sign(coord))
         return (-(d + p), d, 1 - spin_sign(coord))
 
-    coords = sorted(ar.root_at, key=key)
-    order = _order_from_reading(ar, coords)
-    order.check_convexity()
-    return order
+    return key
 
 
 def all_readings(ar: ARQuiver) -> Iterator[ConvexOrder]:
@@ -217,6 +222,14 @@ def pairs_of(ar: ARQuiver, gamma: Root) -> list[tuple[Root, Root]]:
     return pairs
 
 
+def all_pairs(ar: ARQuiver) -> Iterator[tuple[Root, tuple[Root, Root]]]:
+    """Every (gamma, pair) of Gamma_Q: gamma ascending, ht >= 2, pairs as in pairs_of."""
+    for gamma in sorted(ar.phi):
+        if rs.ht(gamma) >= 2:
+            for pair in pairs_of(ar, gamma):
+                yield gamma, pair
+
+
 def orient_pair(ar: ARQuiver, alpha: Root, beta: Root) -> tuple[Root, Root]:
     """Order a pair so the first member precedes the second in the path order.
 
@@ -254,7 +267,7 @@ def classify_pair(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> PairVer
 def _minimality_tag(ar, gamma, pair) -> Optional[str]:
     if ar.datum.diagram_type != "D":
         return None
-    for tag in _STRATEGIES:
+    for tag in STRATEGIES:
         order = canonical_reading(ar, tag)
         if minimal_wrt(order, pair, gamma):
             return tag
@@ -293,12 +306,7 @@ def _oracle_table(ar: ARQuiver) -> dict[tuple[Root, Root, Root], bool]:
     """(gamma, alpha, beta) -> whether at least one reading makes the pair minimal."""
     if ar.oracle_cache:
         return ar.oracle_cache
-    keys = [
-        (gamma, *pair)
-        for gamma in sorted(ar.phi)
-        if rs.ht(gamma) >= 2
-        for pair in pairs_of(ar, gamma)
-    ]
+    keys = [(gamma, *pair) for gamma, pair in all_pairs(ar)]
     pending = keys
     for order in all_readings(ar):
         pending = [(g, a, b) for g, a, b in pending if not minimal_wrt(order, (a, b), g)]

@@ -73,7 +73,7 @@ SQRT_MINUS_ONE = SpectralParam(2, 0)
 def mq(exponent) -> SpectralParam:
     """(-q)^exponent, for an integer or half-integer exponent."""
     x = Fraction(exponent)
-    if (4 * x).denominator != 1 or (2 * x).denominator != 1:
+    if (2 * x).denominator != 1:
         raise QAffineError(f"(-q)^{exponent} does not live in the parameter group")
     return SpectralParam(int(4 * x) % 8, int(2 * x))
 

@@ -376,7 +376,7 @@ def check_nfree_region(ar: ARQuiver) -> Optional[str]:
 # --- order checks --------------------------------------------------------------
 
 def check_canonical_orders(ar: ARQuiver) -> Optional[str]:
-    for tag in ("U1", "U2", "L1", "L2"):
+    for tag in orders.STRATEGIES:
         try:
             order = orders.canonical_reading(ar, tag)
         except orders.OrderError as exc:
@@ -387,7 +387,7 @@ def check_canonical_orders(ar: ARQuiver) -> Optional[str]:
 
 
 def check_compatibility(ar: ARQuiver) -> Optional[str]:
-    readings = {tag: orders.canonical_reading(ar, tag) for tag in ("U1", "U2", "L1", "L2")}
+    readings = {tag: orders.canonical_reading(ar, tag) for tag in orders.STRATEGIES}
     roots = sorted(ar.phi)
     for alpha in roots:
         below = ar.descendants(ar.coord_of(alpha))
@@ -448,14 +448,11 @@ def check_readings_equal_class(ar: ARQuiver) -> Optional[str]:
 
 
 def check_oracle_agreement(ar: ARQuiver) -> Optional[str]:
-    for gamma in sorted(ar.phi):
-        if rs.ht(gamma) < 2:
-            continue
-        for pair in orders.pairs_of(ar, gamma):
-            fast = orders.classify_pair(ar, gamma, pair).verdict
-            slow = orders.oracle_classify(ar, gamma, pair).verdict
-            if fast != slow:
-                return f"{gamma} pair {pair}: classifier {fast.value}, oracle {slow.value}"
+    for gamma, pair in orders.all_pairs(ar):
+        fast = orders.classify_pair(ar, gamma, pair).verdict
+        slow = orders.oracle_classify(ar, gamma, pair).verdict
+        if fast != slow:
+            return f"{gamma} pair {pair}: classifier {fast.value}, oracle {slow.value}"
     return None
 
 
@@ -484,51 +481,40 @@ def check_non_adapted_word() -> Optional[str]:
 
 def check_dorey_d1_coverage(ar: ARQuiver) -> Optional[str]:
     n = ar.rank
-    for gamma in sorted(ar.phi):
-        if rs.ht(gamma) < 2:
-            continue
-        for pair in orders.pairs_of(ar, gamma):
-            triple = qaffine.pair_to_triple(ar, gamma, pair)
-            verdict = qaffine.dorey_D1(n, triple)
-            if not verdict.admissible:
-                return f"{gamma} pair {pair} is not Dorey-admissible"
-            minimal = (
-                orders.classify_pair(ar, gamma, pair).verdict == orders.Verdict.MINIMAL
-            )
-            if minimal and verdict.case == "ii":
-                return f"minimal pair {pair} of {gamma} matched case ii"
-            if not minimal and verdict.case != "ii":
-                return f"non-minimal pair {pair} of {gamma} matched case {verdict.case}"
+    for gamma, pair in orders.all_pairs(ar):
+        triple = qaffine.pair_to_triple(ar, gamma, pair)
+        verdict = qaffine.dorey_D1(n, triple)
+        if not verdict.admissible:
+            return f"{gamma} pair {pair} is not Dorey-admissible"
+        minimal = orders.classify_pair(ar, gamma, pair).verdict == orders.Verdict.MINIMAL
+        if minimal and verdict.case == "ii":
+            return f"minimal pair {pair} of {gamma} matched case ii"
+        if not minimal and verdict.case != "ii":
+            return f"non-minimal pair {pair} of {gamma} matched case {verdict.case}"
     return None
 
 
 def check_star_transport(ar: ARQuiver) -> Optional[str]:
     n = ar.rank
     folded = n - 1
-    for gamma in sorted(ar.phi):
-        if rs.ht(gamma) < 2:
+    for gamma, pair in orders.all_pairs(ar):
+        if orders.classify_pair(ar, gamma, pair).verdict != orders.Verdict.MINIMAL:
             continue
-        for pair in orders.pairs_of(ar, gamma):
-            if orders.classify_pair(ar, gamma, pair).verdict != orders.Verdict.MINIMAL:
-                continue
-            t = qaffine.pair_to_triple(ar, gamma, pair)
-            si, sx = qaffine.star_map(folded, t.i, t.x)
-            sj, sy = qaffine.star_map(folded, t.j, t.y)
-            sk, sz = qaffine.star_map(folded, t.k, t.z)
-            image = qaffine.HomTriple(si, sx, sj, sy, sk, sz)
-            if not qaffine.dorey_D2(folded, image).admissible:
-                return f"star image of minimal pair {pair} of {gamma} rejected"
+        t = qaffine.pair_to_triple(ar, gamma, pair)
+        si, sx = qaffine.star_map(folded, t.i, t.x)
+        sj, sy = qaffine.star_map(folded, t.j, t.y)
+        sk, sz = qaffine.star_map(folded, t.k, t.z)
+        image = qaffine.HomTriple(si, sx, sj, sy, sk, sz)
+        if not qaffine.dorey_D2(folded, image).admissible:
+            return f"star image of minimal pair {pair} of {gamma} rejected"
     return None
 
 
 def check_surj_free_multiplicity(ar: ARQuiver) -> Optional[str]:
-    for gamma in sorted(ar.phi):
-        if rs.ht(gamma) < 2:
-            continue
-        for pair in orders.pairs_of(ar, gamma):
-            verdict = orders.classify_pair(ar, gamma, pair).verdict
-            if not qaffine.multiplicity_theorem_check(ar, gamma, pair, verdict):
-                return f"zero multiplicity wrong for pair {pair} of {gamma}"
+    for gamma, pair in orders.all_pairs(ar):
+        verdict = orders.classify_pair(ar, gamma, pair).verdict
+        if not qaffine.multiplicity_theorem_check(ar, gamma, pair, verdict):
+            return f"zero multiplicity wrong for pair {pair} of {gamma}"
     return None
 
 

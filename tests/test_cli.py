@@ -53,6 +53,7 @@ def test_order_u1(capsys):
         "< <1,-3> < <1,3> < <1,4> < <1,-2> < <3,4>"
     )
     assert "word: s3 s2 s1 s4" in out
+    assert run(capsys, ["order", *EX1, "--strategy", "U1"])[1] == out
 
 
 def test_pairs_output(capsys):
@@ -124,6 +125,8 @@ def test_verify_cli(tmp_path, capsys):
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, ["pairs", *EX1, "--gamma", "e9+e2"])
     assert code == 2 and "error:" in err
+    code, out, err = run(capsys, ["pairs", *EX1, "--gamma", "e1-e2"])
+    assert code == 2 and "simple roots have no pairs" in err and out == ""
     code, _, err = run(
         capsys, ["build", "--type", "D", "--rank", "4", "--arrows", "1>4,2>3,2>4"]
     )

@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from arquiver import ar_quiver, orders
+from arquiver import ar_quiver, orders, verify
 from arquiver import root_system as rs
 from arquiver.ar_quiver import ARQuiver
 from arquiver.orders import OrderError, Verdict
@@ -211,12 +211,11 @@ def test_caches_are_declared_fields(example1_ar):
         ar.descendants(coord)
     ar.sectional_paths()
     ar.swings()
-    for gamma in sorted(ar.phi):
-        if rs.ht(gamma) < 2:
-            continue
-        for pair in orders.pairs_of(ar, gamma):
-            orders.classify_pair(ar, gamma, pair)
-            orders.oracle_classify(ar, gamma, pair)
+    for tag in orders.STRATEGIES:
+        orders.canonical_reading(ar, tag)
+    for gamma, pair in orders.all_pairs(ar):
+        orders.classify_pair(ar, gamma, pair)
+        orders.oracle_classify(ar, gamma, pair)
     fresh = ARQuiver(ar.quiver, ar.xi, ar.tau_word, dict(ar.root_at), ar.arrows, ar.m)
     cached = {
         name
@@ -224,3 +223,52 @@ def test_caches_are_declared_fields(example1_ar):
         if isinstance(value, functools.cached_property)
     }
     assert set(vars(ar)) <= set(vars(fresh)) | cached
+
+
+def test_all_pairs_walks_each_root_of_height_two_or_more(example1_ar):
+    ar = example1_ar
+    expected = [
+        (gamma, pair)
+        for gamma in sorted(ar.phi)
+        if rs.ht(gamma) >= 2
+        for pair in orders.pairs_of(ar, gamma)
+    ]
+    assert list(orders.all_pairs(ar)) == expected
+    assert len(expected) == sum(rs.ht(gamma) - 1 for gamma in ar.phi)
+
+
+def test_canonical_readings_are_built_and_checked_once_per_quiver(monkeypatch):
+    d5 = CartanDatum("D", 5)
+    quiver = parse_arrow_spec(d5, "1>2,3>2,3>4,5>3")
+    ar = ar_quiver.build(quiver, make_height_function(quiver, 5, 0))
+    checked = []
+    check = orders.ConvexOrder.check_convexity
+
+    def counted(order):
+        checked.append(order)
+        check(order)
+
+    monkeypatch.setattr(orders.ConvexOrder, "check_convexity", counted)
+    first = {tag: orders.canonical_reading(ar, tag) for tag in orders.STRATEGIES}
+    again = {tag: orders.canonical_reading(ar, tag.lower()) for tag in first}
+    for gamma, pair in orders.all_pairs(ar):
+        orders.classify_pair(ar, gamma, pair)
+    assert len(checked) == 4
+    for tag, order in first.items():
+        assert again[tag] is order
+        assert orders.canonical_reading(ar, tag) is order
+
+
+def test_a_reading_that_fails_its_check_is_not_cached(monkeypatch, example1_quiver):
+    ar = ar_quiver.build(example1_quiver, make_height_function(example1_quiver, 3, 0))
+
+    def broken(order):
+        raise OrderError("injected fault")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(orders.ConvexOrder, "check_convexity", broken)
+        for _ in range(2):
+            assert verify.check_canonical_orders(ar) == "U1: injected fault"
+    assert ar.readings_cache == {}
+    assert verify.check_canonical_orders(ar) is None
+    assert set(ar.readings_cache) == set(orders.STRATEGIES)

@@ -40,8 +40,9 @@ def test_spectral_group_laws():
         assert mq2(m) == SpectralParam(4 * m, 0) * mq(2 * m)
     assert SQRT_MINUS_ONE * SQRT_MINUS_ONE == SpectralParam(4, 0)
     assert mq(Fraction(1, 2)) == SpectralParam(2, 1)
-    with pytest.raises(QAffineError):
-        mq(Fraction(1, 3))
+    for off_lattice in (Fraction(1, 3), Fraction(1, 4)):
+        with pytest.raises(QAffineError):
+            mq(off_lattice)
 
 
 def test_denominator_d1_examples():
