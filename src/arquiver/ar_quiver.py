@@ -9,8 +9,14 @@ the bijection between coordinates and positive roots, the arrow set
 Maximal sectional paths are modelled as "brooms": a diagonal chain through
 levels <= n-2 together with the spin-level tips it runs into (an S-broom
 may fork into both levels n-1 and n at its top; an N-broom may start from
-both).  Two roots count as lying on a common sectional path when one
-maximal broom contains both.
+both).  They are read off the grid's diagonals: with the folded level
+l(i) = min(i, n-1) in type D (l(i) = i in type A), an S-broom is the set of
+vertices with one value of p - l(i) and an N-broom the set with one value of
+p + l(i), kept when it has two or more members and, in type D, one at a
+level <= n-2.  Two roots count as lying on a common sectional path when one
+maximal broom contains both.  A swing is read off the paths too: the
+S-broom whose tips are the fork (n-1, u), (n, u) plus the N-broom leaving
+that fork.
 """
 
 from __future__ import annotations
@@ -106,10 +112,6 @@ class ARQuiver:
         return self.coord_of(root)[1]
 
     @property
-    def spin_levels(self) -> tuple[int, int]:
-        return (self.rank - 1, self.rank)
-
-    @property
     def t_index(self) -> int:
         """The spin index t: roots with summand +-e_t sit at levels n-1 and n."""
         if self.datum.diagram_type != "D":
@@ -161,9 +163,6 @@ class ARQuiver:
 
     # --- named structure -------------------------------------------------------
 
-    def simple_root_coords(self) -> dict[int, Coord]:
-        return {k: self.coord_of(self.datum.simple_root(k)) for k in self.datum.vertices}
-
     def level_pair_sum(self, column: int) -> Optional[tuple[int, tuple[Root, Root]]]:
         """For a column holding both spin levels: the index a with root sum 2*e_a."""
         n = self.rank
@@ -207,65 +206,34 @@ class ARQuiver:
 
     # --- sectional paths and swings ---------------------------------------------
 
-    def _is_s_arrow(self, a: Coord, b: Coord) -> bool:
-        n = self.rank
-        (i, p), (j, q) = a, b
-        if q != p + 1:
-            return False
-        if self.datum.diagram_type == "A":
-            return j == i + 1
-        return (i <= n - 2 and j == i + 1) or (i == n - 2 and j == n)
-
-    def _is_n_arrow(self, a: Coord, b: Coord) -> bool:
-        n = self.rank
-        (i, p), (j, q) = a, b
-        if q != p + 1:
-            return False
-        if self.datum.diagram_type == "A":
-            return j == i - 1
-        return (2 <= i <= n - 1 and j == i - 1) or (i == n and j == n - 2)
-
     def sectional_paths(self) -> list[SectionalPath]:
         """All maximal sectional brooms, S-kind then N-kind, by start coordinate."""
         return list(self._sectional_paths)
 
     @cached_property
     def _sectional_paths(self) -> tuple[SectionalPath, ...]:
-        return tuple(self._sectional(kind="S") + self._sectional(kind="N"))
-
-    def _sectional(self, kind: str) -> list[SectionalPath]:
-        step = self._is_s_arrow if kind == "S" else self._is_n_arrow
-        edges = [(a, b) for a, b in self.arrows if step(a, b)]
-        # connected components of the S- (or N-) arrow subgraph are brooms:
-        # a diagonal stem plus at most two spin-level members
-        component: dict[Coord, int] = {}
-        members: dict[int, set[Coord]] = {}
-        next_id = 0
-        for a, b in sorted(edges):
-            ca = component.get(a)
-            cb = component.get(b)
-            if ca is None and cb is None:
-                component[a] = component[b] = next_id
-                members[next_id] = {a, b}
-                next_id += 1
-            elif ca is None:
-                component[a] = cb
-                members[cb].add(a)
-            elif cb is None:
-                component[b] = ca
-                members[ca].add(b)
-            elif ca != cb:
-                for c in members[cb]:
-                    component[c] = ca
-                members[ca] |= members.pop(cb)
-        spin = set(self.spin_levels) if self.datum.diagram_type == "D" else set()
-        paths = []
-        for group in members.values():
-            coords = tuple(sorted(group, key=lambda c: (c[1], c[0])))
-            is_shallow = bool(spin) and not any(c[0] in spin for c in coords)
-            paths.append(SectionalPath(kind=kind, coords=coords, shallow=is_shallow))
-        paths.sort(key=lambda path: path.coords)
-        return paths
+        # fold the spin levels onto level n-1 in type D, so that S-arrows raise
+        # the folded level by one and N-arrows lower it: an S-broom is a class of
+        # equal p - level, an N-broom one of equal p + level
+        n = self.rank
+        is_d = self.datum.diagram_type == "D"
+        top = n - 1 if is_d else n
+        paths: list[SectionalPath] = []
+        for kind, sign in (("S", -1), ("N", 1)):
+            diagonals: dict[int, list[Coord]] = {}
+            for i, p in self.root_at:
+                diagonals.setdefault(p + sign * min(i, top), []).append((i, p))
+            brooms = []
+            for coords in diagonals.values():
+                levels = [i for i, _ in coords]
+                # a spin pair (n-1, u), (n, u) with no stem below it is no broom
+                if len(coords) < 2 or (is_d and min(levels) > n - 2):
+                    continue
+                coords.sort(key=lambda c: (c[1], c[0]))
+                shallow = is_d and max(levels) <= n - 2
+                brooms.append(SectionalPath(kind=kind, coords=tuple(coords), shallow=shallow))
+            paths += sorted(brooms, key=lambda path: path.coords)
+        return tuple(paths)
 
     def swings(self) -> list[Swing]:
         """Maximal swings, one per fork column with stems on both sides."""
@@ -276,38 +244,22 @@ class ARQuiver:
     @cached_property
     def _swings(self) -> tuple[Swing, ...]:
         n = self.rank
+        stems: dict[tuple[str, tuple[Coord, ...]], tuple[Coord, ...]] = {}
+        for path in self._sectional_paths:
+            fork = tuple(c for c in path.coords if c[0] >= n - 1)
+            if len(fork) == 2:
+                stems[path.kind, fork] = tuple(c for c in path.coords if c[0] <= n - 2)
         swings = []
-        columns = sorted(
-            p for (i, p) in self.root_at if i == n - 1 and (n, p) in self.root_at
-        )
-        for u in columns:
-            if (n - 2, u - 1) not in self.root_at or (n - 2, u + 1) not in self.root_at:
-                continue
-            s_part = []
-            c = (n - 2, u - 1)
-            while c in self.root_at:
-                s_part.append(c)
-                c = (c[0] - 1, c[1] - 1)
-            s_part.reverse()
-            n_part = []
-            c = (n - 2, u + 1)
-            while c in self.root_at:
-                n_part.append(c)
-                c = (c[0] - 1, c[1] + 1)
-            shared = self._swing_shared_index(s_part, ((n - 1, u), (n, u)), n_part)
-            swings.append(
-                Swing(
-                    shared_index=shared,
-                    s_part=tuple(s_part),
-                    fork=((n - 1, u), (n, u)),
-                    n_part=tuple(n_part),
-                )
-            )
+        for (kind, fork), s_part in stems.items():
+            n_part = stems.get(("N", fork))
+            if kind == "S" and n_part is not None:
+                shared = self._swing_shared_index(s_part, fork, n_part)
+                swings.append(Swing(shared, s_part, fork, n_part))
         return tuple(sorted(swings, key=lambda s: s.shared_index))
 
     def _swing_shared_index(self, s_part, fork, n_part) -> int:
         common: Optional[set[int]] = None
-        for coord in list(s_part) + list(fork) + list(n_part):
+        for coord in s_part + fork + n_part:
             eps = rs.epsilon_form(self.datum, self.root_at[coord])
             mine = {s for s in eps.summands if s > 0}
             common = mine if common is None else common & mine
@@ -316,12 +268,6 @@ class ARQuiver:
                 f"swing at fork {fork} shares {sorted(common or ())} summands, expected one"
             )
         return common.pop()
-
-    def swing_of(self, a: int) -> Swing:
-        for swing in self.swings():
-            if swing.shared_index == a:
-                return swing
-        raise ARQuiverError(f"no {a}-swing")
 
     # --- the sigma and kappa sequences ------------------------------------------
 

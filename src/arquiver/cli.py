@@ -98,10 +98,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path; a path that cannot be written is bad input."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+        _write(out, text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
@@ -189,18 +197,15 @@ def parse_param(text: str) -> qaffine.SpectralParam:
 
 
 def format_param(param: qaffine.SpectralParam) -> str:
-    if param.p % 2 == 0 and qaffine.mq(Fraction(param.p, 2)) == param:
-        exp = Fraction(param.p, 2)
-        return f"(-q)^{exp}"
-    if qaffine.mq2(Fraction(param.p, 4)) == param:
-        return f"(-q^2)^{Fraction(param.p, 4)}"
-    if qaffine.mq2(Fraction(param.p, 4)).negate() == param:
-        return f"-(-q^2)^{Fraction(param.p, 4)}"
-    shifted = param / qaffine.SQRT_MINUS_ONE
-    if qaffine.mq2(Fraction(param.p, 4)) == shifted:
-        return f"i*(-q^2)^{Fraction(param.p, 4)}"
-    if qaffine.mq2(Fraction(param.p, 4)).negate() == shifted:
-        return f"-i*(-q^2)^{Fraction(param.p, 4)}"
+    half, quarter = Fraction(param.p, 2), Fraction(param.p, 4)
+    if qaffine.mq(half) == param:
+        return f"(-q)^{half}"
+    base = qaffine.mq2(quarter)
+    turned = qaffine.SQRT_MINUS_ONE * base
+    signed = (("", base), ("-", base.negate()), ("i*", turned), ("-i*", turned.negate()))
+    for sign, value in signed:
+        if value == param:
+            return f"{sign}(-q^2)^{quarter}"
     return f"zeta8^{param.u} q^({param.p}/2)"
 
 
@@ -380,8 +385,7 @@ def cmd_verify(args) -> int:
     suites = None if args.suite == "all" else {args.suite}
     report = verify.run_suite(args.rank_max, suites=suites, parallelism=args.jobs)
     if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(report.to_json())
+        _write(args.json_out, report.to_json())
     for record in report.failures():
         print(
             f"{record.status.upper()} {record.check_id} rank={record.rank} "

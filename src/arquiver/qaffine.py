@@ -72,18 +72,18 @@ SQRT_MINUS_ONE = SpectralParam(2, 0)
 
 def mq(exponent) -> SpectralParam:
     """(-q)^exponent, for an integer or half-integer exponent."""
-    x = Fraction(exponent)
-    if (2 * x).denominator != 1:
+    p = 2 * exponent
+    if p.denominator != 1:
         raise QAffineError(f"(-q)^{exponent} does not live in the parameter group")
-    return SpectralParam(int(4 * x) % 8, int(2 * x))
+    return SpectralParam(2 * int(p), int(p))
 
 
 def mq2(exponent) -> SpectralParam:
-    """(-q^2)^exponent, for an integer or half-integer exponent."""
-    x = Fraction(exponent)
-    if (4 * x).denominator != 1:
+    """(-q^2)^exponent, for an exponent in (1/4)Z."""
+    p = 4 * exponent
+    if p.denominator != 1:
         raise QAffineError(f"(-q^2)^{exponent} does not live in the parameter group")
-    return SpectralParam(int(4 * x) % 8, int(4 * x))
+    return SpectralParam(int(p), int(p))
 
 
 @dataclass(frozen=True)

@@ -291,18 +291,14 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
     left, right = mags[: fold - 1], mags[fold - 1:]
     if left != sorted(left) or right != sorted(right, reverse=True):
         return f"kappa magnitudes {mags} are not a tent around position {fold}"
-    total = [0] * n
-    for root in kappa_roots:
-        for idx2, c in enumerate(root):
-            total[idx2] += c
-    e = rs.epsilon_coords(datum, tuple(total))
+
+    def eps_sum(roots) -> tuple[int, ...]:
+        return rs.epsilon_coords(datum, tuple(map(sum, zip(*roots))))
+
+    e = eps_sum(kappa_roots)
     if [c for c in e if c] != [2] or e[0] != 2:
         return f"sum of kappa is not 2*e_1 (epsilon coords {e})"
-    partial = [0] * n
-    for root in kappa_roots[: fold - 1]:
-        for idx2, c in enumerate(root):
-            partial[idx2] += c
-    head = rs.epsilon_coords(datum, tuple(partial))
+    head = eps_sum(kappa_roots[: fold - 1])
     tail = tuple(a - b for a, b in zip(e, head))
     want = {
         tuple(1 if i in (0, tp - 1) else 0 for i in range(n)),
@@ -314,13 +310,9 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
         segment = kappa_roots[: n - 2]
     else:
         segment = kappa_roots[1:]
-    seg_sum = [0] * n
-    for root in segment:
-        for idx2, c in enumerate(root):
-            seg_sum[idx2] += c
-    eps_sum = rs.epsilon_coords(datum, tuple(seg_sum))
-    if eps_sum != tuple(1 if i in (0, 1) else 0 for i in range(n)):
-        return f"kappa segment sum {eps_sum} is not e_1 + e_2"
+    seg = eps_sum(segment)
+    if seg != tuple(1 if i in (0, 1) else 0 for i in range(n)):
+        return f"kappa segment sum {seg} is not e_1 + e_2"
     for pos, (root, j) in enumerate(zip(kappa_roots, kappa_idx), start=1):
         path = _summand_class_path(ar, j)
         if len(rs.summand_class(datum, j)) <= 1:

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from arquiver import ar_quiver
@@ -31,8 +33,8 @@ def test_d5_spin_depths_split_by_parity():
     assert (ar.m[3], ar.m[4]) == (2, 4)
 
 
-def test_simple_root_coords(example1_ar):
-    coords = example1_ar.simple_root_coords()
+def test_simple_root_coords(example1_ar, d4):
+    coords = {k: example1_ar.coord_of(d4.simple_root(k)) for k in d4.vertices}
     assert coords[3] == (3, 0)  # source
     assert coords[1] == (1, -6)  # sink
     assert coords[4] == (4, -6)  # sink
@@ -92,11 +94,12 @@ def test_triangle_apex(example1_ar):
 def test_swings_example1(example1_ar):
     swings = example1_ar.swings()
     assert [s.shared_index for s in swings] == [1, 2]
-    one = example1_ar.swing_of(1)
+    by_index = {s.shared_index: s for s in swings}
+    one = by_index[1]
     labels = {eps_of(example1_ar, c) for c in one.coords}
     assert labels == {(1, -2), (1, 4), (1, 3), (1, -3), (1, 2), (1, -4)}
     assert len(one.coords) == 2 * 4 - 1 - 1
-    two = example1_ar.swing_of(2)
+    two = by_index[2]
     assert len(two.coords) == 2 * 4 - 2 - 1
     assert two.fork == ((3, -2), (4, -2))
 
@@ -109,6 +112,68 @@ def test_sectional_paths_example1(example1_ar):
     assert frozenset({(4, -6), (2, -5), (1, -4)}) in coord_sets
     for path in paths:
         assert not path.shallow  # none exist in this small example
+
+
+def _arrow_kind(n, diagram_type, a, b):
+    """The paper's rule: which kind of sectional arrow a -> b is, if any."""
+    i, j = a[0], b[0]
+    if diagram_type == "A":
+        return "S" if j == i + 1 else "N"
+    if (i <= n - 2 and j == i + 1) or (i == n - 2 and j == n):
+        return "S"
+    if (2 <= i <= n - 1 and j == i - 1) or (i == n and j == n - 2):
+        return "N"
+    return None
+
+
+def _arrow_components(ar, kind):
+    """Connected components with two or more vertices of one arrow kind."""
+    neighbours = {}
+    for a, b in ar.arrows:
+        if _arrow_kind(ar.rank, ar.datum.diagram_type, a, b) == kind:
+            neighbours.setdefault(a, []).append(b)
+            neighbours.setdefault(b, []).append(a)
+    seen, components = set(), []
+    for start in sorted(neighbours):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, members = deque([start]), []
+        while queue:
+            c = queue.popleft()
+            members.append(c)
+            for d in neighbours[c]:
+                if d not in seen:
+                    seen.add(d)
+                    queue.append(d)
+        components.append(tuple(sorted(members, key=lambda c: (c[1], c[0]))))
+    return sorted(components)
+
+
+@pytest.mark.parametrize(
+    "diagram_type, rank",
+    [("D", n) for n in range(4, 8)] + [("A", n) for n in range(1, 6)],
+)
+def test_sectional_paths_are_the_arrow_components(diagram_type, rank):
+    datum = CartanDatum(diagram_type, rank)
+    for quiver in all_orientations(datum):
+        ar = ar_quiver.build(quiver, make_height_function(quiver, rank, 0))
+        expected = [("S", c) for c in _arrow_components(ar, "S")]
+        expected += [("N", c) for c in _arrow_components(ar, "N")]
+        assert [(p.kind, p.coords) for p in ar.sectional_paths()] == expected
+
+
+def test_stemless_spin_pair_is_no_path():
+    d4 = CartanDatum("D", 4)
+    quiver = parse_arrow_spec(d4, "1>2,2>3,2>4")
+    ar = ar_quiver.build(quiver, make_height_function(quiver, 4, 0))
+    pair = {(3, -4), (4, -4)}
+    # one S-diagonal (equal p - min(i, 3)) holds both, but no S-arrow reaches
+    # them: they are tips of an N-broom only
+    assert pair <= set(ar.root_at) and (2, -5) not in ar.root_at
+    holding = [p.kind for p in ar.sectional_paths() if pair <= set(p.coords)]
+    assert holding == ["N"]
+    assert not any(set(p.coords) <= pair for p in ar.sectional_paths())
 
 
 def test_sigma_kappa_example1(example1_ar):

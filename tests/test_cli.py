@@ -1,9 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver import ar_quiver
-from arquiver.cli import main
+from arquiver.cli import format_param, main, parse_param
+from arquiver.qaffine import mq, mq2
 
 EX1 = ["--type", "D", "--rank", "4", "--arrows", "2>1,3>2,2>4", "--xi", "3=0"]
 
@@ -93,6 +97,25 @@ def test_denom_with_at(capsys):
     assert len(payload["factors"]) == 3
 
 
+def test_denom_half_integer_power(capsys):
+    code, out, _ = run(
+        capsys,
+        ["denom", "--family", "D1", "--rank", "4", "-k", "2", "-l", "2",
+         "--at", "(-q)^{1/2}"],
+    )
+    assert code == 0
+    assert "multiplicity at (-q)^1/2: 0" in out
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(-64, 64), st.integers(-64, 64))
+def test_spectral_params_round_trip_and_multiply(a, b):
+    for power, denominator in ((mq, 2), (mq2, 4)):
+        x = power(Fraction(a, denominator))
+        assert parse_param(format_param(x)) == x
+        assert x * power(Fraction(b, denominator)) == power(Fraction(a + b, denominator))
+
+
 def test_dorey_cli(capsys):
     code, out, _ = run(
         capsys,
@@ -146,6 +169,21 @@ def test_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, ["build", *EX1, "--out", str(path)])
     assert code == 0 and out == ""
     assert "<3,-4>" in path.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--type", "D", "--rank", "4", "--out"],
+        ["verify", "--rank-max", "4", "--suite", "structure", "--json"],
+    ],
+    ids=["roots-out", "verify-json"],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, [*argv, str(target)])
+    assert code == 2 and err.startswith("error:") and out == ""
+    assert not target.exists()
 
 
 def test_version(capsys):

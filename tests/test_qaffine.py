@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from arquiver import ar_quiver, orders, qaffine
+from arquiver import ar_quiver, orders, qaffine, verify
 from arquiver import root_system as rs
 from arquiver.qaffine import (
     SQRT_MINUS_ONE,
@@ -22,7 +22,7 @@ from arquiver.qaffine import (
     pair_to_triple,
     star_map,
 )
-from arquiver.quiver import make_height_function, parse_arrow_spec
+from arquiver.quiver import DynkinQuiver, make_height_function, parse_arrow_spec
 from arquiver.root_system import CartanDatum
 
 
@@ -43,6 +43,29 @@ def test_spectral_group_laws():
     for off_lattice in (Fraction(1, 3), Fraction(1, 4)):
         with pytest.raises(QAffineError):
             mq(off_lattice)
+
+
+def test_spectral_arithmetic_builds_no_fractions(monkeypatch):
+    d5 = CartanDatum("D", 5)
+    quiver = DynkinQuiver.from_bitmask(d5, 5)
+    ar = ar_quiver.build(quiver, make_height_function(quiver, 5, 0))
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    assert mq(Fraction(1, 2)) == SpectralParam(2, 1) and built  # the wrapper counts
+    built.clear()
+    for check in (
+        verify.check_dorey_d1_coverage,
+        verify.check_surj_free_multiplicity,
+        verify.check_sectional_commuting,
+    ):
+        assert check(ar) is None
+    assert len(built) == 0
 
 
 def test_denominator_d1_examples():
