@@ -196,16 +196,21 @@ def parse_param(text: str) -> qaffine.SpectralParam:
     raise CliError(f"cannot parse spectral parameter {text!r}")
 
 
+def _exponent(x: Fraction) -> str:
+    """Braced when fractional, so (-q)^{1/2} cannot read as ((-q)^1)/2."""
+    return str(x) if x.denominator == 1 else f"{{{x}}}"
+
+
 def format_param(param: qaffine.SpectralParam) -> str:
     half, quarter = Fraction(param.p, 2), Fraction(param.p, 4)
     if qaffine.mq(half) == param:
-        return f"(-q)^{half}"
+        return f"(-q)^{_exponent(half)}"
     base = qaffine.mq2(quarter)
     turned = qaffine.SQRT_MINUS_ONE * base
     signed = (("", base), ("-", base.negate()), ("i*", turned), ("-i*", turned.negate()))
     for sign, value in signed:
         if value == param:
-            return f"{sign}(-q^2)^{quarter}"
+            return f"{sign}(-q^2)^{_exponent(quarter)}"
     return f"zeta8^{param.u} q^({param.p}/2)"
 
 
@@ -383,6 +388,8 @@ def cmd_dorey(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = None if args.suite == "all" else {args.suite}
+    if args.json_out:  # an unwritable path fails before the sweep, not after it
+        _write(args.json_out, "")
     report = verify.run_suite(args.rank_max, suites=suites, parallelism=args.jobs)
     if args.json_out:
         _write(args.json_out, report.to_json())

@@ -56,15 +56,15 @@ class ConvexOrder:
         return self.position[root]
 
     def check_convexity(self) -> None:
-        pos = self.position
-        for x, alpha in enumerate(self.roots):
-            for beta in self.roots[x + 1:]:
-                total = tuple(a + b for a, b in zip(alpha, beta))
-                z = pos.get(total)
-                if z is not None and not x < z < pos[beta]:
-                    raise OrderError(
-                        f"sum {total} not between its parts {alpha}, {beta}"
-                    )
+        """Raise unless this orders Phi+ with each root sum between its parts (Papi)."""
+        pos, sums = self.position, rs.root_sums(self.datum)
+        if len(self.roots) != len(pos) or pos.keys() != sums.keys():
+            raise OrderError("order is not an ordering of the positive roots")
+        for total, pairs in sums.items():
+            for pair in pairs:
+                a, b = sorted(pair, key=pos.__getitem__)
+                if not pos[a] < pos[total] < pos[b]:
+                    raise OrderError(f"sum {total} not between its parts {a}, {b}")
 
 
 def order_from_word(datum: CartanDatum, word: WeylWord) -> ConvexOrder:
@@ -199,24 +199,15 @@ def commutation_class(datum: CartanDatum, word: WeylWord) -> frozenset[WeylWord]
 
 def pairs_of(ar: ARQuiver, gamma: Root) -> list[tuple[Root, Root]]:
     """All pairs (alpha, beta) with alpha + beta = gamma, alpha first in <=_Q."""
-    datum = ar.datum
     if rs.ht(gamma) < 2:
         raise OrderError("simple roots have no pairs")
     cached = ar.pairs_cache.get(gamma)
     if cached is not None:
         return list(cached)
-    roots = rs.enumerate_positive_roots(datum)
-    pairs = []
-    seen = set()
-    for alpha in roots:
-        beta = tuple(g - a for g, a in zip(gamma, alpha))
-        if any(c < 0 for c in beta) or beta not in roots or beta == alpha:
-            continue
-        key = frozenset((alpha, beta))
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append(orient_pair(ar, alpha, beta))
+    sums = rs.root_sums(ar.datum).get(gamma)
+    if sums is None:
+        raise OrderError(f"{gamma} is not a positive root")
+    pairs = [orient_pair(ar, alpha, beta) for alpha, beta in sums]
     pairs.sort(key=lambda ab: ar.coord_of(ab[0]))
     ar.pairs_cache[gamma] = tuple(pairs)
     return pairs
@@ -282,14 +273,13 @@ def _check_pair(ar: ARQuiver, gamma: Root, pair) -> tuple[Root, Root]:
 
 
 def minimal_wrt(order: ConvexOrder, pair: tuple[Root, Root], gamma: Root) -> bool:
-    """Literal check against the positions of one total order."""
+    """False iff some pair of gamma nests inside `pair` with gamma between its parts."""
     alpha, beta = pair
     lo, hi = sorted((order.index(alpha), order.index(beta)))
     mid = order.index(gamma)
-    for other in order.roots[lo + 1: mid]:
-        partner = tuple(g - c for g, c in zip(gamma, other))
-        z = order.position.get(partner)
-        if z is not None and mid < z < hi:
+    for other in rs.root_sums(order.datum)[gamma]:
+        x, y = sorted(map(order.index, other))
+        if lo < x < mid < y < hi:
             return False
     return True
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 Root = tuple[int, ...]
 SignedRoot = tuple[int, Root]
@@ -132,8 +133,9 @@ def reflect(datum: CartanDatum, i: int, root: Root | SignedRoot) -> SignedRoot:
     pair = 2 * coeffs[i - 1] - sum(coeffs[j - 1] for j in datum.neighbor_table[i])
     out = list(coeffs)
     out[i - 1] -= pair
-    if any(c < 0 for c in out):
-        # a root vector is never mixed-sign, so this is the negative of a root
+    # only coordinate i moved off a non-negative vector, and a root is never
+    # mixed-sign: the image is negative exactly when that coordinate is
+    if out[i - 1] < 0:
         return (-sign, tuple(-c for c in out))
     return (sign, tuple(out))
 
@@ -171,6 +173,21 @@ def enumerate_positive_roots(datum: CartanDatum) -> frozenset[Root]:
             f"expected {datum.num_positive_roots}"
         )
     return frozenset(found)
+
+
+@lru_cache(maxsize=None)
+def root_sums(datum: CartanDatum) -> MappingProxyType[Root, tuple[tuple[Root, Root], ...]]:
+    """Positive root gamma -> every unordered pair of positive roots summing to it."""
+    roots = sorted(enumerate_positive_roots(datum))
+    # 4 bits per coefficient: coefficients are at most 2, so codes add without carries
+    codes = [sum(c << 4 * k for k, c in enumerate(root)) for root in roots]
+    by_code = dict(zip(codes, roots))
+    table: dict[Root, list[tuple[Root, Root]]] = {root: [] for root in roots}
+    for x, a in enumerate(codes):
+        for b in codes[x + 1:]:
+            if a + b in by_code:
+                table[by_code[a + b]].append((roots[x], by_code[b]))
+    return MappingProxyType({gamma: tuple(pairs) for gamma, pairs in table.items()})
 
 
 def is_positive_root(datum: CartanDatum, coeffs: Root) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arquiver import ar_quiver
+from arquiver import ar_quiver, verify
 from arquiver.cli import format_param, main, parse_param
 from arquiver.qaffine import mq, mq2
 
@@ -104,7 +104,13 @@ def test_denom_half_integer_power(capsys):
          "--at", "(-q)^{1/2}"],
     )
     assert code == 0
-    assert "multiplicity at (-q)^1/2: 0" in out
+    assert "multiplicity at (-q)^{1/2}: 0" in out
+
+
+def test_fractional_exponents_are_braced():
+    assert format_param(mq(4)) == "(-q)^4"
+    assert format_param(mq(Fraction(1, 2))) == "(-q)^{1/2}"
+    assert format_param(mq2(Fraction(3, 4))) == "(-q^2)^{3/4}"
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -184,6 +190,17 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, [*argv, str(target)])
     assert code == 2 and err.startswith("error:") and out == ""
     assert not target.exists()
+
+
+def test_unwritable_verify_json_fails_before_the_sweep(monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        pytest.fail("run_suite ran before the --json path was checked")
+
+    monkeypatch.setattr(verify, "run_suite", no_sweep)
+    code, out, err = run(
+        capsys, ["verify", "--rank-max", "4", "--json", "/nonexistent/r.json"]
+    )
+    assert code == 2 and err.startswith("error: cannot write") and out == ""
 
 
 def test_version(capsys):

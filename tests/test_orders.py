@@ -6,7 +6,12 @@ from arquiver import ar_quiver, orders, verify
 from arquiver import root_system as rs
 from arquiver.ar_quiver import ARQuiver
 from arquiver.orders import OrderError, Verdict
-from arquiver.quiver import is_adapted, make_height_function, parse_arrow_spec
+from arquiver.quiver import (
+    all_orientations,
+    is_adapted,
+    make_height_function,
+    parse_arrow_spec,
+)
 from arquiver.root_system import CartanDatum
 
 from conftest import EXAMPLE1_ORDERS
@@ -272,3 +277,92 @@ def test_a_reading_that_fails_its_check_is_not_cached(monkeypatch, example1_quiv
     assert ar.readings_cache == {}
     assert verify.check_canonical_orders(ar) is None
     assert set(ar.readings_cache) == set(orders.STRATEGIES)
+
+
+# --- the root-sum table against the literal scans of Phi+ ---------------------------
+
+def _scanned_pairs(ar, gamma):
+    """Every gamma - alpha that is a root, oriented and sorted as pairs_of does."""
+    roots = rs.enumerate_positive_roots(ar.datum)
+    pairs, seen = [], set()
+    for alpha in roots:
+        beta = tuple(g - a for g, a in zip(gamma, alpha))
+        if beta in roots and frozenset((alpha, beta)) not in seen:
+            seen.add(frozenset((alpha, beta)))
+            pairs.append(orders.orient_pair(ar, alpha, beta))
+    pairs.sort(key=lambda ab: ar.coord_of(ab[0]))
+    return pairs
+
+
+def _scanned_minimal(order, pair, gamma):
+    """No root between the pair's first part and gamma has its partner between
+    gamma and the second part."""
+    lo, hi = sorted(map(order.index, pair))
+    mid = order.index(gamma)
+    for other in order.roots[lo + 1: mid]:
+        partner = tuple(g - c for g, c in zip(gamma, other))
+        z = order.position.get(partner)
+        if z is not None and mid < z < hi:
+            return False
+    return True
+
+
+def _every_orientation(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    for quiver in all_orientations(datum):
+        yield ar_quiver.build(quiver, make_height_function(quiver, rank, 0))
+
+
+ORIENTED_TYPES = [("D", n) for n in (4, 5, 6)] + [("A", n) for n in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("diagram, rank", ORIENTED_TYPES)
+def test_pairs_of_equals_the_scan_of_phi(diagram, rank):
+    for ar in _every_orientation(diagram, rank):
+        for gamma in sorted(ar.phi):
+            if rs.ht(gamma) >= 2:
+                assert orders.pairs_of(ar, gamma) == _scanned_pairs(ar, gamma)
+
+
+@pytest.mark.parametrize("diagram, rank", ORIENTED_TYPES)
+def test_minimal_wrt_equals_the_scan_of_positions(diagram, rank):
+    verdicts = set()
+    for ar in _every_orientation(diagram, rank):
+        readings = [orders.canonical_reading(ar, tag) for tag in orders.STRATEGIES]
+        for gamma, pair in orders.all_pairs(ar):
+            for order in readings:
+                expected = _scanned_minimal(order, pair, gamma)
+                assert orders.minimal_wrt(order, pair, gamma) == expected
+                assert orders.minimal_wrt(order, pair[::-1], gamma) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False} or rank < 4  # both verdicts occur from rank 4
+
+
+def test_check_convexity_rejects_a_sum_outside_its_parts(example1_ar, d4):
+    u1 = orders.canonical_reading(example1_ar, "U1")
+    theta = rs.parse_root(d4, "e1+e2")  # the highest root is a part of no sum
+    moved = orders.ConvexOrder(
+        d4, u1.word, (theta, *(r for r in u1.roots if r != theta))
+    )
+    messages = {
+        "sum {} not between its parts {}, {}".format(theta, *sorted(pair, key=moved.index))
+        for pair in orders.pairs_of(example1_ar, theta)
+    }
+    with pytest.raises(OrderError) as excinfo:
+        moved.check_convexity()
+    assert str(excinfo.value) in messages
+
+
+@pytest.mark.parametrize("flaw", ["missing", "repeated"])
+def test_check_convexity_rejects_an_order_that_is_not_of_phi(example1_ar, flaw):
+    u1 = orders.canonical_reading(example1_ar, "U1")
+    roots = u1.roots[:-1] + ((u1.roots[0],) if flaw == "repeated" else ())
+    order = orders.ConvexOrder(u1.datum, u1.word[: len(roots)], roots)
+    with pytest.raises(OrderError, match="not an ordering of the positive roots"):
+        order.check_convexity()
+
+
+@pytest.mark.parametrize("gamma", [(1, 0, 1, 0), (2, 0, 0, 0), (1, 2, 1, 2)])
+def test_pairs_of_rejects_a_non_root(example1_ar, gamma):
+    with pytest.raises(OrderError, match="is not a positive root"):
+        orders.pairs_of(example1_ar, gamma)

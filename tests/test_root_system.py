@@ -239,6 +239,25 @@ def test_summand_class_holds_every_carrier(rank):
         assert rs.summand_class(datum, s) == carriers
 
 
+@pytest.mark.parametrize(
+    "diagram, rank", [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 11)]
+)
+def test_root_sums_holds_every_pair_of_summands(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    roots = rs.enumerate_positive_roots(datum)
+    expected = {gamma: set() for gamma in roots}
+    for alpha in roots:
+        for beta in roots:
+            total = tuple(a + b for a, b in zip(alpha, beta))
+            if total in roots:
+                expected[total].add(frozenset((alpha, beta)))
+    table = rs.root_sums(datum)
+    assert table.keys() == roots
+    for gamma, pairs in table.items():
+        assert len(set(map(frozenset, pairs))) == len(pairs)
+        assert set(map(frozenset, pairs)) == expected[gamma]
+
+
 @st.composite
 def signed_roots(draw):
     diagram = draw(st.sampled_from("AD"))
