@@ -121,8 +121,8 @@ class ARQuiver:
 
     @property
     def t_prime_index(self) -> int:
-        n = self.rank
-        return n if abs(self.xi[n - 2] - self.xi[n - 1]) == 2 else n - 1
+        """The other spin index t': {t, t'} = {n-1, n}."""
+        return 2 * self.rank - 1 - self.t_index
 
     def out_arrows(self, coord: Coord) -> list[Coord]:
         i, p = coord

@@ -377,12 +377,9 @@ def cmd_dorey(args) -> int:
         }
         _emit(json.dumps(payload, indent=2), args.out)
         return 0
-    if verdict.admissible:
-        note = "" if verdict.exhaustive else "  (one-way rule: no means unknown)"
-        _emit(f"yes, case ({verdict.case}){note}", args.out)
-    else:
-        note = "" if verdict.exhaustive else "  (one-way rule: no means unknown)"
-        _emit(f"no{note}", args.out)
+    note = "" if verdict.exhaustive else "  (one-way rule: no means unknown)"
+    answer = f"yes, case ({verdict.case})" if verdict.admissible else "no"
+    _emit(answer + note, args.out)
     return 0
 
 

@@ -35,9 +35,6 @@ class PairVerdict:
     verdict: Verdict
     witness: Optional[tuple[Root, Root]] = None  # dominating pair when non-minimal
     order_tag: Optional[str] = None  # a canonical order realizing minimality
-    # the dominance test is proven exact only for type D; type A callers
-    # should confirm against oracle_classify before trusting a verdict
-    validated: bool = True
 
 
 class ConvexOrder:
@@ -246,13 +243,9 @@ def classify_pair(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> PairVer
             return PairVerdict(
                 gamma, alpha, beta, Verdict.NON_MINIMAL,
                 witness=(other_alpha, other_beta),
-                validated=ar.datum.diagram_type == "D",
             )
     tag = _minimality_tag(ar, gamma, (alpha, beta))
-    return PairVerdict(
-        gamma, alpha, beta, Verdict.MINIMAL, order_tag=tag,
-        validated=ar.datum.diagram_type == "D",
-    )
+    return PairVerdict(gamma, alpha, beta, Verdict.MINIMAL, order_tag=tag)
 
 
 def _minimality_tag(ar, gamma, pair) -> Optional[str]:

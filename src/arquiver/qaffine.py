@@ -207,51 +207,37 @@ def _is_mq_power(param: SpectralParam) -> bool:
 
 def dorey_D1(n: int, triple: HomTriple) -> DoreyVerdict:
     """Untwisted Dorey rule (an iff) for rank n >= 4."""
+    if n < 4:
+        raise QAffineError("untwisted type D needs n >= 4")
     i, j, k = triple.i, triple.j, triple.k
     if not all(1 <= lvl <= n for lvl in (i, j, k)):
         raise QAffineError(f"levels {(i, j, k)} out of range 1..{n}")
     for param in (triple.x, triple.y, triple.z):
         if not _is_mq_power(param):
             raise QAffineError(f"{param} is not a (-q)-power")
-    xz = triple.x / triple.z
-    yz = triple.y / triple.z
+    ratios = (triple.x / triple.z, triple.y / triple.z)
 
-    # (i): all levels small, one is the sum of the other two
-    levels = (i, j, k)
-    top = max(levels)
-    if top <= n - 2:
-        for pos, ratios in (
-            ("k", (mq(-j), mq(i))),
-            ("i", (mq(-j), mq(-i + 2 * n - 2))),
-            ("j", (mq(j - 2 * n + 2), mq(i))),
+    # (i): all levels small, one is the sum (so the largest) of the other two
+    if max(i, j, k) <= n - 2:
+        for top, a, b, expected in (
+            (k, i, j, (mq(-j), mq(i))),
+            (i, j, k, (mq(-j), mq(2 * n - 2 - i))),
+            (j, i, k, (mq(j - 2 * n + 2), mq(i))),
         ):
-            lvl = {"i": i, "j": j, "k": k}[pos]
-            if lvl != top:
-                continue
-            rest = list(levels)
-            rest.remove(lvl)
-            if sum(rest) != top:
-                continue
-            if (xz, yz) == ratios:
+            if top == a + b and ratios == expected:
                 return DoreyVerdict(True, "i")
-        if i + j >= n and k == 2 * n - 2 - i - j and (xz, yz) == (mq(-j), mq(i)):
+        if i + j >= n and k == 2 * n - 2 - i - j and ratios == (mq(-j), mq(i)):
             return DoreyVerdict(True, "ii")
 
-    # (iii): the two large levels are spin, the small one pairs them up
-    low = min(levels)
-    if low <= n - 2:
+    # (iii): the two large levels are spin; beside i and j, k is read through *
+    if min(i, j, k) <= n - 2:
         star = rs.longest_element_star(CartanDatum("D", n))
-        for pos, rest, ratios in (
-            ("k", (i, j), (mq(-n + k + 1), mq(n - k - 1))),
-            ("i", (j, k), (mq(-n + i + 1), mq(2 * i))),
-            ("j", (i, k), (mq(-2 * j), mq(n - j - 1))),
+        for low, a, b, expected in (
+            (k, i, j, (mq(k + 1 - n), mq(n - k - 1))),
+            (i, j, star[k], (mq(i + 1 - n), mq(2 * i))),
+            (j, i, star[k], (mq(-2 * j), mq(n - j - 1))),
         ):
-            lvl = {"i": i, "j": j, "k": k}[pos]
-            if lvl != low or not set(rest) <= {n - 1, n}:
-                continue
-            ell, m = max(rest), min(rest)
-            gap = ell - m if pos == "k" else ell - star[m]
-            if (n - low - gap) % 2 == 0 and (xz, yz) == ratios:
+            if {a, b} <= {n - 1, n} and (n - low - a + b) % 2 == 0 and ratios == expected:
                 return DoreyVerdict(True, "iii")
     return DoreyVerdict(False)
 
@@ -262,45 +248,32 @@ def dorey_D2(n: int, triple: HomTriple) -> DoreyVerdict:
     Ratio comparisons quotient the phase by {0, 4}, absorbing the
     "up to sign" in case (i') and the +- sqrt(-1) choices in (iii').
     """
+    if n < 3:
+        raise QAffineError("twisted type D needs n >= 3")
     i, j, k = triple.i, triple.j, triple.k
     if not all(1 <= lvl <= n for lvl in (i, j, k)):
         raise QAffineError(f"levels {(i, j, k)} out of range 1..{n}")
-    xz = triple.x / triple.z
-    yz = triple.y / triple.z
+    ratios = (triple.x / triple.z, triple.y / triple.z)
     half = Fraction(1, 2)
 
-    levels = (i, j, k)
-    top = max(levels)
-    if top <= n - 1:
-        for pos, ratios in (
-            ("k", (mq2(-j * half), mq2(i * half))),
-            ("i", (mq2(-j * half), mq2(n - i * half))),
-            ("j", (mq2(j * half - n), mq2(i * half))),
+    if max(i, j, k) <= n - 1:
+        for top, a, b, expected in (
+            (k, i, j, (mq2(-j * half), mq2(i * half))),
+            (i, j, k, (mq2(-j * half), mq2(n - i * half))),
+            (j, i, k, (mq2(j * half - n), mq2(i * half))),
         ):
-            lvl = {"i": i, "j": j, "k": k}[pos]
-            if lvl != top:
-                continue
-            rest = list(levels)
-            rest.remove(lvl)
-            if sum(rest) != top:
-                continue
-            if xz.same_up_to_sign(ratios[0]) and yz.same_up_to_sign(ratios[1]):
+            if top == a + b and all(map(SpectralParam.same_up_to_sign, ratios, expected)):
                 return DoreyVerdict(True, "i'", exhaustive=False)
 
-    low = min(levels)
-    if low <= n - 1:
-        rest = list(levels)
-        rest.remove(low)
-        if set(rest) <= {n}:
-            root_i = SQRT_MINUS_ONE
-            if low == k:
-                ratios = (root_i * mq2((k - n) * half), root_i * mq2((n - k) * half))
-            elif low == i:
-                ratios = (root_i * mq2((i - n) * half), mq2(i))
-            else:
-                ratios = (mq2(-j), root_i * mq2((n - j) * half))
-            if xz.same_up_to_sign(ratios[0]) and yz.same_up_to_sign(ratios[1]):
-                return DoreyVerdict(True, "iii'", exhaustive=False)
+    # one level below n, two at n; only the matching row builds its ratios
+    root_i = SQRT_MINUS_ONE
+    for low, a, b, expected in (
+        (k, i, j, lambda: (root_i * mq2((k - n) * half), root_i * mq2((n - k) * half))),
+        (i, j, k, lambda: (root_i * mq2((i - n) * half), mq2(i))),
+        (j, i, k, lambda: (mq2(-j), root_i * mq2((n - j) * half))),
+    ):
+        if a == b == n > low and all(map(SpectralParam.same_up_to_sign, ratios, expected())):
+            return DoreyVerdict(True, "iii'", exhaustive=False)
     return DoreyVerdict(False, exhaustive=False)
 
 

@@ -62,6 +62,22 @@ def test_level_pair_sum(example1_ar):
     assert example1_ar.t_prime_index == 4
 
 
+def test_spin_indices_exist_only_in_type_d():
+    a3 = CartanDatum("A", 3)
+    quiver = parse_arrow_spec(a3, "1>2,2>3")
+    ar = ar_quiver.build(quiver, make_height_function(quiver, 3, 0))
+    for name in ("t_index", "t_prime_index"):
+        with pytest.raises(ARQuiverError, match="only in type D"):
+            getattr(ar, name)
+
+
+@pytest.mark.parametrize("rank", range(4, 9))
+def test_spin_indices_are_the_two_spin_levels(rank):
+    for quiver in all_orientations(CartanDatum("D", rank)):
+        ar = ar_quiver.build(quiver, make_height_function(quiver, rank, 0), validate=False)
+        assert {ar.t_index, ar.t_prime_index} == {rank - 1, rank}
+
+
 def test_level_pair_equal_heights():
     d4 = CartanDatum("D", 4)
     quiver = parse_arrow_spec(d4, "1>2,2>3,2>4")

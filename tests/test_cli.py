@@ -138,6 +138,32 @@ def test_dorey_cli(capsys):
     assert json.loads(out)["admissible"] is False
 
 
+def test_dorey_cli_twisted_notes_the_one_way_rule(capsys):
+    # (i') over the rank-6 diagram: 4 = 2 + 2, ratios (-q^2)^-1 and (-q^2)^1 up to sign
+    note = "  (one-way rule: no means unknown)"
+    for triple, answer in (
+        ("(2,-2);(2,2);(4,0)", "yes, case (i')"),
+        ("(2,-2);(2,4);(4,0)", "no"),
+    ):
+        argv = ["dorey", "--family", "D2", "--rank", "5", "--triple", triple]
+        assert run(capsys, argv) == (0, answer + note + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "family, rank, triple, message",
+    [
+        ("D1", 3, "(3,-4);(3,-2);(2,-3)", "untwisted type D needs n >= 4"),
+        ("D1", 3, "(1,-1);(1,1);(2,0)", "untwisted type D needs n >= 4"),
+        ("D2", 2, "(1,-1);(1,1);(2,0)", "twisted type D needs n >= 3"),
+        ("D2", 1, "(1,0);(1,0);(1,0)", "twisted type D needs n >= 3"),
+    ],
+)
+def test_dorey_rejects_ranks_without_a_denominator(capsys, family, rank, triple, message):
+    argv = ["dorey", "--family", family, "--rank", str(rank), "--triple", triple]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_cli(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -6,6 +7,7 @@ from arquiver import ar_quiver, orders, qaffine, verify
 from arquiver import root_system as rs
 from arquiver.qaffine import (
     SQRT_MINUS_ONE,
+    DoreyVerdict,
     HomTriple,
     QAffineError,
     SpectralParam,
@@ -21,6 +23,7 @@ from arquiver.qaffine import (
     p_star_D2,
     pair_to_triple,
     star_map,
+    _is_mq_power,
 )
 from arquiver.quiver import DynkinQuiver, make_height_function, parse_arrow_spec
 from arquiver.root_system import CartanDatum
@@ -236,3 +239,140 @@ def test_fork_tips_count_as_same_path():
             assert qaffine.same_path_commuting_check(ar, upper, lower)
             tips_checked += 1
     assert tips_checked > 0
+
+
+# --- the Dorey row tables against a branch-ladder reference ------------------------
+# Reference predicates that find each row through a position string, a max/min
+# test and an if/elif ladder for case (iii'); the row tables must agree with them.
+
+def _ladder_dorey_D1(n: int, triple: HomTriple) -> DoreyVerdict:
+    """Untwisted Dorey rule (an iff) for rank n >= 4."""
+    i, j, k = triple.i, triple.j, triple.k
+    if not all(1 <= lvl <= n for lvl in (i, j, k)):
+        raise QAffineError(f"levels {(i, j, k)} out of range 1..{n}")
+    for param in (triple.x, triple.y, triple.z):
+        if not _is_mq_power(param):
+            raise QAffineError(f"{param} is not a (-q)-power")
+    xz = triple.x / triple.z
+    yz = triple.y / triple.z
+
+    # (i): all levels small, one is the sum of the other two
+    levels = (i, j, k)
+    top = max(levels)
+    if top <= n - 2:
+        for pos, ratios in (
+            ("k", (mq(-j), mq(i))),
+            ("i", (mq(-j), mq(-i + 2 * n - 2))),
+            ("j", (mq(j - 2 * n + 2), mq(i))),
+        ):
+            lvl = {"i": i, "j": j, "k": k}[pos]
+            if lvl != top:
+                continue
+            rest = list(levels)
+            rest.remove(lvl)
+            if sum(rest) != top:
+                continue
+            if (xz, yz) == ratios:
+                return DoreyVerdict(True, "i")
+        if i + j >= n and k == 2 * n - 2 - i - j and (xz, yz) == (mq(-j), mq(i)):
+            return DoreyVerdict(True, "ii")
+
+    # (iii): the two large levels are spin, the small one pairs them up
+    low = min(levels)
+    if low <= n - 2:
+        star = rs.longest_element_star(CartanDatum("D", n))
+        for pos, rest, ratios in (
+            ("k", (i, j), (mq(-n + k + 1), mq(n - k - 1))),
+            ("i", (j, k), (mq(-n + i + 1), mq(2 * i))),
+            ("j", (i, k), (mq(-2 * j), mq(n - j - 1))),
+        ):
+            lvl = {"i": i, "j": j, "k": k}[pos]
+            if lvl != low or not set(rest) <= {n - 1, n}:
+                continue
+            ell, m = max(rest), min(rest)
+            gap = ell - m if pos == "k" else ell - star[m]
+            if (n - low - gap) % 2 == 0 and (xz, yz) == ratios:
+                return DoreyVerdict(True, "iii")
+    return DoreyVerdict(False)
+
+
+def _ladder_dorey_D2(n: int, triple: HomTriple) -> DoreyVerdict:
+    """Twisted Dorey rule over the rank-(n+1) diagram; an "if" only.
+
+    Ratio comparisons quotient the phase by {0, 4}, absorbing the
+    "up to sign" in case (i') and the +- sqrt(-1) choices in (iii').
+    """
+    i, j, k = triple.i, triple.j, triple.k
+    if not all(1 <= lvl <= n for lvl in (i, j, k)):
+        raise QAffineError(f"levels {(i, j, k)} out of range 1..{n}")
+    xz = triple.x / triple.z
+    yz = triple.y / triple.z
+    half = Fraction(1, 2)
+
+    levels = (i, j, k)
+    top = max(levels)
+    if top <= n - 1:
+        for pos, ratios in (
+            ("k", (mq2(-j * half), mq2(i * half))),
+            ("i", (mq2(-j * half), mq2(n - i * half))),
+            ("j", (mq2(j * half - n), mq2(i * half))),
+        ):
+            lvl = {"i": i, "j": j, "k": k}[pos]
+            if lvl != top:
+                continue
+            rest = list(levels)
+            rest.remove(lvl)
+            if sum(rest) != top:
+                continue
+            if xz.same_up_to_sign(ratios[0]) and yz.same_up_to_sign(ratios[1]):
+                return DoreyVerdict(True, "i'", exhaustive=False)
+
+    low = min(levels)
+    if low <= n - 1:
+        rest = list(levels)
+        rest.remove(low)
+        if set(rest) <= {n}:
+            root_i = SQRT_MINUS_ONE
+            if low == k:
+                ratios = (root_i * mq2((k - n) * half), root_i * mq2((n - k) * half))
+            elif low == i:
+                ratios = (root_i * mq2((i - n) * half), mq2(i))
+            else:
+                ratios = (mq2(-j), root_i * mq2((n - j) * half))
+            if xz.same_up_to_sign(ratios[0]) and yz.same_up_to_sign(ratios[1]):
+                return DoreyVerdict(True, "iii'", exhaustive=False)
+    return DoreyVerdict(False, exhaustive=False)
+
+
+def _verdict(verdict):
+    return verdict.admissible, verdict.case, verdict.exhaustive
+
+
+def test_dorey_d1_rows_equal_the_ladder():
+    n = 4
+    powers = [mq(e) for e in range(-7, 8)]
+    inputs = admissible = 0
+    for i, j, k in product(range(1, n + 1), repeat=3):
+        for x, y in product(powers, repeat=2):
+            triple = HomTriple(i, x, j, y, k, mq(0))
+            verdict = dorey_D1(n, triple)
+            assert _verdict(verdict) == _verdict(_ladder_dorey_D1(n, triple)), triple
+            inputs += 1
+            admissible += verdict.admissible
+    assert (inputs, admissible) == (14_400, 16)
+
+
+def test_dorey_d2_rows_equal_the_ladder():
+    # every expected ratio has phase 0 or 2 mod 4 and an even exponent p, and
+    # same_up_to_sign reads the phase mod 4, so this grid meets every row
+    n = 3
+    ratios = [SpectralParam(u, p) for u in (0, 2) for p in range(-14, 15, 2)]
+    inputs = admissible = 0
+    for i, j, k in product(range(1, n + 1), repeat=3):
+        for x, y in product(ratios, repeat=2):
+            triple = HomTriple(i, x, j, y, k, mq(0))
+            verdict = dorey_D2(n, triple)
+            assert _verdict(verdict) == _verdict(_ladder_dorey_D2(n, triple)), triple
+            inputs += 1
+            admissible += verdict.admissible
+    assert (inputs, admissible) == (24_300, 9)

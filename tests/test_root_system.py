@@ -173,9 +173,6 @@ def test_parse_and_format(d4):
         rs.parse_root(d4, "e1*e2")
 
 
-@pytest.mark.parametrize(
-    "diagram, rank", [("D", n) for n in (4, 5, 6)] + [("A", n) for n in (1, 2, 3, 4)]
-)
 def _bfs_distances(datum):
     """Diagram distances by breadth-first search over `edges` alone."""
     links = {i: set() for i in datum.vertices}
