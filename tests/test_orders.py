@@ -185,6 +185,29 @@ def test_w0_word_from_reading_negates_simples(example1_ar, d4):
         assert sign == -1 and image == d4.simple_root(star[i])
 
 
+def test_type_a_classifier_flags_unvalidated():
+    # type-A verdicts carry no unvalidated flag any more: the verdict itself
+    # must agree with the oracle
+    a3 = CartanDatum("A", 3)
+    quiver = parse_arrow_spec(a3, "1>2,2>3")
+    ar = ar_quiver.build(quiver, make_height_function(quiver, 3, 0))
+    gamma = (1, 1, 0)
+    (pair,) = orders.pairs_of(ar, gamma)
+    pv = orders.classify_pair(ar, gamma, pair)
+    assert not hasattr(pv, "validated")
+    assert orders.oracle_classify(ar, gamma, pair).verdict == pv.verdict
+
+
+def test_type_d_classifier_is_validated(example1_ar, d4):
+    gamma = rs.parse_root(d4, "e1+e2")
+    pairs = orders.pairs_of(example1_ar, gamma)
+    assert pairs
+    for pair in pairs:
+        pv = orders.classify_pair(example1_ar, gamma, pair)
+        assert not hasattr(pv, "validated")
+        assert orders.oracle_classify(example1_ar, gamma, pair).verdict == pv.verdict
+
+
 def test_type_a_classifier_equals_the_oracle():
     # the dominance test is exact in type A as well as in type D
     pairs = 0
