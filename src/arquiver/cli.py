@@ -6,7 +6,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__, ar_quiver, orders, qaffine, verify
 from . import root_system as rs
@@ -75,14 +74,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-l", type=int, required=True)
-    p.add_argument("--at", default=None, help='evaluate multiplicity at "(-q)^S"')
+    p.add_argument("--at", default=None, help="evaluate multiplicity at a printed parameter")
     _add_output_args(p)
 
     p = sub.add_parser("dorey", help="evaluate a Dorey-rule predicate")
     p.add_argument("--family", choices=("D1", "D2"), required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument(
-        "--triple", required=True, help='levels and (-q)-exponents "(i,p);(j,p);(k,p)"'
+        "--triple",
+        required=True,
+        help='levels and parameters "(i,x);(j,y);(k,z)", each x as arq prints it '
+        "or a bare integer p for (-q)^p",
     )
     _add_output_args(p)
 
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank-max", type=int, default=4)
     p.add_argument(
         "--suite",
-        choices=("structure", "orders", "qaffine", "all"),
+        choices=(*verify.SUITES, "all"),
         default="all",
     )
     p.add_argument("--jobs", type=int, default=1)
@@ -179,45 +181,13 @@ def render_grid(ar: ar_quiver.ARQuiver) -> str:
     return "\n".join(lines)
 
 
-# --- spectral parameter parsing ----------------------------------------------------
+# --- hom triples -------------------------------------------------------------------
 
-_MQ_RE = re.compile(r"^\(-q\)\^\{?(-?\d+(?:/\d+)?)\}?$")
-_MQ2_RE = re.compile(r"^\(-q\^?2\)\^\{?(-?\d+(?:/\d+)?)\}?$")
-
-
-def parse_param(text: str) -> qaffine.SpectralParam:
-    text = text.strip().replace(" ", "")
-    m = _MQ_RE.match(text)
-    if m:
-        return qaffine.mq(Fraction(m.group(1)))
-    m = _MQ2_RE.match(text)
-    if m:
-        return qaffine.mq2(Fraction(m.group(1)))
-    raise CliError(f"cannot parse spectral parameter {text!r}")
-
-
-def _exponent(x: Fraction) -> str:
-    """Braced when fractional, so (-q)^{1/2} cannot read as ((-q)^1)/2."""
-    return str(x) if x.denominator == 1 else f"{{{x}}}"
-
-
-def format_param(param: qaffine.SpectralParam) -> str:
-    half, quarter = Fraction(param.p, 2), Fraction(param.p, 4)
-    if qaffine.mq(half) == param:
-        return f"(-q)^{_exponent(half)}"
-    base = qaffine.mq2(quarter)
-    turned = qaffine.SQRT_MINUS_ONE * base
-    signed = (("", base), ("-", base.negate()), ("i*", turned), ("-i*", turned.negate()))
-    for sign, value in signed:
-        if value == param:
-            return f"{sign}(-q^2)^{_exponent(quarter)}"
-    return f"zeta8^{param.u} q^({param.p}/2)"
-
-
-_TRIPLE_RE = re.compile(r"^\s*\(\s*(\d+)\s*,\s*(-?\d+)\s*\)\s*$")
+_TRIPLE_RE = re.compile(r"^\s*\(\s*(\d+)\s*,(.*)\)\s*$")
 
 
 def parse_triple(text: str) -> qaffine.HomTriple:
+    """Components (level, param); a bare integer p is short for (-q)^p."""
     chunks = text.split(";")
     if len(chunks) != 3:
         raise CliError('triple must look like "(i,p);(j,p);(k,p)"')
@@ -226,7 +196,13 @@ def parse_triple(text: str) -> qaffine.HomTriple:
         m = _TRIPLE_RE.match(chunk)
         if not m:
             raise CliError(f"cannot parse triple component {chunk!r}")
-        parts.append((int(m.group(1)), qaffine.mq(int(m.group(2)))))
+        level, param = m.group(1), m.group(2).strip()
+        if param.lstrip("-").isdigit():
+            param = f"(-q)^{param}"
+        try:
+            parts.append((int(level), qaffine.parse_param(param)))
+        except qaffine.QAffineError:
+            raise CliError(f"cannot parse triple component {chunk!r}") from None
     (i, x), (j, y), (k, z) = parts
     return qaffine.HomTriple(i, x, j, y, k, z)
 
@@ -335,7 +311,7 @@ def cmd_pairs(args) -> int:
 def cmd_denom(args) -> int:
     fn = qaffine.denom_D1 if args.family == "D1" else qaffine.denom_D2
     poly = fn(args.rank, args.k, args.l)
-    at = parse_param(args.at) if args.at else None
+    at = qaffine.parse_param(args.at) if args.at else None
     if args.format == "json":
         payload = {
             "family": args.family,
@@ -354,9 +330,9 @@ def cmd_denom(args) -> int:
         f"{len(poly.roots)} zeros"
     ]
     for root in poly.roots:
-        lines.append(f"  z = {format_param(root)}")
+        lines.append(f"  z = {root}")
     if at is not None:
-        lines.append(f"multiplicity at {format_param(at)}: {poly.zero_multiplicity(at)}")
+        lines.append(f"multiplicity at {at}: {poly.zero_multiplicity(at)}")
     _emit("\n".join(lines), args.out)
     return 0
 

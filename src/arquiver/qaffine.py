@@ -21,6 +21,7 @@ exhaustive harness confirms).
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,9 +54,6 @@ class SpectralParam:
     def __truediv__(self, other: "SpectralParam") -> "SpectralParam":
         return SpectralParam(self.u - other.u, self.p - other.p)
 
-    def inverse(self) -> "SpectralParam":
-        return SpectralParam(-self.u, -self.p)
-
     def negate(self) -> "SpectralParam":
         return SpectralParam(self.u + 4, self.p)
 
@@ -63,7 +61,37 @@ class SpectralParam:
         return self.p == other.p and (self.u - other.u) % 4 == 0
 
     def __str__(self) -> str:
-        return f"zeta8^{self.u} q^{self.p}/2"
+        """(-q)^x if it is one, else [-][i*](-q^2)^x, else zeta8^u q^(p/2)."""
+        if (self.u - 2 * self.p) % 8 == 0:
+            return f"(-q)^{_exponent(Fraction(self.p, 2))}"
+        if (self.u - self.p) % 2 == 0:
+            unit = _UNITS[(self.u - self.p) % 8 // 2]
+            return f"{unit}(-q^2)^{_exponent(Fraction(self.p, 4))}"
+        return f"zeta8^{self.u} q^({self.p}/2)"
+
+
+_UNITS = ("", "i*", "-", "-i*")  # zeta8^0, ^2, ^4, ^6 as printed prefixes
+_PARAM_RE = re.compile(r"(-?(?:i\*)?)\(-q(\^?2)?\)\^\{?(-?\d+(?:/0*[1-9]\d*)?)\}?")
+_ZETA_RE = re.compile(r"zeta8\^(-?\d+)q\^\((-?\d+)/2\)")
+
+
+def _exponent(x: Fraction) -> str:
+    """Braced when fractional, so (-q)^{1/2} cannot read as ((-q)^1)/2."""
+    return str(x) if x.denominator == 1 else f"{{{x}}}"
+
+
+def parse_param(text: str) -> SpectralParam:
+    """Read back every form str(SpectralParam) prints; braces are optional."""
+    text = text.strip().replace(" ", "")
+    m = _ZETA_RE.fullmatch(text)
+    if m:
+        return SpectralParam(int(m[1]), int(m[2]))
+    m = _PARAM_RE.fullmatch(text)
+    if not m:
+        raise QAffineError(f"cannot parse spectral parameter {text!r}")
+    unit, squared, exponent = m.groups()
+    power = (mq2 if squared else mq)(Fraction(exponent))
+    return SpectralParam(2 * _UNITS.index(unit), 0) * power
 
 
 ONE = SpectralParam(0, 0)
@@ -197,9 +225,6 @@ class DoreyVerdict:
     # the untwisted rule is an iff; the twisted one only asserts existence
     exhaustive: bool = True
 
-    def __bool__(self) -> bool:
-        return self.admissible
-
 
 def _is_mq_power(param: SpectralParam) -> bool:
     return (2 * param.u - param.p * 4) % 16 == 0 and param.p % 2 == 0
@@ -293,16 +318,6 @@ def star_map(n: int, level: int, param: SpectralParam) -> tuple[int, SpectralPar
         return level, param * shift
     shift = SpectralParam(4, 0) if level % 2 else ONE
     return n, param * shift
-
-
-def p_star_D1(rank: int) -> SpectralParam:
-    """The duality constant for the untwisted algebra of the given rank."""
-    return mq(2 * rank - 2)
-
-
-def p_star_D2(rank: int) -> SpectralParam:
-    """The duality constant for the twisted algebra over the rank-(n+1) diagram."""
-    return mq2(rank - 1).negate()
 
 
 # --- bridges from Gamma_Q ---------------------------------------------------------

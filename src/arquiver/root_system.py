@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 
 Root = tuple[int, ...]
@@ -276,32 +277,19 @@ def epsilon_form(datum: CartanDatum, root: Root) -> EpsilonForm:
 
 
 def root_from_epsilon(datum: CartanDatum, eps: EpsilonForm) -> Root:
-    """Inverse of epsilon_form."""
+    """Inverse of epsilon_coords: partial sums of the e-coordinates, halved at the fork."""
     if datum.diagram_type != "D":
         raise RootSystemError("epsilon forms are defined for type D only")
     n = datum.rank
     a, b = eps.a, abs(eps.b_signed)
     if not (1 <= a < b <= n):
         raise RootSystemError(f"bad epsilon form {eps}")
-    coeffs = [0] * n
-    if eps.b_signed < 0:  # e_a - e_b = alpha_a + ... + alpha_{b-1}
-        for k in range(a, b):
-            coeffs[k - 1] += 1
-    elif b == n:  # e_a + e_n
-        for k in range(a, n - 1):
-            coeffs[k - 1] += 1
-        coeffs[n - 1] += 1
-    else:  # e_a + e_b with b < n
-        for k in range(a, b):
-            coeffs[k - 1] += 1
-        for k in range(b, n - 1):
-            coeffs[k - 1] += 2
-        coeffs[n - 2] += 1
-        coeffs[n - 1] += 1
-    root = tuple(coeffs)
-    if not is_positive_root(datum, root):
-        raise RootSystemError(f"bad epsilon form {eps}")
-    return root
+    e = [0] * n
+    e[a - 1] = 1
+    e[b - 1] = 1 if eps.b_signed > 0 else -1
+    sums = list(accumulate(e[: n - 1]))  # c_k = e_1 + ... + e_k below the fork
+    fork, spin = sums[-1], e[n - 1]
+    return (*sums[:-1], (fork - spin) // 2, (fork + spin) // 2)
 
 
 @lru_cache(maxsize=None)

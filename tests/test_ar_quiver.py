@@ -1,11 +1,18 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver import ar_quiver
 from arquiver import root_system as rs
 from arquiver.ar_quiver import ARQuiver, ARQuiverError
-from arquiver.quiver import all_orientations, make_height_function, parse_arrow_spec
+from arquiver.quiver import (
+    DynkinQuiver,
+    all_orientations,
+    make_height_function,
+    parse_arrow_spec,
+)
 from arquiver.root_system import CartanDatum, EpsilonForm
 
 from conftest import EXAMPLE1_GRID
@@ -274,6 +281,22 @@ def test_json_roundtrip(example1_ar):
     assert rebuilt.arrows == example1_ar.arrows
     assert rebuilt.m == example1_ar.m
     assert rebuilt.xi == example1_ar.xi
+
+
+@st.composite
+def oriented_quivers(draw):
+    diagram = draw(st.sampled_from("AD"))
+    rank = draw(st.integers(1, 6) if diagram == "A" else st.integers(4, 8))
+    datum = CartanDatum(diagram, rank)
+    mask = draw(st.integers(0, (1 << len(datum.edges)) - 1))
+    return DynkinQuiver.from_bitmask(datum, mask)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(oriented_quivers())
+def test_json_round_trip_of_random_orientations(quiver):
+    ar = ar_quiver.build(quiver, make_height_function(quiver, quiver.datum.rank, 0))
+    assert ar_quiver.from_json(ar.to_json()).to_json_dict() == ar.to_json_dict()
 
 
 def _bump_m(payload):

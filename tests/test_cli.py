@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arquiver import ar_quiver, verify
-from arquiver.cli import format_param, main, parse_param
-from arquiver.qaffine import mq, mq2
+from arquiver.cli import main
+from arquiver.qaffine import mq, mq2, parse_param
 
 EX1 = ["--type", "D", "--rank", "4", "--arrows", "2>1,3>2,2>4", "--xi", "3=0"]
 
@@ -108,9 +108,9 @@ def test_denom_half_integer_power(capsys):
 
 
 def test_fractional_exponents_are_braced():
-    assert format_param(mq(4)) == "(-q)^4"
-    assert format_param(mq(Fraction(1, 2))) == "(-q)^{1/2}"
-    assert format_param(mq2(Fraction(3, 4))) == "(-q^2)^{3/4}"
+    assert str(mq(4)) == "(-q)^4"
+    assert str(mq(Fraction(1, 2))) == "(-q)^{1/2}"
+    assert str(mq2(Fraction(3, 4))) == "(-q^2)^{3/4}"
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -118,8 +118,46 @@ def test_fractional_exponents_are_braced():
 def test_spectral_params_round_trip_and_multiply(a, b):
     for power, denominator in ((mq, 2), (mq2, 4)):
         x = power(Fraction(a, denominator))
-        assert parse_param(format_param(x)) == x
+        assert parse_param(str(x)) == x
         assert x * power(Fraction(b, denominator)) == power(Fraction(a + b, denominator))
+
+
+def test_denom_at_reads_a_twisted_zero(capsys):
+    argv = ["denom", "--family", "D2", "--rank", "4", "-k", "1", "-l", "4"]
+    code, out, _ = run(capsys, [*argv, "--at=-i*(-q^2)^{5/2}"])
+    assert code == 0
+    assert "  z = -i*(-q^2)^{5/2}" in out.splitlines()
+    assert out.splitlines()[-1] == "multiplicity at -i*(-q^2)^{5/2}: 1"
+
+
+def test_dorey_triple_reads_twisted_parameters(capsys):
+    argv = ["dorey", "--family", "D2", "--rank", "3",
+            "--triple", "(1,(-q^2)^{-1/2});(1,(-q^2)^{1/2});(2,0)"]
+    assert run(capsys, argv) == (
+        0, "yes, case (i')  (one-way rule: no means unknown)\n", ""
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["denom", "--family", "D1", "--rank", "4", "-k", "2", "-l", "2", "--at", "bogus"],
+         "cannot parse spectral parameter 'bogus'"),
+        (["denom", "--family", "D1", "--rank", "4", "-k", "2", "-l", "2",
+          "--at", "(-q)^{1/3}"],
+         "(-q)^1/3 does not live in the parameter group"),
+        (["dorey", "--family", "D1", "--rank", "4", "--triple", "(1,x);(1,0);(2,0)"],
+         "cannot parse triple component '(1,x)'"),
+        (["dorey", "--family", "D1", "--rank", "4",
+          "--triple", "(1,(-q)^{1/3});(1,0);(2,0)"],
+         "cannot parse triple component '(1,(-q)^{1/3})'"),
+        (["dorey", "--family", "D1", "--rank", "4", "--triple", "(x,0);(1,0);(2,0)"],
+         "cannot parse triple component '(x,0)'"),
+    ],
+    ids=["at-bogus", "at-off-lattice", "triple-bogus", "triple-off-lattice", "level"],
+)
+def test_unparseable_parameters_exit_2(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_dorey_cli(capsys):

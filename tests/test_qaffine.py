@@ -19,9 +19,8 @@ from arquiver.qaffine import (
     double_zero_set_D2,
     mq,
     mq2,
-    p_star_D1,
-    p_star_D2,
     pair_to_triple,
+    parse_param,
     star_map,
     _is_mq_power,
 )
@@ -38,7 +37,7 @@ def test_spectral_group_laws():
         for mm in range(-10, 11):
             assert mq(m) * mq(mm) == mq(m + mm)
             assert mq2(m) * mq2(mm) == mq2(m + mm)
-        assert mq(m).inverse() * mq(m) == qaffine.ONE
+        assert mq(-m) * mq(m) == qaffine.ONE
         # (-q^2)^m = (-1)^m (-q)^(2m)
         assert mq2(m) == SpectralParam(4 * m, 0) * mq(2 * m)
     assert SQRT_MINUS_ONE * SQRT_MINUS_ONE == SpectralParam(4, 0)
@@ -69,6 +68,66 @@ def test_spectral_arithmetic_builds_no_fractions(monkeypatch):
     ):
         assert check(ar) is None
     assert len(built) == 0
+
+
+def _exponent(x: Fraction) -> str:
+    """Braced when fractional, so (-q)^{1/2} cannot read as ((-q)^1)/2."""
+    return str(x) if x.denominator == 1 else f"{{{x}}}"
+
+
+def _reference_format_param(param: qaffine.SpectralParam) -> str:
+    # the printer the command line used before SpectralParam.__str__, verbatim
+    half, quarter = Fraction(param.p, 2), Fraction(param.p, 4)
+    if qaffine.mq(half) == param:
+        return f"(-q)^{_exponent(half)}"
+    base = qaffine.mq2(quarter)
+    turned = qaffine.SQRT_MINUS_ONE * base
+    signed = (("", base), ("-", base.negate()), ("i*", turned), ("-i*", turned.negate()))
+    for sign, value in signed:
+        if value == param:
+            return f"{sign}(-q^2)^{_exponent(quarter)}"
+    return f"zeta8^{param.u} q^({param.p}/2)"
+
+
+GROUP_SAMPLE = [SpectralParam(u, p) for u in range(8) for p in range(-64, 65)]
+
+
+def test_str_equals_the_reference_printer():
+    for x in GROUP_SAMPLE:
+        assert str(x) == _reference_format_param(x)
+    assert str(SQRT_MINUS_ONE * mq2(Fraction(5, 2)).negate()) == "-i*(-q^2)^{5/2}"
+    assert str(mq2(4).negate()) == "-(-q^2)^4"
+    assert str(SpectralParam(0, 1)) == "zeta8^0 q^(1/2)"
+
+
+def test_parse_param_reads_every_printed_form():
+    for x in GROUP_SAMPLE:
+        assert parse_param(str(x)) == x
+    # unbraced fractions, spaces and (-q2) still read
+    assert parse_param(" (-q)^1/2 ") == mq(Fraction(1, 2))
+    assert parse_param("(-q2)^{3/4}") == mq2(Fraction(3, 4))
+    assert parse_param("i * (-q^2)^-1") == SQRT_MINUS_ONE * mq2(-1)
+
+
+def test_parse_param_reads_every_denominator_zero():
+    zeros = [
+        root
+        for fn, low in ((denom_D1, 4), (denom_D2, 3))
+        for n in range(low, 9)
+        for k, l in product(range(1, n + 1), repeat=2)
+        for root in fn(n, k, l).roots
+    ]
+    assert len(zeros) == 2365
+    for root in zeros:
+        assert parse_param(str(root)) == root
+
+
+@pytest.mark.parametrize(
+    "text", ["", "bogus", "(-q)^", "(-q)^{1/0}", "(-q)^1/00", "+(-q)^1", "i(-q^2)^1"]
+)
+def test_parse_param_rejects(text):
+    with pytest.raises(QAffineError, match="cannot parse spectral parameter"):
+        parse_param(text)
 
 
 def test_denominator_d1_examples():
@@ -158,11 +217,6 @@ def test_star_map_injective_on_grid_data():
         for p in range(-6, 7):
             images.add(star_map(n, level, mq(p)))
     assert len(images) == (n + 1) * 13
-
-
-def test_p_star_constants():
-    assert p_star_D1(5) == mq(8)  # rank n+1 = 5: (-q)^(2n) with n = 4
-    assert p_star_D2(5) == mq2(4).negate()
 
 
 def test_pair_to_triple_example(example1_ar, d4):

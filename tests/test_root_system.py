@@ -173,6 +173,57 @@ def test_parse_and_format(d4):
         rs.parse_root(d4, "e1*e2")
 
 
+def _reference_root_from_epsilon(datum, eps):
+    # the three-case body root_from_epsilon had before it took partial sums, verbatim
+    if datum.diagram_type != "D":
+        raise RootSystemError("epsilon forms are defined for type D only")
+    n = datum.rank
+    a, b = eps.a, abs(eps.b_signed)
+    if not (1 <= a < b <= n):
+        raise RootSystemError(f"bad epsilon form {eps}")
+    coeffs = [0] * n
+    if eps.b_signed < 0:  # e_a - e_b = alpha_a + ... + alpha_{b-1}
+        for k in range(a, b):
+            coeffs[k - 1] += 1
+    elif b == n:  # e_a + e_n
+        for k in range(a, n - 1):
+            coeffs[k - 1] += 1
+        coeffs[n - 1] += 1
+    else:  # e_a + e_b with b < n
+        for k in range(a, b):
+            coeffs[k - 1] += 1
+        for k in range(b, n - 1):
+            coeffs[k - 1] += 2
+        coeffs[n - 2] += 1
+        coeffs[n - 1] += 1
+    root = tuple(coeffs)
+    if not rs.is_positive_root(datum, root):
+        raise RootSystemError(f"bad epsilon form {eps}")
+    return root
+
+
+def _root_or_message(fn, datum, eps):
+    try:
+        return fn(datum, eps)
+    except RootSystemError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("rank", range(4, 11))
+def test_root_from_epsilon_equals_the_reference(rank):
+    datum = CartanDatum("D", rank)
+    for a in range(rank + 2):
+        for b in range(-rank - 1, rank + 2):
+            eps = EpsilonForm(a, b)
+            assert _root_or_message(rs.root_from_epsilon, datum, eps) == (
+                _root_or_message(_reference_root_from_epsilon, datum, eps)
+            ), eps
+    a3, eps = CartanDatum("A", 3), EpsilonForm(1, 2)
+    assert _root_or_message(rs.root_from_epsilon, a3, eps) == (
+        _root_or_message(_reference_root_from_epsilon, a3, eps)
+    )
+
+
 def _bfs_distances(datum):
     """Diagram distances by breadth-first search over `edges` alone."""
     links = {i: set() for i in datum.vertices}
@@ -272,3 +323,18 @@ def test_reflect_is_an_involution_of_the_signed_roots(case):
     assert image[0] in (1, -1)
     assert image[1] in rs.enumerate_positive_roots(datum)
     assert rs.reflect(datum, i, image) == root
+
+
+@st.composite
+def typed_roots(draw):
+    diagram = draw(st.sampled_from("AD"))
+    rank = draw(st.integers(1, 9) if diagram == "A" else st.integers(4, 12))
+    datum = CartanDatum(diagram, rank)
+    return datum, draw(st.sampled_from(sorted(rs.enumerate_positive_roots(datum))))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(typed_roots())
+def test_parse_root_reads_back_format_root(case):
+    datum, root = case
+    assert rs.parse_root(datum, rs.format_root(datum, root)) == root
