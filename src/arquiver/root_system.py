@@ -142,11 +142,21 @@ def reflect(datum: CartanDatum, i: int, root: Root | SignedRoot) -> SignedRoot:
 
 
 def apply_word(datum: CartanDatum, word: WeylWord, root: Root | SignedRoot) -> SignedRoot:
-    """Apply a product of simple reflections; the last letter acts first."""
-    current = _as_signed(root)
+    """Apply a product of simple reflections; the last letter acts first.
+
+    The rule of ``reflect`` on one coefficient list and one sign for the
+    whole word: coordinate i becomes the sum of its neighbours minus itself,
+    and a negative coordinate negates the vector and flips the sign.
+    """
+    sign, coeffs = _as_signed(root)
+    out = list(coeffs)
+    neighbors = datum.neighbor_table
     for i in reversed(word):
-        current = reflect(datum, i, current)
-    return current
+        value = sum(out[j - 1] for j in neighbors[i]) - out[i - 1]
+        out[i - 1] = value
+        if value < 0:
+            sign, out = -sign, [-c for c in out]
+    return (sign, tuple(out))
 
 
 @lru_cache(maxsize=None)

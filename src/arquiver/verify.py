@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -667,15 +666,13 @@ def _run_orientation_task(args) -> list[CheckRecord]:
     datum = CartanDatum("D", rank)
     quiver = DynkinQuiver.from_bitmask(datum, mask)
     xi = make_height_function(quiver, rank, 0)
+    spec = quiver.spec_string()
     records = []
     # the structure suite records the build checks itself
     try:
         ar = ar_quiver.build(quiver, xi, validate="structure" not in suites)
     except ar_quiver.ARQuiverError as exc:
-        return [
-            CheckRecord("build", "structure", rank, quiver.spec_string(),
-                        "fail", str(exc), 0.0)
-        ]
+        return [CheckRecord("build", "structure", rank, spec, "fail", str(exc), 0.0)]
     for check_id, (suite, fn) in ORIENTATION_CHECKS.items():
         if suite not in suites:
             continue
@@ -684,8 +681,7 @@ def _run_orientation_task(args) -> list[CheckRecord]:
             continue
         status, message, elapsed = _run_check(fn, ar)
         records.append(
-            CheckRecord(check_id, suite, rank, quiver.spec_string(),
-                        status, message, elapsed)
+            CheckRecord(check_id, suite, rank, spec, status, message, elapsed)
         )
         if status != "pass" and fn in BUILD_CHECKS:
             break  # a broken build never reaches the later checks
@@ -697,7 +693,13 @@ def run_suite(
     suites: Optional[set[str]] = None,
     parallelism: int = 1,
 ) -> VerifyReport:
-    """Run the selected suites over every orientation for 4 <= n <= rank_max."""
+    """Run the selected suites over every orientation for 4 <= n <= rank_max.
+
+    ``parallelism`` > 1 sweeps the orientations in a process pool of at most
+    one worker per orientation; only then is the pool machinery imported,
+    so a serial sweep never loads ``concurrent.futures`` or
+    ``multiprocessing``.
+    """
     if rank_max < 4:
         raise VerifyError("rank_max must be at least 4")
     if parallelism < 1:
@@ -713,7 +715,10 @@ def run_suite(
     ]
     records: list[CheckRecord] = []
     if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork starts every worker up front, so never ask for more than the work
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(tasks))) as pool:
             for chunk in pool.map(_run_orientation_task, tasks, chunksize=4):
                 records.extend(chunk)
     else:

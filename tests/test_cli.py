@@ -215,6 +215,13 @@ def test_verify_cli(tmp_path, capsys):
     assert len(payload) == 120
 
 
+def test_verify_cli_jobs_print_the_serial_summary(capsys):
+    argv = ["verify", "--rank-max", "4", "--suite", "structure"]
+    serial = run(capsys, [*argv, "--jobs", "1"])
+    assert serial == (0, "120/120 checks passed\n", "")
+    assert run(capsys, [*argv, "--jobs", "2"]) == serial
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, ["pairs", *EX1, "--gamma", "e9+e2"])
     assert code == 2 and "error:" in err

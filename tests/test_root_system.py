@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arquiver import root_system as rs
+from arquiver.quiver import all_orientations, coxeter_word
 from arquiver.root_system import CartanDatum, EpsilonForm, RootSystemError
 
 
@@ -100,6 +101,28 @@ def test_apply_word_examples(d4):
     assert rs.apply_word(d4, (3, 2, 1, 4), (1, 1, 1, 0)) == (1, (0, 1, 0, 1))
     root = (1, 2, 1, 1)
     assert rs.apply_word(d4, (), root) == (1, root)
+
+
+def _reference_apply_word(datum, word, root):
+    """The former body of ``rs.apply_word``: one ``reflect`` per letter."""
+    current = rs._as_signed(root)
+    for i in reversed(word):
+        current = rs.reflect(datum, i, current)
+    return current
+
+
+@pytest.mark.parametrize(
+    "diagram, rank", [("A", n) for n in range(1, 7)] + [("D", n) for n in range(4, 9)]
+)
+def test_apply_word_equals_one_reflect_per_letter(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    roots = sorted(rs.enumerate_positive_roots(datum))
+    for quiver in all_orientations(datum):
+        word = coxeter_word(quiver)
+        for root in roots:
+            for given_as in (root, (1, root), (-1, root)):
+                expected = _reference_apply_word(datum, word, given_as)
+                assert rs.apply_word(datum, word, given_as) == expected
 
 
 def test_longest_element_negates_with_star(d4):
@@ -338,3 +361,11 @@ def typed_roots(draw):
 def test_parse_root_reads_back_format_root(case):
     datum, root = case
     assert rs.parse_root(datum, rs.format_root(datum, root)) == root
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(signed_roots(), st.data())
+def test_apply_word_equals_one_reflect_per_letter_on_random_words(case, data):
+    datum, root, _ = case
+    word = tuple(data.draw(st.lists(st.integers(1, datum.rank), max_size=40)))
+    assert rs.apply_word(datum, word, root) == _reference_apply_word(datum, word, root)

@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,45 @@ def test_run_suite_is_deterministic_and_parallel_safe():
     assert strip(first) == strip(second)
     parallel = run_suite(4, suites={"structure"}, parallelism=2)
     assert strip(parallel) == strip(first)
+
+
+def test_pool_is_capped_at_the_orientations(monkeypatch):
+    started = []
+
+    class SerialPool:  # records the worker count and forks nothing
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    report = run_suite(4, suites={"structure"}, parallelism=10_000)
+    assert started == [8]
+    assert report.ok and len(report.records) == 120
+
+
+def test_serial_sweep_loads_no_process_pool():
+    code = (
+        "import sys, arquiver.cli\n"
+        "from arquiver import verify\n"
+        "assert verify.run_suite(4, {'structure'}).ok\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_run_suite_validates_arguments():
