@@ -22,9 +22,8 @@ that fork.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import root_system as rs
 from .quiver import DynkinQuiver, check_height_function, coxeter_word, eta_zeta
@@ -40,8 +39,7 @@ class ARQuiverError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SectionalPath:
+class SectionalPath(NamedTuple):
     """A maximal S- or N-broom; coords run in arrow order (column ascending)."""
 
     kind: str  # "S" or "N"
@@ -49,8 +47,7 @@ class SectionalPath:
     shallow: bool
 
 
-@dataclass(frozen=True)
-class Swing:
+class Swing(NamedTuple):
     """S-broom into the level-(n-1, n) fork plus the N-broom out of it."""
 
     shared_index: int
@@ -394,13 +391,17 @@ def build(quiver: DynkinQuiver, xi, validate: bool = True) -> ARQuiver:
     for i in datum.vertices:
         beta, _ = eta_zeta(quiver, i)
         p = xi[i - 1]
-        while True:
+        for _ in range(datum.num_positive_roots):  # the most a tau-orbit can hold
             root_at[(i, p)] = beta
             sign, image = rs.apply_word(datum, tau, beta)
             if sign < 0:
                 break
             p -= 2
             beta = image
+        else:
+            raise ARQuiverError(
+                f"tau-orbit of level {i} still positive after {datum.num_positive_roots} steps"
+            )
         m.append((xi[i - 1] - p) // 2)
     arrows = set()
     for (i, p) in root_at:

@@ -9,9 +9,8 @@ the orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import root_system as rs
 from .ar_quiver import ARQuiver, Coord
@@ -27,8 +26,7 @@ class Verdict(Enum):
     NON_MINIMAL = "non-minimal"
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     gamma: Root
     alpha: Root
     beta: Root

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import orders
 from . import root_system as rs
@@ -38,15 +37,18 @@ class QAffineError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class SpectralParam:
-    """zeta8^u * q^(p/2); the group law adds both components."""
-
+class _SpectralFields(NamedTuple):
     u: int  # mod 8
     p: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", self.u % 8)
+
+class SpectralParam(_SpectralFields):
+    """zeta8^u * q^(p/2); the group law adds both components."""
+
+    __slots__ = ()
+
+    def __new__(cls, u: int, p: int):
+        return tuple.__new__(cls, (u % 8, p))
 
     def __mul__(self, other: "SpectralParam") -> "SpectralParam":
         return SpectralParam(self.u + other.u, self.p + other.p)
@@ -114,8 +116,7 @@ def mq2(exponent) -> SpectralParam:
     return SpectralParam(int(p), int(p))
 
 
-@dataclass(frozen=True)
-class DenominatorPoly:
+class DenominatorPoly(NamedTuple):
     """The multiset of zeros of one normalized R-matrix denominator."""
 
     roots: tuple[SpectralParam, ...]
@@ -206,8 +207,7 @@ def double_zero_set_D2(n: int) -> frozenset[tuple[int, int, int]]:
 
 # --- Dorey predicates ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomTriple:
+class HomTriple(NamedTuple):
     """Candidate Hom(V(w_i)_x (x) V(w_j)_y, V(w_k)_z), as levels and parameters."""
 
     i: int
@@ -218,8 +218,7 @@ class HomTriple:
     z: SpectralParam
 
 
-@dataclass(frozen=True)
-class DoreyVerdict:
+class DoreyVerdict(NamedTuple):
     admissible: bool
     case: Optional[str] = None
     # the untwisted rule is an iff; the twisted one only asserts existence

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .root_system import CartanDatum, Root, WeylWord
 
@@ -28,8 +27,7 @@ class VertexClass(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class DynkinQuiver:
+class DynkinQuiver(NamedTuple):
     datum: CartanDatum
     arrows: tuple[tuple[int, int], ...]
 

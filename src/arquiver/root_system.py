@@ -13,10 +13,10 @@ alpha_n = e_{n-1} + e_n in the usual orthonormal coordinates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from types import MappingProxyType
+from typing import NamedTuple
 
 Root = tuple[int, ...]
 SignedRoot = tuple[int, Root]
@@ -27,21 +27,27 @@ class RootSystemError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CartanDatum:
-    """Diagram type ('A' or 'D') plus rank; all diagram data derives from it."""
-
+class _CartanFields(NamedTuple):
     diagram_type: str
     rank: int
 
-    def __post_init__(self):
-        if self.diagram_type not in ("A", "D"):
-            raise RootSystemError(f"unsupported diagram type {self.diagram_type!r}")
-        minimum = 4 if self.diagram_type == "D" else 1
-        if self.rank < minimum:
-            raise RootSystemError(
-                f"type {self.diagram_type} needs rank >= {minimum}, got {self.rank}"
-            )
+
+class CartanDatum(_CartanFields):
+    """Diagram type ('A' or 'D') plus rank; all diagram data derives from it.
+
+    The cached tables live in __dict__ (no __slots__); __setattr__ refuses the rest.
+    """
+
+    def __new__(cls, diagram_type: str, rank: int):
+        if diagram_type not in ("A", "D"):
+            raise RootSystemError(f"unsupported diagram type {diagram_type!r}")
+        minimum = 4 if diagram_type == "D" else 1
+        if rank < minimum:
+            raise RootSystemError(f"type {diagram_type} needs rank >= {minimum}, got {rank}")
+        return tuple.__new__(cls, (diagram_type, rank))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CartanDatum is immutable; cannot set {name!r}")
 
     @property
     def vertices(self) -> range:
@@ -245,8 +251,7 @@ def is_reduced(datum: CartanDatum, word: WeylWord) -> bool:
 
 # --- epsilon forms (type D) -------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class EpsilonForm:
+class EpsilonForm(NamedTuple):
     """A type-D positive root written as e_a + sign(b)*e_|b|, with a < |b| <= n."""
 
     a: int

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import ar_quiver, orders, qaffine
 from . import root_system as rs
@@ -42,8 +41,7 @@ class VerifyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     suite: str
     rank: Optional[int]
@@ -53,9 +51,9 @@ class CheckRecord:
     elapsed: float
 
 
-@dataclass
 class VerifyReport:
-    records: list[CheckRecord] = field(default_factory=list)
+    def __init__(self, records: list[CheckRecord]):
+        self.records = records
 
     @property
     def ok(self) -> bool:
@@ -65,7 +63,7 @@ class VerifyReport:
         return [r for r in self.records if r.status != "pass"]
 
     def to_json(self) -> str:
-        return json.dumps([asdict(r) for r in self.records], indent=2)
+        return json.dumps([r._asdict() for r in self.records], indent=2)
 
     def summary(self) -> str:
         total = len(self.records)

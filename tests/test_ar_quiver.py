@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arquiver import ar_quiver
+from arquiver import ar_quiver, verify
 from arquiver import root_system as rs
 from arquiver.ar_quiver import ARQuiver, ARQuiverError
 from arquiver.quiver import (
@@ -272,6 +272,23 @@ def test_type_a_build_and_guards():
         ar.sigma()
     with pytest.raises(ARQuiverError):
         ar.nfree_region()
+
+
+def test_a_kernel_that_never_turns_negative_fails_the_build(monkeypatch, example1_quiver):
+    datum = example1_quiver.datum
+    budget = [10 * datum.num_positive_roots]
+
+    def endless(datum, word, root):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise RuntimeError("the knitting loop is unbounded")
+        return (1, root)
+
+    monkeypatch.setattr(ar_quiver.rs, "apply_word", endless)
+    with pytest.raises(ARQuiverError, match="still positive after 12 steps"):
+        ar_quiver.build(example1_quiver, make_height_function(example1_quiver, 3, 0))
+    records = verify._run_orientation_task((4, 0, ("structure",)))
+    assert [(r.check_id, r.status) for r in records] == [("build", "fail")]
 
 
 def test_json_roundtrip(example1_ar):

@@ -73,8 +73,8 @@ def test_serial_sweep_loads_no_process_pool():
         "import sys, arquiver.cli\n"
         "from arquiver import verify\n"
         "assert verify.run_suite(4, {'structure'}).ok\n"
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
-        " if m in sys.modules))\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing',"
+        " 'dataclasses', 'inspect') if m in sys.modules))\n"
     )
     src = Path(verify.__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -97,10 +97,8 @@ def test_run_suite_validates_arguments():
 def test_report_json_schema():
     report = run_suite(4, suites={"orders"})
     payload = json.loads(report.to_json())
-    assert all(
-        set(rec) >= {"check_id", "suite", "status", "counterexample", "elapsed"}
-        for rec in payload
-    )
+    layout = ["check_id", "suite", "rank", "orientation", "status", "counterexample", "elapsed"]
+    assert payload and all(list(rec) == layout for rec in payload)
 
 
 def _flipped_arrow_quiver(ar):
