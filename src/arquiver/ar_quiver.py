@@ -21,7 +21,6 @@ that fork.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -359,6 +358,8 @@ class ARQuiver:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2)
 
     def to_dot(self) -> str:
@@ -419,6 +420,7 @@ def build(quiver: DynkinQuiver, xi, validate: bool = True) -> ARQuiver:
 # --- the defining invariants, shared by build(validate=True) and verify ---------
 
 def check_vertex_range(ar: ARQuiver) -> Optional[str]:
+    """Vertex set is Phi+ spread over columns xi_i - 2m_i .. xi_i."""
     datum = ar.datum
     roots = rs.enumerate_positive_roots(datum)
     if set(ar.phi) != set(roots) or len(ar.root_at) != len(roots):
@@ -434,6 +436,7 @@ def check_vertex_range(ar: ARQuiver) -> Optional[str]:
 
 
 def check_nakayama(ar: ARQuiver) -> Optional[str]:
+    """xi_(i*) - 2m_(i*) = xi_i - h + 2 at every level."""
     datum = ar.datum
     star = rs.longest_element_star(datum)
     h = datum.coxeter_number
@@ -446,6 +449,7 @@ def check_nakayama(ar: ARQuiver) -> Optional[str]:
 
 
 def check_mesh_additivity(ar: ARQuiver) -> Optional[str]:
+    """beta + tau(beta) equals the sum over arrow sources into beta."""
     for (i, p), root in ar.root_at.items():
         prev = ar.root_at.get((i, p - 2))
         if prev is None:
@@ -462,6 +466,7 @@ def check_mesh_additivity(ar: ARQuiver) -> Optional[str]:
 
 
 def check_arrow_rule(ar: ARQuiver) -> Optional[str]:
+    """Arrows are exactly (i,p)->(j,p+1) for adjacent levels."""
     for a, b in ar.arrows:
         if b[1] != a[1] + 1 or not ar.datum.adjacent(a[0], b[0]):
             return f"arrow {a}->{b} malformed"
@@ -509,4 +514,6 @@ def from_json_dict(payload: dict) -> ARQuiver:
 
 
 def from_json(text: str) -> ARQuiver:
+    import json
+
     return from_json_dict(json.loads(text))

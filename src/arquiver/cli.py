@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -100,10 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, mode: str = "w") -> None:
     """Write text to path; a path that cannot be written is bad input."""
     try:
-        with open(path, "w") as handle:
+        with open(path, mode) as handle:
             handle.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
@@ -114,6 +113,12 @@ def _emit(text: str, out: str | None) -> None:
         _write(out, text if text.endswith("\n") else text + "\n")
     else:
         print(text)
+
+
+def _emit_json(payload, out: str | None) -> None:
+    import json
+
+    _emit(json.dumps(payload, indent=2), out)
 
 
 def _quiver_from_args(args) -> tuple[CartanDatum, DynkinQuiver, tuple[int, ...]]:
@@ -220,7 +225,7 @@ def cmd_roots(args) -> int:
                 eps = rs.epsilon_form(datum, root)
                 entry["eps"] = [eps.a, eps.b_signed]
             payload.append(entry)
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit_json(payload, args.out)
         return 0
     lines = [f"{len(roots)} positive roots of type {datum.diagram_type}_{datum.rank}"]
     for root in roots:
@@ -256,7 +261,7 @@ def cmd_order(args) -> int:
             "roots": [rs.format_root(datum, r) for r in order.roots],
             "coeffs": [list(r) for r in order.roots],
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit_json(payload, args.out)
         return 0
     sequence = " < ".join(rs.format_root(datum, r) for r in order.roots)
     word = " ".join(f"s{i}" for i in order.word)
@@ -288,7 +293,7 @@ def cmd_pairs(args) -> int:
                     "order_tag": pv.order_tag,
                 }
             )
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit_json(payload, args.out)
         return 0
     lines = [f"pairs of {rs.format_root(datum, gamma)}:"]
     for pv in results:
@@ -323,7 +328,7 @@ def cmd_denom(args) -> int:
         if at is not None:
             payload["at"] = {"u": at.u, "p": at.p}
             payload["multiplicity"] = poly.zero_multiplicity(at)
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit_json(payload, args.out)
         return 0
     lines = [
         f"d_{{{args.k},{args.l}}} for {args.family} rank {args.rank}: "
@@ -351,7 +356,7 @@ def cmd_dorey(args) -> int:
             "case": verdict.case,
             "exhaustive": verdict.exhaustive,
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit_json(payload, args.out)
         return 0
     note = "" if verdict.exhaustive else "  (one-way rule: no means unknown)"
     answer = f"yes, case ({verdict.case})" if verdict.admissible else "no"
@@ -361,8 +366,8 @@ def cmd_dorey(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = None if args.suite == "all" else {args.suite}
-    if args.json_out:  # an unwritable path fails before the sweep, not after it
-        _write(args.json_out, "")
+    if args.json_out:  # fail before the sweep, and never empty an old report
+        _write(args.json_out, "", mode="a")
     report = verify.run_suite(args.rank_max, suites=suites, parallelism=args.jobs)
     if args.json_out:
         _write(args.json_out, report.to_json())

@@ -2,16 +2,17 @@
 
 Every check is a pure function returning None on success or a short
 counterexample string; a check that raises is recorded as an error and the
-sweep goes on.  The runner owns all iteration: per-orientation checks sweep
-the 2^(n-1) orientations of each rank (height anchored at vertex n = 0),
-global checks run once.  Reports hold the same records,
-apart from ``elapsed``, for any worker count, because records are merged
-by (rank, orientation, check).
+sweep goes on.  ``ORIENTATION_CHECKS`` and ``GLOBAL_CHECKS`` list the checks:
+a check's id is its function's name without ``check_``, and its docstring
+states the theorem it checks.  The runner owns all iteration: per-orientation
+checks sweep the 2^(n-1) orientations of each rank (height anchored at vertex
+n = 0), global checks run once.  Records are sorted by (rank, orientation,
+check), so a report is the same, apart from ``elapsed``, for any worker count.
 """
 
 from __future__ import annotations
 
-import json
+import sys
 import time
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -63,6 +64,8 @@ class VerifyReport:
         return [r for r in self.records if r.status != "pass"]
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps([r._asdict() for r in self.records], indent=2)
 
     def summary(self) -> str:
@@ -74,6 +77,7 @@ class VerifyReport:
 # --- structure checks (the four build checks come from ar_quiver) ------------------
 
 def check_simple_root_coords(ar: ARQuiver) -> Optional[str]:
+    """alpha_k sits where its vertex class predicts."""
     datum = ar.datum
     n = ar.rank
     star = rs.longest_element_star(datum)
@@ -107,6 +111,7 @@ def check_simple_root_coords(ar: ARQuiver) -> Optional[str]:
 
 
 def check_arrow_pairing(ar: ARQuiver) -> Optional[str]:
+    """Every arrow's endpoints pair to 1 under the root form."""
     datum = ar.datum
     for src, dst in ar.arrows:
         value = datum.pairing(ar.root_at[dst], ar.root_at[src])
@@ -116,6 +121,7 @@ def check_arrow_pairing(ar: ARQuiver) -> Optional[str]:
 
 
 def check_range_lemma(ar: ARQuiver) -> Optional[str]:
+    """(i, xi_j - d(i,j)) and (i, xi_j - 2m_j + d(i,j)) are vertices."""
     datum = ar.datum
     for i in datum.vertices:
         for j in datum.vertices:
@@ -127,6 +133,7 @@ def check_range_lemma(ar: ARQuiver) -> Optional[str]:
 
 
 def check_m_values(ar: ARQuiver) -> Optional[str]:
+    """m_i = n-2 below the fork; spin depths follow parity of n and xi."""
     n = ar.rank
     for i in range(1, n - 1):
         if ar.m[i - 1] != n - 2:
@@ -147,6 +154,7 @@ def check_m_values(ar: ARQuiver) -> Optional[str]:
 
 
 def check_level_pair_sums(ar: ARQuiver) -> Optional[str]:
+    """Same-column spin roots are <a,t>, <a,-t> summing to 2e_a."""
     datum = ar.datum
     n = ar.rank
     t = ar.t_index
@@ -163,6 +171,7 @@ def check_level_pair_sums(ar: ARQuiver) -> Optional[str]:
 
 
 def check_triangle(ar: ARQuiver) -> Optional[str]:
+    """Spin pairs with matching parity meet at (n-1-k, (s+l)/2)."""
     n = ar.rank
     spin = [c for c in ar.root_at if c[0] in (n - 1, n)]
     for ca in spin:
@@ -181,6 +190,7 @@ def check_triangle(ar: ARQuiver) -> Optional[str]:
 
 
 def check_swing_shapes(ar: ARQuiver) -> Optional[str]:
+    """n-2 maximal swings; the a-swing holds all e_a carriers."""
     datum = ar.datum
     n = ar.rank
     try:
@@ -207,6 +217,7 @@ def check_swing_shapes(ar: ARQuiver) -> Optional[str]:
 
 
 def check_shallow_paths(ar: ARQuiver) -> Optional[str]:
+    """Shallow maximal paths reach level 1 and share one -e_k."""
     datum = ar.datum
     n = ar.rank
     spin_sinks = ar.quiver.is_sink(n - 1) and ar.quiver.is_sink(n)
@@ -248,6 +259,7 @@ def _summand_class_path(ar: ARQuiver, signed: int):
 
 
 def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
+    """sigma swing indices are reverse-unimodal; kappa tents at t'."""
     datum = ar.datum
     n = ar.rank
     sigma_roots, sigma_idx = ar.sigma()
@@ -323,6 +335,7 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
 
 
 def check_longest_root(ar: ARQuiver) -> Optional[str]:
+    """e_1+e_2 at (n-2, xi_1-n+1 or +3); 1- and 2-swings adjacent."""
     datum = ar.datum
     n = ar.rank
     longest = rs.root_from_epsilon(datum, rs.EpsilonForm(1, 2))
@@ -337,6 +350,7 @@ def check_longest_root(ar: ARQuiver) -> Optional[str]:
 
 
 def check_nfree_region(ar: ARQuiver) -> Optional[str]:
+    """Tall roots stay in the diagonal window below tall spin roots."""
     datum = ar.datum
     n = ar.rank
     hi, lo, inside = ar.nfree_region()
@@ -365,6 +379,7 @@ def check_nfree_region(ar: ARQuiver) -> Optional[str]:
 # --- order checks --------------------------------------------------------------
 
 def check_canonical_orders(ar: ARQuiver) -> Optional[str]:
+    """The four canonical readings are convex and adapted."""
     for tag in orders.STRATEGIES:
         try:
             order = orders.canonical_reading(ar, tag)
@@ -376,6 +391,7 @@ def check_canonical_orders(ar: ARQuiver) -> Optional[str]:
 
 
 def check_compatibility(ar: ARQuiver) -> Optional[str]:
+    """Path order implies order in every canonical reading."""
     readings = {tag: orders.canonical_reading(ar, tag) for tag in orders.STRATEGIES}
     roots = sorted(ar.phi)
     for alpha in roots:
@@ -389,6 +405,7 @@ def check_compatibility(ar: ARQuiver) -> Optional[str]:
 
 
 def check_pair_counts(ar: ARQuiver) -> Optional[str]:
+    """ht-1 pairs; minimal = |Supp>=1|-1, non-minimal = |Supp>=2|."""
     for gamma in sorted(ar.phi):
         if rs.ht(gamma) < 2:
             continue
@@ -409,6 +426,7 @@ def check_pair_counts(ar: ARQuiver) -> Optional[str]:
 
 
 def check_nonfree_counts(ar: ARQuiver) -> Optional[str]:
+    """e_a + e_b has exactly n-b-1 non-minimal pairs."""
     datum = ar.datum
     n = ar.rank
     for gamma in sorted(ar.phi):
@@ -426,6 +444,7 @@ def check_nonfree_counts(ar: ARQuiver) -> Optional[str]:
 
 
 def check_readings_equal_class(ar: ARQuiver) -> Optional[str]:
+    """Readings of Gamma_Q = commutation class of one word."""
     reading_words = {order.word for order in orders.all_readings(ar)}
     seed = orders.canonical_reading(ar, "U1").word
     cls = orders.commutation_class(ar.datum, seed)
@@ -437,6 +456,7 @@ def check_readings_equal_class(ar: ARQuiver) -> Optional[str]:
 
 
 def check_oracle_agreement(ar: ARQuiver) -> Optional[str]:
+    """Dominance classifier matches the all-readings oracle."""
     for gamma, pair in orders.all_pairs(ar):
         fast = orders.classify_pair(ar, gamma, pair).verdict
         slow = orders.oracle_classify(ar, gamma, pair).verdict
@@ -449,6 +469,7 @@ NON_ADAPTED_WORD = (1, 2, 3, 1, 2, 4, 1, 2, 3, 1, 2, 4)
 
 
 def check_non_adapted_word() -> Optional[str]:
+    """The 12-letter non-adapted word never makes its pair minimal."""
     datum = CartanDatum("D", 4)
     word = NON_ADAPTED_WORD
     if not rs.is_reduced(datum, word):
@@ -469,6 +490,7 @@ def check_non_adapted_word() -> Optional[str]:
 # --- quantum-affine checks --------------------------------------------------------
 
 def check_dorey_d1_coverage(ar: ARQuiver) -> Optional[str]:
+    """Every pair is Dorey-admissible; case ii iff non-minimal."""
     n = ar.rank
     for gamma, pair in orders.all_pairs(ar):
         triple = qaffine.pair_to_triple(ar, gamma, pair)
@@ -484,6 +506,7 @@ def check_dorey_d1_coverage(ar: ARQuiver) -> Optional[str]:
 
 
 def check_star_transport(ar: ARQuiver) -> Optional[str]:
+    """Folded images of minimal pairs pass the twisted rule."""
     n = ar.rank
     folded = n - 1
     for gamma, pair in orders.all_pairs(ar):
@@ -500,6 +523,7 @@ def check_star_transport(ar: ARQuiver) -> Optional[str]:
 
 
 def check_surj_free_multiplicity(ar: ARQuiver) -> Optional[str]:
+    """Zero multiplicity 1 for minimal pairs, 2 otherwise."""
     for gamma, pair in orders.all_pairs(ar):
         verdict = orders.classify_pair(ar, gamma, pair).verdict
         if not qaffine.multiplicity_theorem_check(ar, gamma, pair, verdict):
@@ -508,6 +532,7 @@ def check_surj_free_multiplicity(ar: ARQuiver) -> Optional[str]:
 
 
 def check_sectional_commuting(ar: ARQuiver) -> Optional[str]:
+    """No denominator zero in either direction along a path."""
     for path in ar.sectional_paths():
         coords = list(path.coords)
         for x in range(len(coords)):
@@ -520,6 +545,7 @@ def check_sectional_commuting(ar: ARQuiver) -> Optional[str]:
 
 
 def check_double_zero_correspondence() -> Optional[str]:
+    """Untwisted rank n+1 and twisted n double zeros agree."""
     for n in range(3, 9):
         if qaffine.double_zero_set_D1(n + 1) != qaffine.double_zero_set_D2(n):
             return f"double-zero sets disagree at n = {n}"
@@ -547,6 +573,7 @@ def check_double_zero_correspondence() -> Optional[str]:
 
 
 def check_dorey_ii_in_double_zero() -> Optional[str]:
+    """Case-ii data always lands on a double zero."""
     for n in range(4, 9):
         zeros = qaffine.double_zero_set_D1(n)
         for i in range(1, n - 1):
@@ -559,104 +586,58 @@ def check_dorey_ii_in_double_zero() -> Optional[str]:
     return None
 
 
-# --- catalog and runner --------------------------------------------------------
+# --- the check table and runner ------------------------------------------------
 
-ORIENTATION_CHECKS: dict[str, tuple[str, Callable[[ARQuiver], Optional[str]]]] = {
-    "vertex_range": ("structure", check_vertex_range),
-    "nakayama": ("structure", check_nakayama),
-    "mesh_additivity": ("structure", check_mesh_additivity),
-    "arrow_rule": ("structure", check_arrow_rule),
-    "simple_root_coords": ("structure", check_simple_root_coords),
-    "arrow_pairing": ("structure", check_arrow_pairing),
-    "range_lemma": ("structure", check_range_lemma),
-    "m_values": ("structure", check_m_values),
-    "level_pair_sums": ("structure", check_level_pair_sums),
-    "triangle": ("structure", check_triangle),
-    "swing_shapes": ("structure", check_swing_shapes),
-    "shallow_paths": ("structure", check_shallow_paths),
-    "sigma_kappa": ("structure", check_sigma_kappa),
-    "longest_root": ("structure", check_longest_root),
-    "nfree_region": ("structure", check_nfree_region),
-    "canonical_orders": ("orders", check_canonical_orders),
-    "compatibility": ("orders", check_compatibility),
-    "pair_counts": ("orders", check_pair_counts),
-    "nonfree_counts": ("orders", check_nonfree_counts),
-    "readings_equal_class": ("orders", check_readings_equal_class),
-    "oracle_agreement": ("orders", check_oracle_agreement),
-    "dorey_d1_coverage": ("qaffine", check_dorey_d1_coverage),
-    "star_transport": ("qaffine", check_star_transport),
-    "surj_free_multiplicity": ("qaffine", check_surj_free_multiplicity),
-    "sectional_commuting": ("qaffine", check_sectional_commuting),
-}
+class Check(NamedTuple):
+    """One check of the harness; its id is its function's name without ``check_``."""
 
-# ranks at which a per-orientation check is meaningful to brute-force
-RANK_LIMITS = {"readings_equal_class": 4, "oracle_agreement": 4}
+    suite: str
+    fn: Callable[..., Optional[str]]
+    rank_max: Optional[int] = None  # the largest rank it is brute-forced at
 
-GLOBAL_CHECKS: dict[str, tuple[str, Callable[[], Optional[str]]]] = {
-    "non_adapted_word": ("orders", check_non_adapted_word),
-    "double_zero_correspondence": ("qaffine", check_double_zero_correspondence),
-    "dorey_ii_in_double_zero": ("qaffine", check_dorey_ii_in_double_zero),
-}
+    @property
+    def id(self) -> str:  # interned: a sweep's records share one string per check
+        return sys.intern(self.fn.__name__.removeprefix("check_"))
+
+
+# the build checks come first: a failing one stops its orientation
+ORIENTATION_CHECKS = (
+    *(Check("structure", fn) for fn in (
+        *BUILD_CHECKS,
+        check_simple_root_coords, check_arrow_pairing, check_range_lemma, check_m_values,
+        check_level_pair_sums, check_triangle, check_swing_shapes, check_shallow_paths,
+        check_sigma_kappa, check_longest_root, check_nfree_region,
+    )),
+    *(Check("orders", fn) for fn in (
+        check_canonical_orders, check_compatibility, check_pair_counts, check_nonfree_counts,
+    )),
+    Check("orders", check_readings_equal_class, rank_max=4),
+    Check("orders", check_oracle_agreement, rank_max=4),
+    *(Check("qaffine", fn) for fn in (
+        check_dorey_d1_coverage, check_star_transport,
+        check_surj_free_multiplicity, check_sectional_commuting,
+    )),
+)
+
+GLOBAL_CHECKS = (
+    Check("orders", check_non_adapted_word),
+    Check("qaffine", check_double_zero_correspondence),
+    Check("qaffine", check_dorey_ii_in_double_zero),
+)
 
 SUITES = ("structure", "orders", "qaffine")
 
-_DESCRIPTIONS = {
-    "vertex_range": "vertex set is Phi+ spread over columns xi_i - 2m_i .. xi_i",
-    "nakayama": "xi_(i*) - 2m_(i*) = xi_i - h + 2 at every level",
-    "mesh_additivity": "beta + tau(beta) equals the sum over arrow sources into beta",
-    "arrow_rule": "arrows are exactly (i,p)->(j,p+1) for adjacent levels",
-    "simple_root_coords": "alpha_k sits where its vertex class predicts",
-    "arrow_pairing": "every arrow's endpoints pair to 1 under the root form",
-    "range_lemma": "(i, xi_j - d(i,j)) and (i, xi_j - 2m_j + d(i,j)) are vertices",
-    "m_values": "m_i = n-2 below the fork; spin depths follow parity of n and xi",
-    "level_pair_sums": "same-column spin roots are <a,t>, <a,-t> summing to 2e_a",
-    "triangle": "spin pairs with matching parity meet at (n-1-k, (s+l)/2)",
-    "swing_shapes": "n-2 maximal swings; the a-swing holds all e_a carriers",
-    "shallow_paths": "shallow maximal paths reach level 1 and share one -e_k",
-    "sigma_kappa": "sigma swing indices are reverse-unimodal; kappa tents at t'",
-    "longest_root": "e_1+e_2 at (n-2, xi_1-n+1 or +3); 1- and 2-swings adjacent",
-    "nfree_region": "tall roots stay in the diagonal window below tall spin roots",
-    "canonical_orders": "the four canonical readings are convex and adapted",
-    "compatibility": "path order implies order in every canonical reading",
-    "pair_counts": "ht-1 pairs; minimal = |Supp>=1|-1, non-minimal = |Supp>=2|",
-    "nonfree_counts": "e_a + e_b has exactly n-b-1 non-minimal pairs",
-    "readings_equal_class": "readings of Gamma_Q = commutation class of one word",
-    "oracle_agreement": "dominance classifier matches the all-readings oracle",
-    "dorey_d1_coverage": "every pair is Dorey-admissible; case ii iff non-minimal",
-    "star_transport": "folded images of minimal pairs pass the twisted rule",
-    "surj_free_multiplicity": "zero multiplicity 1 for minimal pairs, 2 otherwise",
-    "sectional_commuting": "no denominator zero in either direction along a path",
-    "non_adapted_word": "the 12-letter non-adapted word never makes its pair minimal",
-    "double_zero_correspondence": "untwisted rank n+1 and twisted n double zeros agree",
-    "dorey_ii_in_double_zero": "case-ii data always lands on a double zero",
-}
 
-
-def check_catalog() -> list[dict]:
-    """Stable listing of all check ids with suite and description."""
-    catalog = []
-    for check_id, (suite, _) in ORIENTATION_CHECKS.items():
-        catalog.append(
-            {"check_id": check_id, "suite": suite, "scope": "orientation",
-             "description": _DESCRIPTIONS[check_id]}
-        )
-    for check_id, (suite, _) in GLOBAL_CHECKS.items():
-        catalog.append(
-            {"check_id": check_id, "suite": suite, "scope": "global",
-             "description": _DESCRIPTIONS[check_id]}
-        )
-    return sorted(catalog, key=lambda entry: (entry["suite"], entry["check_id"]))
-
-
-def _run_check(fn: Callable, *args) -> tuple[str, Optional[str], float]:
-    """(status, counterexample, elapsed) of one check; an exception is an error."""
+def _run_check(check: Check, rank, orientation, *args) -> CheckRecord:
+    """The record of one check; an exception is an error."""
     start = time.perf_counter()
     try:
-        message = fn(*args)
+        message = check.fn(*args)
         status = "pass" if message is None else "fail"
     except Exception as exc:
         message, status = f"{type(exc).__name__}: {exc}", "error"
-    return status, message, time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    return CheckRecord(check.id, check.suite, rank, orientation, status, message, elapsed)
 
 
 def _run_orientation_task(args) -> list[CheckRecord]:
@@ -671,17 +652,14 @@ def _run_orientation_task(args) -> list[CheckRecord]:
         ar = ar_quiver.build(quiver, xi, validate="structure" not in suites)
     except ar_quiver.ARQuiverError as exc:
         return [CheckRecord("build", "structure", rank, spec, "fail", str(exc), 0.0)]
-    for check_id, (suite, fn) in ORIENTATION_CHECKS.items():
-        if suite not in suites:
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}"
+        return [CheckRecord("build", "structure", rank, spec, "error", message, 0.0)]
+    for position, check in enumerate(ORIENTATION_CHECKS):
+        if check.suite not in suites or rank > (check.rank_max or rank):
             continue
-        limit = RANK_LIMITS.get(check_id)
-        if limit is not None and rank > limit:
-            continue
-        status, message, elapsed = _run_check(fn, ar)
-        records.append(
-            CheckRecord(check_id, suite, rank, spec, status, message, elapsed)
-        )
-        if status != "pass" and fn in BUILD_CHECKS:
+        records.append(_run_check(check, rank, spec, ar))
+        if records[-1].status != "pass" and position < len(BUILD_CHECKS):
             break  # a broken build never reaches the later checks
     return records
 
@@ -722,14 +700,8 @@ def run_suite(
     else:
         for task in tasks:
             records.extend(_run_orientation_task(task))
-    for check_id, (suite, fn) in GLOBAL_CHECKS.items():
-        if suite not in selected:
-            continue
-        status, message, elapsed = _run_check(fn)
-        records.append(
-            CheckRecord(check_id, suite, None, None, status, message, elapsed)
-        )
-    records.sort(
-        key=lambda r: (r.rank or 0, r.orientation or "", r.check_id)
+    records.extend(
+        _run_check(check, None, None) for check in GLOBAL_CHECKS if check.suite in selected
     )
+    records.sort(key=lambda r: (r.rank or 0, r.orientation or "", r.check_id))
     return VerifyReport(records)

@@ -222,7 +222,7 @@ def test_verify_cli_jobs_print_the_serial_summary(capsys):
     assert run(capsys, [*argv, "--jobs", "2"]) == serial
 
 
-def test_parse_errors_exit_2(capsys):
+def test_parse_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, ["pairs", *EX1, "--gamma", "e9+e2"])
     assert code == 2 and "error:" in err
     code, out, err = run(capsys, ["pairs", *EX1, "--gamma", "e1-e2"])
@@ -236,9 +236,14 @@ def test_parse_errors_exit_2(capsys):
         ["dorey", "--family", "D1", "--rank", "4", "--triple", "bogus"],
     )
     assert code == 2
-    for bad in (["--rank-max", "3"], ["--jobs", "0"], ["--jobs", "-3"]):
+    old_report = tmp_path / "old.json"
+    old_report.write_text('[{"check_id": "build"}]\n')
+    kept = old_report.read_bytes()
+    for bad in (["--rank-max", "3"], ["--jobs", "0"], ["--jobs", "-3"],
+                ["--rank-max", "3", "--json", str(old_report)]):
         code, out, err = run(capsys, ["verify", "--suite", "structure", *bad])
         assert code == 2 and err.startswith("error:") and out == ""
+    assert old_report.read_bytes() == kept
 
 
 def test_out_file(tmp_path, capsys):

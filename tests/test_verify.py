@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import json
 import subprocess
 import sys
@@ -10,18 +11,22 @@ from arquiver import ar_quiver, verify
 from arquiver.ar_quiver import ARQuiver
 from arquiver.quiver import DynkinQuiver
 from arquiver.root_system import CartanDatum
-from arquiver.verify import check_catalog, run_suite
+from arquiver.verify import run_suite
 
 
 def test_catalog_contents():
-    catalog = check_catalog()
-    ids = {entry["check_id"] for entry in catalog}
+    checks = verify.ORIENTATION_CHECKS + verify.GLOBAL_CHECKS
+    ids = [check.id for check in checks]
     assert "mesh_additivity" in ids
     assert "surj_free_multiplicity" in ids
     assert "non_adapted_word" in ids
-    for entry in catalog:
-        assert entry["suite"] in verify.SUITES
-        assert entry["description"]
+    assert len(set(ids)) == len(ids)
+    for check in checks:
+        assert check.suite in verify.SUITES
+        assert check.fn.__doc__
+    declared = sorted(check.fn.__name__ for check in checks)
+    defined = sorted(name for name in vars(verify) if name.startswith("check_"))
+    assert declared == defined
 
 
 def test_run_suite_rank4_all_pass():
@@ -33,6 +38,10 @@ def test_run_suite_rank4_all_pass():
         r.orientation for r in report.records if r.orientation is not None
     }
     assert len(orientations) == 8
+    limited = {"readings_equal_class", "oracle_agreement"}
+    for rank, recorded in ((4, limited), (5, set())):
+        records = verify._run_orientation_task((rank, 0, ("orders",)))
+        assert {r.check_id for r in records} & limited == recorded
 
 
 def test_run_suite_is_deterministic_and_parallel_safe():
@@ -74,7 +83,7 @@ def test_serial_sweep_loads_no_process_pool():
         "from arquiver import verify\n"
         "assert verify.run_suite(4, {'structure'}).ok\n"
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing',"
-        " 'dataclasses', 'inspect') if m in sys.modules))\n"
+        " 'dataclasses', 'inspect', 'json') if m in sys.modules))\n"
     )
     src = Path(verify.__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -155,20 +164,34 @@ def test_broken_build_stops_its_orientation(example1_ar, monkeypatch):
         }
 
 
+def test_raising_build_is_recorded_as_an_error(monkeypatch):
+    def raising_build(quiver, xi, validate=True):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(ar_quiver, "build", raising_build)
+    report = run_suite(4, suites={"structure"})
+    assert not report.ok
+    assert [(r.check_id, r.status, r.counterexample) for r in report.records] == [
+        ("build", "error", "KeyError: 'boom'")
+    ] * 8
+
+
 @pytest.mark.parametrize("check_id, kept", [("triangle", 15), ("nakayama", 2)])
 def test_raising_check_is_recorded_as_an_error(monkeypatch, check_id, kept):
     # a raising build check stops its orientation, as a failing one does
     target = DynkinQuiver.from_bitmask(CartanDatum("D", 4), 3).spec_string()
-    suite, check = verify.ORIENTATION_CHECKS[check_id]
+    (check,) = (c.fn for c in verify.ORIENTATION_CHECKS if c.id == check_id)
 
+    @functools.wraps(check)
     def flaky(ar):
         if ar.quiver.spec_string() == target:
             raise KeyError("boom")
         return check(ar)
 
-    monkeypatch.setitem(verify.ORIENTATION_CHECKS, check_id, (suite, flaky))
-    build_checks = tuple(flaky if fn is check else fn for fn in verify.BUILD_CHECKS)
-    monkeypatch.setattr(verify, "BUILD_CHECKS", build_checks)
+    table = tuple(
+        c._replace(fn=flaky) if c.fn is check else c for c in verify.ORIENTATION_CHECKS
+    )
+    monkeypatch.setattr(verify, "ORIENTATION_CHECKS", table)
     report = run_suite(4, suites={"structure"})
     assert not report.ok
     errors = [r for r in report.records if r.status == "error"]
@@ -181,7 +204,7 @@ def test_raising_check_is_recorded_as_an_error(monkeypatch, check_id, kept):
 
 
 def test_every_structure_check_passes_examplewise(example1_ar):
-    for check_id, (suite, fn) in verify.ORIENTATION_CHECKS.items():
-        if suite != "structure":
+    for check in verify.ORIENTATION_CHECKS:
+        if check.suite != "structure":
             continue
-        assert fn(example1_ar) is None, check_id
+        assert check.fn(example1_ar) is None, check.id
