@@ -66,7 +66,6 @@ class ARQuiver:
         self,
         quiver: DynkinQuiver,
         xi: tuple[int, ...],
-        tau_word: tuple[int, ...],
         root_at: dict[Coord, Root],
         arrows: frozenset[tuple[Coord, Coord]],
         m: tuple[int, ...],
@@ -74,7 +73,6 @@ class ARQuiver:
         self.quiver = quiver
         self.datum = quiver.datum
         self.xi = xi
-        self.tau_word = tau_word
         self.root_at = root_at
         self.phi = {root: coord for coord, root in root_at.items()}
         self.arrows = arrows
@@ -409,7 +407,7 @@ def build(quiver: DynkinQuiver, xi, validate: bool = True) -> ARQuiver:
         for j in datum.neighbors(i):
             if (j, p + 1) in root_at:
                 arrows.add(((i, p), (j, p + 1)))
-    ar = ARQuiver(quiver, xi, tau, root_at, frozenset(arrows), tuple(m))
+    ar = ARQuiver(quiver, xi, root_at, frozenset(arrows), tuple(m))
     if validate:
         message = validate_build(ar)
         if message is not None:

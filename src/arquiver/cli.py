@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -366,8 +367,11 @@ def cmd_dorey(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = None if args.suite == "all" else {args.suite}
-    if args.json_out:  # fail before the sweep, and never empty an old report
+    if args.json_out:  # fail before the sweep; never empty an old report or leave a new one
+        existed = os.path.exists(args.json_out)
         _write(args.json_out, "", mode="a")
+        if not existed:
+            os.remove(args.json_out)
     report = verify.run_suite(args.rank_max, suites=suites, parallelism=args.jobs)
     if args.json_out:
         _write(args.json_out, report.to_json())

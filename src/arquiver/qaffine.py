@@ -333,7 +333,7 @@ def pair_to_triple(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> HomTri
     return HomTriple(bi, mq(bp), ai, mq(ap), gi, mq(gp))
 
 
-def multiplicity_theorem_check(ar, gamma, pair, verdict) -> bool:
+def multiplicity_theorem_check(ar, pair, verdict) -> bool:
     """Zero multiplicity at (-q)^|column gap| must be 1 (minimal) or 2 (not)."""
     alpha, beta = orders.orient_pair(ar, *pair)
     gap = abs(ar.column_of(alpha) - ar.column_of(beta))

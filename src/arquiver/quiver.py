@@ -4,6 +4,10 @@ An orientation is stored as a tuple of directed arrows (src, dst) covering
 every diagram edge exactly once, plus a bitmask encoding against the
 canonical edge order (edges sorted by (min endpoint, max endpoint); bit 0
 means the arrow runs min -> max).
+
+Orientation facts are read off the height function xi, the one walk over the
+arrows: i is a source when every neighbour sits at xi_i - 1, reflecting at a
+source lowers xi_i by 2, and a path j ~> i exists when xi_j - xi_i = d(i, j).
 """
 
 from __future__ import annotations
@@ -113,64 +117,6 @@ def classify_vertex(quiver: DynkinQuiver, i: int) -> VertexClass:
     return VertexClass.OTHER
 
 
-def reflect_quiver(quiver: DynkinQuiver, i: int) -> DynkinQuiver:
-    """Reverse every arrow incident to vertex i."""
-    flipped = tuple(
-        (dst, src) if i in (src, dst) else (src, dst) for src, dst in quiver.arrows
-    )
-    return DynkinQuiver.from_arrows(quiver.datum, flipped)
-
-
-def is_adapted(word: WeylWord, quiver: DynkinQuiver) -> bool:
-    """Each letter must be a source of the quiver reflected at all earlier letters."""
-    current = quiver
-    for i in word:
-        if not current.is_source(i):
-            return False
-        current = reflect_quiver(current, i)
-    return True
-
-
-def coxeter_word(quiver: DynkinQuiver) -> WeylWord:
-    """The source-peeling word: repeatedly remove the smallest current source."""
-    current = quiver
-    remaining = set(quiver.datum.vertices)
-    word = []
-    while remaining:
-        source = min(i for i in remaining if current.is_source(i))
-        word.append(source)
-        remaining.discard(source)
-        current = reflect_quiver(current, source)
-    return tuple(word)
-
-
-def eta_zeta(quiver: DynkinQuiver, i: int) -> tuple[Root, Root]:
-    """eta_i sums alpha_j over j with a path j ~> i, zeta_i over i ~> j."""
-    datum = quiver.datum
-    eta = [0] * datum.rank
-    for j in _reachable(quiver, i, backwards=True):
-        eta[j - 1] = 1
-    zeta = [0] * datum.rank
-    for j in _reachable(quiver, i, backwards=False):
-        zeta[j - 1] = 1
-    return tuple(eta), tuple(zeta)
-
-
-def _reachable(quiver: DynkinQuiver, start: int, backwards: bool) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            step = quiver.points_into(u) if backwards else quiver.points_out_of(u)
-            for v in step:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
-
-
 def make_height_function(
     quiver: DynkinQuiver, anchor_vertex: int, anchor_value: int
 ) -> tuple[int, ...]:
@@ -178,21 +124,61 @@ def make_height_function(
     datum = quiver.datum
     if anchor_vertex not in datum.vertices:
         raise QuiverError(f"no vertex {anchor_vertex}")
-    xi: dict[int, int] = {anchor_vertex: anchor_value}
-    frontier = [anchor_vertex]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in quiver.points_out_of(u):
-                if v not in xi:
-                    xi[v] = xi[u] - 1
-                    nxt.append(v)
-            for v in quiver.points_into(u):
-                if v not in xi:
-                    xi[v] = xi[u] + 1
-                    nxt.append(v)
-        frontier = nxt
+    arrows = set(quiver.arrows)
+    xi = {anchor_vertex: anchor_value}
+    stack = [anchor_vertex]
+    while stack:
+        u = stack.pop()
+        for v in datum.neighbors(u):
+            if v not in xi:
+                xi[v] = xi[u] - 1 if (u, v) in arrows else xi[u] + 1
+                stack.append(v)
     return tuple(xi[i] for i in datum.vertices)
+
+
+def _is_source(datum: CartanDatum, xi: list[int], i: int) -> bool:
+    """i is a source exactly when every neighbour sits at xi_i - 1."""
+    return all(xi[j - 1] == xi[i - 1] - 1 for j in datum.neighbors(i))
+
+
+def is_adapted(word: WeylWord, quiver: DynkinQuiver) -> bool:
+    """Each letter must be a source of the quiver reflected at all earlier letters."""
+    datum = quiver.datum
+    if not set(word).issubset(datum.vertices):
+        raise QuiverError(f"{word} has letters outside 1..{datum.rank}")
+    xi = list(make_height_function(quiver, 1, 0))
+    for i in word:
+        if not _is_source(datum, xi, i):
+            return False
+        xi[i - 1] -= 2
+    return True
+
+
+def coxeter_word(quiver: DynkinQuiver) -> WeylWord:
+    """The source-peeling word: repeatedly remove the smallest current source."""
+    datum = quiver.datum
+    xi = list(make_height_function(quiver, 1, 0))
+    remaining = set(datum.vertices)
+    word = []
+    while remaining:
+        source = min(i for i in remaining if _is_source(datum, xi, i))
+        word.append(source)
+        remaining.discard(source)
+        xi[source - 1] -= 2
+    return tuple(word)
+
+
+def eta_zeta(quiver: DynkinQuiver, i: int) -> tuple[Root, Root]:
+    """eta_i sums alpha_j over j with a path j ~> i, zeta_i over i ~> j.
+
+    Q is a tree, so j ~> i exactly when xi_j - xi_i is the distance d(i, j).
+    """
+    datum = quiver.datum
+    xi = make_height_function(quiver, i, 0)
+    dist = [datum.distance(i, j) for j in datum.vertices]
+    eta = tuple(int(h == d) for h, d in zip(xi, dist))
+    zeta = tuple(int(-h == d) for h, d in zip(xi, dist))
+    return eta, zeta
 
 
 def check_height_function(quiver: DynkinQuiver, xi) -> None:

@@ -526,7 +526,7 @@ def check_surj_free_multiplicity(ar: ARQuiver) -> Optional[str]:
     """Zero multiplicity 1 for minimal pairs, 2 otherwise."""
     for gamma, pair in orders.all_pairs(ar):
         verdict = orders.classify_pair(ar, gamma, pair).verdict
-        if not qaffine.multiplicity_theorem_check(ar, gamma, pair, verdict):
+        if not qaffine.multiplicity_theorem_check(ar, pair, verdict):
             return f"zero multiplicity wrong for pair {pair} of {gamma}"
     return None
 

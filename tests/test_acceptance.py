@@ -45,9 +45,7 @@ def test_criterion_2_canonical_orders(example1_ar, d4):
 
     def run_all():
         # a fresh quiver per call times building the readings, not reading its cache
-        fresh = ar_quiver.ARQuiver(
-            ar.quiver, ar.xi, ar.tau_word, dict(ar.root_at), ar.arrows, ar.m
-        )
+        fresh = ar_quiver.ARQuiver(ar.quiver, ar.xi, dict(ar.root_at), ar.arrows, ar.m)
         return {tag: orders.canonical_reading(fresh, tag) for tag in orders.STRATEGIES}
 
     run_all()

@@ -239,11 +239,14 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     old_report = tmp_path / "old.json"
     old_report.write_text('[{"check_id": "build"}]\n')
     kept = old_report.read_bytes()
+    new_report = tmp_path / "new.json"
     for bad in (["--rank-max", "3"], ["--jobs", "0"], ["--jobs", "-3"],
-                ["--rank-max", "3", "--json", str(old_report)]):
+                ["--rank-max", "3", "--json", str(old_report)],
+                ["--jobs", "0", "--json", str(new_report)]):
         code, out, err = run(capsys, ["verify", "--suite", "structure", *bad])
         assert code == 2 and err.startswith("error:") and out == ""
     assert old_report.read_bytes() == kept
+    assert not new_report.exists()
 
 
 def test_out_file(tmp_path, capsys):

@@ -238,7 +238,7 @@ def test_caches_are_declared_fields(example1_ar):
     for gamma, pair in orders.all_pairs(ar):
         orders.classify_pair(ar, gamma, pair)
         orders.oracle_classify(ar, gamma, pair)
-    fresh = ARQuiver(ar.quiver, ar.xi, ar.tau_word, dict(ar.root_at), ar.arrows, ar.m)
+    fresh = ARQuiver(ar.quiver, ar.xi, dict(ar.root_at), ar.arrows, ar.m)
     cached = {
         name
         for name, value in vars(ARQuiver).items()

@@ -235,7 +235,6 @@ def test_pair_to_triple_example(example1_ar, d4):
 
 
 def test_multiplicity_theorem_examples(example1_ar, d4):
-    gamma = rs.parse_root(d4, "e1+e2")
     cases = [
         (("<1,-4>", "<2,4>"), orders.Verdict.MINIMAL),
         (("<1,4>", "<2,-4>"), orders.Verdict.NON_MINIMAL),
@@ -243,11 +242,11 @@ def test_multiplicity_theorem_examples(example1_ar, d4):
     ]
     for (a, b), verdict in cases:
         pair = (rs.parse_root(d4, a), rs.parse_root(d4, b))
-        assert qaffine.multiplicity_theorem_check(example1_ar, gamma, pair, verdict)
+        assert qaffine.multiplicity_theorem_check(example1_ar, pair, verdict)
     # and the converse orientation of the theorem fails by construction
     pair = (rs.parse_root(d4, "<1,-4>"), rs.parse_root(d4, "<2,4>"))
     assert not qaffine.multiplicity_theorem_check(
-        example1_ar, gamma, pair, orders.Verdict.NON_MINIMAL
+        example1_ar, pair, orders.Verdict.NON_MINIMAL
     )
 
 

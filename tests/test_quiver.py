@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arquiver import ar_quiver, orders
 from arquiver import root_system as rs
 from arquiver.quiver import (
     DynkinQuiver,
@@ -12,7 +15,6 @@ from arquiver.quiver import (
     is_adapted,
     make_height_function,
     parse_arrow_spec,
-    reflect_quiver,
 )
 from arquiver.root_system import CartanDatum
 
@@ -49,14 +51,6 @@ def test_valence_one_always_source_or_sink():
                 )
 
 
-def test_reflect_quiver(example1_quiver, d4):
-    flipped = reflect_quiver(example1_quiver, 3)
-    assert set(flipped.arrows) == {(2, 1), (2, 3), (2, 4)}
-    assert reflect_quiver(flipped, 3) == example1_quiver
-    # edges not touching the reflected vertex keep their orientation
-    assert (2, 1) in flipped.arrows and (2, 4) in flipped.arrows
-
-
 def test_is_adapted(example1_quiver, d4):
     assert is_adapted((), example1_quiver)
     assert is_adapted((3, 2), example1_quiver)
@@ -64,6 +58,10 @@ def test_is_adapted(example1_quiver, d4):
     word = (1, 2, 3, 1, 2, 4, 1, 2, 3, 1, 2, 4)
     for quiver in all_orientations(d4):
         assert not is_adapted(word, quiver)
+    # (2, 9): 2 is no source, but the stray 9 is reported all the same
+    for word in ((5,), (0,), (1, 5, 5, -3), (2, 9)):
+        with pytest.raises(QuiverError):
+            is_adapted(word, DynkinQuiver.from_bitmask(d4, 0))
 
 
 def test_coxeter_word(example1_quiver):
@@ -135,3 +133,129 @@ def test_parse_arrow_spec_errors(d4):
         parse_arrow_spec(d4, "1>2,2>1,3>2,2>4")  # duplicate edge
     with pytest.raises(QuiverError):
         parse_arrow_spec(d4, "1>2,2>3")  # missing edge
+
+
+# --- the former arrow-walking bodies, kept to pin the height-function ones ------
+
+
+def _reference_reflect_quiver(quiver, i):
+    """Reverse every arrow incident to vertex i."""
+    flipped = tuple(
+        (dst, src) if i in (src, dst) else (src, dst) for src, dst in quiver.arrows
+    )
+    return DynkinQuiver.from_arrows(quiver.datum, flipped)
+
+
+def _reference_is_adapted(word, quiver):
+    """Each letter must be a source of the quiver reflected at all earlier letters."""
+    current = quiver
+    for i in word:
+        if not current.is_source(i):
+            return False
+        current = _reference_reflect_quiver(current, i)
+    return True
+
+
+def _reference_coxeter_word(quiver):
+    """The source-peeling word: repeatedly remove the smallest current source."""
+    current = quiver
+    remaining = set(quiver.datum.vertices)
+    word = []
+    while remaining:
+        source = min(i for i in remaining if current.is_source(i))
+        word.append(source)
+        remaining.discard(source)
+        current = _reference_reflect_quiver(current, source)
+    return tuple(word)
+
+
+def _reference_eta_zeta(quiver, i):
+    """eta_i sums alpha_j over j with a path j ~> i, zeta_i over i ~> j."""
+    datum = quiver.datum
+    eta = [0] * datum.rank
+    for j in _reference_reachable(quiver, i, backwards=True):
+        eta[j - 1] = 1
+    zeta = [0] * datum.rank
+    for j in _reference_reachable(quiver, i, backwards=False):
+        zeta[j - 1] = 1
+    return tuple(eta), tuple(zeta)
+
+
+def _reference_reachable(quiver, start, backwards):
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            step = quiver.points_into(u) if backwards else quiver.points_out_of(u)
+            for v in step:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+def _reference_make_height_function(quiver, anchor_vertex, anchor_value):
+    """The unique xi with xi_j = xi_i - 1 along arrows and the given anchor."""
+    datum = quiver.datum
+    if anchor_vertex not in datum.vertices:
+        raise QuiverError(f"no vertex {anchor_vertex}")
+    xi: dict[int, int] = {anchor_vertex: anchor_value}
+    frontier = [anchor_vertex]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in quiver.points_out_of(u):
+                if v not in xi:
+                    xi[v] = xi[u] - 1
+                    nxt.append(v)
+            for v in quiver.points_into(u):
+                if v not in xi:
+                    xi[v] = xi[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return tuple(xi[i] for i in datum.vertices)
+
+
+PINNED_TYPES = [("A", n) for n in range(1, 8)] + [("D", n) for n in range(4, 10)]
+
+
+@pytest.mark.parametrize("diagram, rank", PINNED_TYPES)
+def test_height_function_bodies_equal_the_arrow_walks(diagram, rank):
+    for quiver in all_orientations(CartanDatum(diagram, rank)):
+        word = coxeter_word(quiver)
+        assert word == _reference_coxeter_word(quiver)
+        assert is_adapted(word, quiver) and _reference_is_adapted(word, quiver)
+        for i in quiver.datum.vertices:
+            assert eta_zeta(quiver, i) == _reference_eta_zeta(quiver, i)
+            for value in (0, -3):
+                expected = _reference_make_height_function(quiver, i, value)
+                assert make_height_function(quiver, i, value) == expected
+
+
+@pytest.mark.parametrize("diagram, rank", PINNED_TYPES)
+def test_is_adapted_equals_the_arrow_walk_on_canonical_words(diagram, rank):
+    for quiver in all_orientations(CartanDatum(diagram, rank)):
+        ar = ar_quiver.build(quiver, make_height_function(quiver, rank, 0), validate=False)
+        for tag in orders.STRATEGIES:
+            word = orders.canonical_reading(ar, tag).word
+            assert is_adapted(word, quiver) == _reference_is_adapted(word, quiver)
+
+
+@st.composite
+def oriented_words(draw):
+    diagram, rank = draw(st.sampled_from(PINNED_TYPES))
+    datum = CartanDatum(diagram, rank)
+    quiver = DynkinQuiver.from_bitmask(datum, draw(st.integers(0, (1 << (rank - 1)) - 1)))
+    # an adapted head (powers of the Coxeter word) lets the verdict fall late
+    head = (coxeter_word(quiver) * 40)[: draw(st.integers(0, 40))]
+    tail = draw(st.lists(st.integers(1, rank), max_size=40 - len(head)))
+    return quiver, head + tuple(tail)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(oriented_words())
+def test_is_adapted_equals_the_arrow_walk_on_random_words(case):
+    quiver, word = case
+    assert is_adapted(word, quiver) == _reference_is_adapted(word, quiver)

@@ -118,7 +118,6 @@ def _flipped_arrow_quiver(ar):
     return ARQuiver(
         ar.quiver,
         ar.xi,
-        ar.tau_word,
         dict(ar.root_at),
         frozenset(tampered_arrows),
         ar.m,
