@@ -10,6 +10,11 @@ exactly:
     sqrt(-1)      -> (2, 0)
 
 so equality is decidable and no complex arithmetic ever appears.
+Exponents are integer units throughout: p counts half-units of q, so
+(-q)^(h/2) is (2h, h) and (-q^2)^(e/4) is (e, e).  The Dorey rules
+compare these integers directly; a printed a/b exponent is reduced by a
+gcd and a parsed one is read as two integers, so no rational arithmetic
+happens anywhere.
 
 The untwisted Dorey rule is an if-and-only-if; the twisted one is an
 "if" only, and its verdict records that.  The twisted ratio tables are
@@ -23,14 +28,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple, Optional
 
 from . import orders
-from . import root_system as rs
 from .ar_quiver import ARQuiver
-from .root_system import CartanDatum, Root
+from .root_system import Root
 
 
 class QAffineError(ValueError):
@@ -65,25 +69,31 @@ class SpectralParam(_SpectralFields):
     def __str__(self) -> str:
         """(-q)^x if it is one, else [-][i*](-q^2)^x, else zeta8^u q^(p/2)."""
         if (self.u - 2 * self.p) % 8 == 0:
-            return f"(-q)^{_exponent(Fraction(self.p, 2))}"
+            return f"(-q)^{_exponent(self.p, 2)}"
         if (self.u - self.p) % 2 == 0:
             unit = _UNITS[(self.u - self.p) % 8 // 2]
-            return f"{unit}(-q^2)^{_exponent(Fraction(self.p, 4))}"
+            return f"{unit}(-q^2)^{_exponent(self.p, 4)}"
         return f"zeta8^{self.u} q^({self.p}/2)"
 
 
 _UNITS = ("", "i*", "-", "-i*")  # zeta8^0, ^2, ^4, ^6 as printed prefixes
-_PARAM_RE = re.compile(r"(-?(?:i\*)?)\(-q(\^?2)?\)\^\{?(-?\d+(?:/0*[1-9]\d*)?)\}?")
+_PARAM_RE = re.compile(r"(-?(?:i\*)?)\(-q(\^?2)?\)\^(\{)?(-?\d+(?:/0*[1-9]\d*)?)(?(3)\})")
 _ZETA_RE = re.compile(r"zeta8\^(-?\d+)q\^\((-?\d+)/2\)")
 
 
-def _exponent(x: Fraction) -> str:
-    """Braced when fractional, so (-q)^{1/2} cannot read as ((-q)^1)/2."""
-    return str(x) if x.denominator == 1 else f"{{{x}}}"
+def _exponent(num: int, den: int) -> str:
+    """num/den in lowest terms, braced when fractional so (-q)^{1/2} cannot read as ((-q)^1)/2."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{{{num}/{den}}}"
+
+
+def _off_lattice(base: str, num: int, den: int) -> QAffineError:
+    return QAffineError(f"{base}^{_exponent(num, den)} does not live in the parameter group")
 
 
 def parse_param(text: str) -> SpectralParam:
-    """Read back every form str(SpectralParam) prints; braces are optional."""
+    """Read back every form str(SpectralParam) prints; braces are optional but paired."""
     text = text.strip().replace(" ", "")
     m = _ZETA_RE.fullmatch(text)
     if m:
@@ -91,8 +101,14 @@ def parse_param(text: str) -> SpectralParam:
     m = _PARAM_RE.fullmatch(text)
     if not m:
         raise QAffineError(f"cannot parse spectral parameter {text!r}")
-    unit, squared, exponent = m.groups()
-    power = (mq2 if squared else mq)(Fraction(exponent))
+    unit, squared, _, exponent = m.groups()
+    num, _, den = exponent.partition("/")
+    num, den = int(num), int(den or 1)
+    # (-q)^(num/den) in half-units h is (2h, h); (-q^2)^(num/den) in quarter-units e is (e, e)
+    units, rest = divmod((4 if squared else 2) * num, den)
+    if rest:
+        raise _off_lattice("(-q^2)" if squared else "(-q)", num, den)
+    power = SpectralParam(units, units) if squared else SpectralParam(2 * units, units)
     return SpectralParam(2 * _UNITS.index(unit), 0) * power
 
 
@@ -104,7 +120,7 @@ def mq(exponent) -> SpectralParam:
     """(-q)^exponent, for an integer or half-integer exponent."""
     p = 2 * exponent
     if p.denominator != 1:
-        raise QAffineError(f"(-q)^{exponent} does not live in the parameter group")
+        raise _off_lattice("(-q)", exponent.numerator, exponent.denominator)
     return SpectralParam(2 * int(p), int(p))
 
 
@@ -112,7 +128,7 @@ def mq2(exponent) -> SpectralParam:
     """(-q^2)^exponent, for an exponent in (1/4)Z."""
     p = 4 * exponent
     if p.denominator != 1:
-        raise QAffineError(f"(-q^2)^{exponent} does not live in the parameter group")
+        raise _off_lattice("(-q^2)", exponent.numerator, exponent.denominator)
     return SpectralParam(int(p), int(p))
 
 
@@ -165,12 +181,13 @@ def denom_D2(n: int, k: int, l: int) -> DenominatorPoly:
     if l <= n - 1:
         for s in range(1, k + 1):
             for m in (abs(k - l) + 2 * s, 2 * n - k - l + 2 * s):
-                root = mq2(Fraction(m, 2))
+                root = SpectralParam(2 * m, 2 * m)  # (-q^2)^(m/2)
                 zeros.append(root)
                 zeros.append(root.negate())
     elif k <= n - 1:  # l = n
         for s in range(1, k + 1):
-            root = SQRT_MINUS_ONE * mq2(Fraction(n - k + 2 * s, 2))
+            m = n - k + 2 * s
+            root = SpectralParam(2 * m + 2, 2 * m)  # sqrt(-1) (-q^2)^(m/2)
             zeros.append(root)
             zeros.append(root.negate())
     else:  # k = l = n
@@ -230,7 +247,7 @@ def _is_mq_power(param: SpectralParam) -> bool:
 
 
 def dorey_D1(n: int, triple: HomTriple) -> DoreyVerdict:
-    """Untwisted Dorey rule (an iff) for rank n >= 4."""
+    """Untwisted Dorey rule (an iff) for rank n >= 4; rows hold integer (-q)-exponents."""
     if n < 4:
         raise QAffineError("untwisted type D needs n >= 4")
     i, j, k = triple.i, triple.j, triple.k
@@ -238,30 +255,32 @@ def dorey_D1(n: int, triple: HomTriple) -> DoreyVerdict:
         raise QAffineError(f"levels {(i, j, k)} out of range 1..{n}")
     for param in (triple.x, triple.y, triple.z):
         if not _is_mq_power(param):
-            raise QAffineError(f"{param} is not a (-q)-power")
-    ratios = (triple.x / triple.z, triple.y / triple.z)
+            raise QAffineError(f"{param} is not an integer power of (-q)")
+    z = triple.z.p
+    ratios = ((triple.x.p - z) // 2, (triple.y.p - z) // 2)
 
     # (i): all levels small, one is the sum (so the largest) of the other two
     if max(i, j, k) <= n - 2:
         for top, a, b, expected in (
-            (k, i, j, (mq(-j), mq(i))),
-            (i, j, k, (mq(-j), mq(2 * n - 2 - i))),
-            (j, i, k, (mq(j - 2 * n + 2), mq(i))),
+            (k, i, j, (-j, i)),
+            (i, j, k, (-j, 2 * n - 2 - i)),
+            (j, i, k, (j - 2 * n + 2, i)),
         ):
             if top == a + b and ratios == expected:
                 return DoreyVerdict(True, "i")
-        if i + j >= n and k == 2 * n - 2 - i - j and ratios == (mq(-j), mq(i)):
+        if i + j >= n and k == 2 * n - 2 - i - j and ratios == (-j, i):
             return DoreyVerdict(True, "ii")
 
     # (iii): the two large levels are spin; beside i and j, k is read through *
     if min(i, j, k) <= n - 2:
-        star = rs.longest_element_star(CartanDatum("D", n))
+        # the involution i -> i* of D_n swaps the spin levels exactly when n is odd
+        star_k = 2 * n - 1 - k if n % 2 and k >= n - 1 else k
         for low, a, b, expected in (
-            (k, i, j, (mq(k + 1 - n), mq(n - k - 1))),
-            (i, j, star[k], (mq(i + 1 - n), mq(2 * i))),
-            (j, i, star[k], (mq(-2 * j), mq(n - j - 1))),
+            (k, i, j, (k + 1 - n, n - k - 1)),
+            (i, j, star_k, (i + 1 - n, 2 * i)),
+            (j, i, star_k, (-2 * j, n - j - 1)),
         ):
-            if {a, b} <= {n - 1, n} and (n - low - a + b) % 2 == 0 and ratios == expected:
+            if min(a, b) >= n - 1 and (n - low - a + b) % 2 == 0 and ratios == expected:
                 return DoreyVerdict(True, "iii")
     return DoreyVerdict(False)
 
@@ -269,34 +288,38 @@ def dorey_D1(n: int, triple: HomTriple) -> DoreyVerdict:
 def dorey_D2(n: int, triple: HomTriple) -> DoreyVerdict:
     """Twisted Dorey rule over the rank-(n+1) diagram; an "if" only.
 
-    Ratio comparisons quotient the phase by {0, 4}, absorbing the
-    "up to sign" in case (i') and the +- sqrt(-1) choices in (iii').
+    A ratio zeta8^u q^(p/2) is zeta8^(u-p) (-q^2)^(p/4), so it is read as
+    (p, (u - p) mod 4): its quarter-unit exponent and its phase, which a
+    row expects to be 0 for a (-q^2)-power or 2 for sqrt(-1) times one.
+    Reading the phase mod 4 is exactly SpectralParam.same_up_to_sign; it
+    absorbs the "up to sign" in case (i') and the +- sqrt(-1) choices in
+    (iii').
     """
     if n < 3:
         raise QAffineError("twisted type D needs n >= 3")
     i, j, k = triple.i, triple.j, triple.k
     if not all(1 <= lvl <= n for lvl in (i, j, k)):
         raise QAffineError(f"levels {(i, j, k)} out of range 1..{n}")
-    ratios = (triple.x / triple.z, triple.y / triple.z)
-    half = Fraction(1, 2)
+    x, y, z = triple.x, triple.y, triple.z
+    xp, yp = x.p - z.p, y.p - z.p
+    ratios = ((xp, (x.u - z.u - xp) % 4), (yp, (y.u - z.u - yp) % 4))
 
     if max(i, j, k) <= n - 1:
         for top, a, b, expected in (
-            (k, i, j, (mq2(-j * half), mq2(i * half))),
-            (i, j, k, (mq2(-j * half), mq2(n - i * half))),
-            (j, i, k, (mq2(j * half - n), mq2(i * half))),
+            (k, i, j, ((-2 * j, 0), (2 * i, 0))),
+            (i, j, k, ((-2 * j, 0), (4 * n - 2 * i, 0))),
+            (j, i, k, ((2 * j - 4 * n, 0), (2 * i, 0))),
         ):
-            if top == a + b and all(map(SpectralParam.same_up_to_sign, ratios, expected)):
+            if top == a + b and ratios == expected:
                 return DoreyVerdict(True, "i'", exhaustive=False)
 
-    # one level below n, two at n; only the matching row builds its ratios
-    root_i = SQRT_MINUS_ONE
+    # one level below n, two at n
     for low, a, b, expected in (
-        (k, i, j, lambda: (root_i * mq2((k - n) * half), root_i * mq2((n - k) * half))),
-        (i, j, k, lambda: (root_i * mq2((i - n) * half), mq2(i))),
-        (j, i, k, lambda: (mq2(-j), root_i * mq2((n - j) * half))),
+        (k, i, j, ((2 * (k - n), 2), (2 * (n - k), 2))),
+        (i, j, k, ((2 * (i - n), 2), (4 * i, 0))),
+        (j, i, k, ((-4 * j, 0), (2 * (n - j), 2))),
     ):
-        if a == b == n > low and all(map(SpectralParam.same_up_to_sign, ratios, expected())):
+        if a == b == n > low and ratios == expected:
             return DoreyVerdict(True, "iii'", exhaustive=False)
     return DoreyVerdict(False, exhaustive=False)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import sys
 import time
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import ar_quiver, orders, qaffine
@@ -564,7 +563,7 @@ def check_double_zero_correspondence() -> Optional[str]:
                     if (
                         mult == 2
                         and root.p % 2 == 0
-                        and qaffine.mq2(Fraction(root.p // 2, 2)) == root
+                        and qaffine.SpectralParam(root.p, root.p) == root
                     ):
                         independents.add((k, l, root.p // 2))
         if independents != set(qaffine.double_zero_set_D2(n)):

@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -145,19 +148,55 @@ def test_dorey_triple_reads_twisted_parameters(capsys):
          "cannot parse spectral parameter 'bogus'"),
         (["denom", "--family", "D1", "--rank", "4", "-k", "2", "-l", "2",
           "--at", "(-q)^{1/3}"],
-         "(-q)^1/3 does not live in the parameter group"),
+         "(-q)^{1/3} does not live in the parameter group"),
+        (["denom", "--family", "D1", "--rank", "4", "-k", "2", "-l", "2",
+          "--at", "(-q)^{1/2"],
+         "cannot parse spectral parameter '(-q)^{1/2'"),
+        (["denom", "--family", "D1", "--rank", "4", "-k", "2", "-l", "2",
+          "--at", "(-q)^1/2}"],
+         "cannot parse spectral parameter '(-q)^1/2}'"),
         (["dorey", "--family", "D1", "--rank", "4", "--triple", "(1,x);(1,0);(2,0)"],
          "cannot parse triple component '(1,x)'"),
         (["dorey", "--family", "D1", "--rank", "4",
           "--triple", "(1,(-q)^{1/3});(1,0);(2,0)"],
          "cannot parse triple component '(1,(-q)^{1/3})'"),
+        (["dorey", "--family", "D1", "--rank", "4",
+          "--triple", "(1,(-q)^{1/2);(1,0);(2,0)"],
+         "cannot parse triple component '(1,(-q)^{1/2)'"),
+        (["dorey", "--family", "D1", "--rank", "4",
+          "--triple", "(1,(-q)^1/2});(1,0);(2,0)"],
+         "cannot parse triple component '(1,(-q)^1/2})'"),
         (["dorey", "--family", "D1", "--rank", "4", "--triple", "(x,0);(1,0);(2,0)"],
          "cannot parse triple component '(x,0)'"),
+        (["dorey", "--family", "D1", "--rank", "4",
+          "--triple", "(1,(-q)^{1/2});(1,0);(2,0)"],
+         "(-q)^{1/2} is not an integer power of (-q)"),
     ],
-    ids=["at-bogus", "at-off-lattice", "triple-bogus", "triple-off-lattice", "level"],
+    ids=["at-bogus", "at-off-lattice", "at-open-brace", "at-close-brace",
+         "triple-bogus", "triple-off-lattice", "triple-open-brace", "triple-close-brace",
+         "level", "d1-half-power"],
 )
 def test_unparseable_parameters_exit_2(capsys, argv, message):
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_spectral_commands_load_no_fractions():
+    code = (
+        "import sys\n"
+        "from arquiver.cli import main\n"
+        "assert main(['denom', '--family', 'D2', '--rank', '4', '-k', '1', '-l', '4',"
+        " '--at', '(-q^2)^{3/4}']) == 0\n"
+        "assert main(['dorey', '--family', 'D2', '--rank', '3',"
+        " '--triple', '(1,(-q^2)^{-1/2});(1,(-q^2)^{1/2});(2,0)']) == 0\n"
+        "print('fractions' in sys.modules, file=sys.stderr)\n"
+    )
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False\n"
+    assert "yes, case (i')" in proc.stdout
 
 
 def test_dorey_cli(capsys):

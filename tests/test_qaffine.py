@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,7 @@ from arquiver import ar_quiver, orders, qaffine, verify
 from arquiver import root_system as rs
 from arquiver.qaffine import (
     SQRT_MINUS_ONE,
+    DenominatorPoly,
     DoreyVerdict,
     HomTriple,
     QAffineError,
@@ -22,6 +24,8 @@ from arquiver.qaffine import (
     pair_to_triple,
     parse_param,
     star_map,
+    _UNITS,
+    _ZETA_RE,
     _is_mq_power,
 )
 from arquiver.quiver import DynkinQuiver, make_height_function, parse_arrow_spec
@@ -63,6 +67,7 @@ def test_spectral_arithmetic_builds_no_fractions(monkeypatch):
     built.clear()
     for check in (
         verify.check_dorey_d1_coverage,
+        verify.check_star_transport,
         verify.check_surj_free_multiplicity,
         verify.check_sectional_commuting,
     ):
@@ -123,7 +128,9 @@ def test_parse_param_reads_every_denominator_zero():
 
 
 @pytest.mark.parametrize(
-    "text", ["", "bogus", "(-q)^", "(-q)^{1/0}", "(-q)^1/00", "+(-q)^1", "i(-q^2)^1"]
+    "text",
+    ["", "bogus", "(-q)^", "(-q)^{1/0}", "(-q)^1/00", "+(-q)^1", "i(-q^2)^1",
+     "(-q)^{1/2", "(-q)^1/2}", "(-q^2)^{3/4", "-(-q^2)^3}", "(-q)^{{1}}"],
 )
 def test_parse_param_rejects(text):
     with pytest.raises(QAffineError, match="cannot parse spectral parameter"):
@@ -429,3 +436,207 @@ def test_dorey_d2_rows_equal_the_ladder():
             inputs += 1
             admissible += verdict.admissible
     assert (inputs, admissible) == (24_300, 9)
+
+
+# --- the integer-unit bodies against their former Fraction-based bodies -------------
+# Each _reference_* below is the body that computed on Fraction exponents,
+# verbatim; the module constants it reads are copied or imported beside it.
+
+_PARAM_RE = re.compile(r"(-?(?:i\*)?)\(-q(\^?2)?\)\^\{?(-?\d+(?:/0*[1-9]\d*)?)\}?")
+
+
+def _reference_str(self) -> str:
+    """(-q)^x if it is one, else [-][i*](-q^2)^x, else zeta8^u q^(p/2)."""
+    if (self.u - 2 * self.p) % 8 == 0:
+        return f"(-q)^{_exponent(Fraction(self.p, 2))}"
+    if (self.u - self.p) % 2 == 0:
+        unit = _UNITS[(self.u - self.p) % 8 // 2]
+        return f"{unit}(-q^2)^{_exponent(Fraction(self.p, 4))}"
+    return f"zeta8^{self.u} q^({self.p}/2)"
+
+
+def _reference_parse_param(text: str) -> SpectralParam:
+    """Read back every form str(SpectralParam) prints; braces are optional."""
+    text = text.strip().replace(" ", "")
+    m = _ZETA_RE.fullmatch(text)
+    if m:
+        return SpectralParam(int(m[1]), int(m[2]))
+    m = _PARAM_RE.fullmatch(text)
+    if not m:
+        raise QAffineError(f"cannot parse spectral parameter {text!r}")
+    unit, squared, exponent = m.groups()
+    power = (mq2 if squared else mq)(Fraction(exponent))
+    return SpectralParam(2 * _UNITS.index(unit), 0) * power
+
+
+def _reference_denom_D2(n: int, k: int, l: int) -> DenominatorPoly:
+    """Zeros of d_{k,l}(z) for the twisted algebra over the rank-(n+1) diagram."""
+    if n < 3:
+        raise QAffineError("twisted type D needs n >= 3")
+    if not (1 <= k <= n and 1 <= l <= n):
+        raise QAffineError(f"levels ({k},{l}) out of range 1..{n}")
+    k, l = min(k, l), max(k, l)
+    zeros: list[SpectralParam] = []
+    if l <= n - 1:
+        for s in range(1, k + 1):
+            for m in (abs(k - l) + 2 * s, 2 * n - k - l + 2 * s):
+                root = mq2(Fraction(m, 2))
+                zeros.append(root)
+                zeros.append(root.negate())
+    elif k <= n - 1:  # l = n
+        for s in range(1, k + 1):
+            root = SQRT_MINUS_ONE * mq2(Fraction(n - k + 2 * s, 2))
+            zeros.append(root)
+            zeros.append(root.negate())
+    else:  # k = l = n
+        for s in range(1, n + 1):
+            zeros.append(mq2(s).negate())
+    return DenominatorPoly(tuple(sorted(zeros)))
+
+
+def _reference_dorey_D1(n: int, triple: HomTriple) -> DoreyVerdict:
+    """Untwisted Dorey rule (an iff) for rank n >= 4."""
+    if n < 4:
+        raise QAffineError("untwisted type D needs n >= 4")
+    i, j, k = triple.i, triple.j, triple.k
+    if not all(1 <= lvl <= n for lvl in (i, j, k)):
+        raise QAffineError(f"levels {(i, j, k)} out of range 1..{n}")
+    for param in (triple.x, triple.y, triple.z):
+        if not _is_mq_power(param):
+            raise QAffineError(f"{param} is not a (-q)-power")
+    ratios = (triple.x / triple.z, triple.y / triple.z)
+
+    # (i): all levels small, one is the sum (so the largest) of the other two
+    if max(i, j, k) <= n - 2:
+        for top, a, b, expected in (
+            (k, i, j, (mq(-j), mq(i))),
+            (i, j, k, (mq(-j), mq(2 * n - 2 - i))),
+            (j, i, k, (mq(j - 2 * n + 2), mq(i))),
+        ):
+            if top == a + b and ratios == expected:
+                return DoreyVerdict(True, "i")
+        if i + j >= n and k == 2 * n - 2 - i - j and ratios == (mq(-j), mq(i)):
+            return DoreyVerdict(True, "ii")
+
+    # (iii): the two large levels are spin; beside i and j, k is read through *
+    if min(i, j, k) <= n - 2:
+        star = rs.longest_element_star(CartanDatum("D", n))
+        for low, a, b, expected in (
+            (k, i, j, (mq(k + 1 - n), mq(n - k - 1))),
+            (i, j, star[k], (mq(i + 1 - n), mq(2 * i))),
+            (j, i, star[k], (mq(-2 * j), mq(n - j - 1))),
+        ):
+            if {a, b} <= {n - 1, n} and (n - low - a + b) % 2 == 0 and ratios == expected:
+                return DoreyVerdict(True, "iii")
+    return DoreyVerdict(False)
+
+
+def _reference_dorey_D2(n: int, triple: HomTriple) -> DoreyVerdict:
+    """Twisted Dorey rule over the rank-(n+1) diagram; an "if" only.
+
+    Ratio comparisons quotient the phase by {0, 4}, absorbing the
+    "up to sign" in case (i') and the +- sqrt(-1) choices in (iii').
+    """
+    if n < 3:
+        raise QAffineError("twisted type D needs n >= 3")
+    i, j, k = triple.i, triple.j, triple.k
+    if not all(1 <= lvl <= n for lvl in (i, j, k)):
+        raise QAffineError(f"levels {(i, j, k)} out of range 1..{n}")
+    ratios = (triple.x / triple.z, triple.y / triple.z)
+    half = Fraction(1, 2)
+
+    if max(i, j, k) <= n - 1:
+        for top, a, b, expected in (
+            (k, i, j, (mq2(-j * half), mq2(i * half))),
+            (i, j, k, (mq2(-j * half), mq2(n - i * half))),
+            (j, i, k, (mq2(j * half - n), mq2(i * half))),
+        ):
+            if top == a + b and all(map(SpectralParam.same_up_to_sign, ratios, expected)):
+                return DoreyVerdict(True, "i'", exhaustive=False)
+
+    # one level below n, two at n; only the matching row builds its ratios
+    root_i = SQRT_MINUS_ONE
+    for low, a, b, expected in (
+        (k, i, j, lambda: (root_i * mq2((k - n) * half), root_i * mq2((n - k) * half))),
+        (i, j, k, lambda: (root_i * mq2((i - n) * half), mq2(i))),
+        (j, i, k, lambda: (mq2(-j), root_i * mq2((n - j) * half))),
+    ):
+        if a == b == n > low and all(map(SpectralParam.same_up_to_sign, ratios, expected())):
+            return DoreyVerdict(True, "iii'", exhaustive=False)
+    return DoreyVerdict(False, exhaustive=False)
+
+
+def test_str_and_parse_param_equal_their_references():
+    for x in GROUP_SAMPLE:
+        text = str(x)
+        assert text == _reference_str(x)
+        assert parse_param(text) == _reference_parse_param(text) == x
+    unreduced = ["(-q^2)^{2/4}", "(-q)^{-0/3}", "(-q)^{6/4}", "-i*(-q^2)^{-10/8}",
+                 "(-q2)^{012/016}", "(-q)^2/4", "i*(-q^2)^{-0}", "(-q)^{7/1}"]
+    for text in unreduced:
+        assert parse_param(text) == _reference_parse_param(text), text
+    for text in ("(-q)^{1/3}", "(-q^2)^{1/8}", "(-q)^{2/6}", "(-q^2)^{-3/24}"):
+        with pytest.raises(QAffineError, match="does not live in the parameter group"):
+            parse_param(text)
+        with pytest.raises(QAffineError, match="does not live in the parameter group"):
+            _reference_parse_param(text)
+
+
+def test_denom_d2_equals_its_reference():
+    for n in range(3, 11):
+        for k, l in product(range(1, n + 1), repeat=2):
+            assert denom_D2(n, k, l) == _reference_denom_D2(n, k, l), (n, k, l)
+
+
+# Both Dorey bodies are point rules: a row fires only when (x/z, y/z) equals its
+# expected pair.  So the probes at a triple pair every x/z value of a row with every
+# y/z value of a row; they hold every admissible ratio of either body, and a
+# mistyped row value shows as a miss at the true one.  The full exponent windows
+# at n = 4 and n = 3 are the ladder tests above.
+
+def _d1_probes(n, i, j, k):
+    rows = [(-j, i), (-j, 2 * n - 2 - i), (j - 2 * n + 2, i),
+            (k + 1 - n, n - k - 1), (i + 1 - n, 2 * i), (-2 * j, n - j - 1)]
+    return product({a for a, _ in rows}, {b for _, b in rows})
+
+
+def _d2_probes(n, i, j, k):
+    # each ratio as (quarter-unit exponent, phase); a row also meets each of its
+    # ratios with the other phase, so a phase read wrong on one side shows
+    rows = [((-2 * j, 0), (2 * i, 0)), ((-2 * j, 0), (4 * n - 2 * i, 0)),
+            ((2 * j - 4 * n, 0), (2 * i, 0)), ((2 * (k - n), 2), (2 * (n - k), 2)),
+            ((2 * (i - n), 2), (4 * i, 0)), ((-4 * j, 0), (2 * (n - j), 2))]
+    probes = set(product({x for x, _ in rows}, {y for _, y in rows}))
+    for (a, phase), y in rows:
+        probes.add(((a, phase ^ 2), y))
+    for x, (b, phase) in rows:
+        probes.add((x, (b, phase ^ 2)))
+    # the sign (zeta8^4) is free in both bodies; vary it with the exponent
+    param = lambda e, phase: SpectralParam(e + phase + 4 * (e // 2 % 2), e)
+    return [(param(*x), param(*y)) for x, y in probes]
+
+
+def test_dorey_d1_equals_its_reference():
+    admissible = 0
+    for n in range(4, 10):
+        for i, j, k in product(range(1, n + 1), repeat=3):
+            z = mq(i - 2 * k)
+            for a, b in _d1_probes(n, i, j, k):
+                triple = HomTriple(i, mq(a) * z, j, mq(b) * z, k, z)
+                verdict = dorey_D1(n, triple)
+                assert _verdict(verdict) == _verdict(_reference_dorey_D1(n, triple)), triple
+                admissible += verdict.admissible
+    assert admissible == 386
+
+
+def test_dorey_d2_equals_its_reference():
+    admissible = 0
+    for n in range(3, 9):
+        for i, j, k in product(range(1, n + 1), repeat=3):
+            z = SpectralParam(i + 3 * j, k - 2 * i)
+            for x, y in _d2_probes(n, i, j, k):
+                triple = HomTriple(i, x * z, j, y * z, k, z)
+                verdict = dorey_D2(n, triple)
+                assert _verdict(verdict) == _verdict(_reference_dorey_D2(n, triple)), triple
+                admissible += verdict.admissible
+    assert admissible == 249

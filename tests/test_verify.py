@@ -83,7 +83,7 @@ def test_serial_sweep_loads_no_process_pool():
         "from arquiver import verify\n"
         "assert verify.run_suite(4, {'structure'}).ok\n"
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing',"
-        " 'dataclasses', 'inspect', 'json') if m in sys.modules))\n"
+        " 'dataclasses', 'inspect', 'json', 'fractions') if m in sys.modules))\n"
     )
     src = Path(verify.__file__).resolve().parents[1]
     proc = subprocess.run(
