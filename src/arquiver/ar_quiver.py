@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import root_system as rs
-from .quiver import DynkinQuiver, check_height_function, coxeter_word, eta_zeta
+from .quiver import DynkinQuiver, QuiverError, check_height_function, coxeter_word, eta_zeta
 from .root_system import CartanDatum, Root
 
 if TYPE_CHECKING:
@@ -98,9 +98,6 @@ class ARQuiver:
             return self.phi[root]
         except KeyError:
             raise ARQuiverError(f"{root} is not a positive root here") from None
-
-    def level_of(self, root: Root) -> int:
-        return self.coord_of(root)[0]
 
     def column_of(self, root: Root) -> int:
         return self.coord_of(root)[1]
@@ -497,21 +494,30 @@ def validate_build(ar: ARQuiver) -> Optional[str]:
 
 def from_json_dict(payload: dict) -> ARQuiver:
     """Rebuild from the export schema and check it reproduces the same quiver."""
-    diagram = payload["diagram"]
-    datum = CartanDatum(diagram["type"], diagram["rank"])
-    quiver = DynkinQuiver.from_arrows(datum, [tuple(a) for a in diagram["arrows"]])
-    ar = build(quiver, tuple(payload["xi"]))
-    rebuilt = ar.to_json_dict()
-    if rebuilt["vertices"] != payload["vertices"]:
-        raise ARQuiverError("vertex table does not match the rebuilt quiver")
-    if rebuilt["arrows"] != [list(a) for a in payload["arrows"]]:
-        raise ARQuiverError("arrow table does not match the rebuilt quiver")
-    if rebuilt["m"] != list(payload["m"]):
-        raise ARQuiverError("m values do not match the rebuilt quiver")
+    try:
+        diagram = payload["diagram"]
+        datum = CartanDatum(diagram["type"], diagram["rank"])
+        quiver = DynkinQuiver.from_arrows(datum, [tuple(a) for a in diagram["arrows"]])
+        ar = build(quiver, tuple(payload["xi"]))
+        rebuilt = ar.to_json_dict()
+        if rebuilt["vertices"] != payload["vertices"]:
+            raise ARQuiverError("vertex table does not match the rebuilt quiver")
+        if rebuilt["arrows"] != [list(a) for a in payload["arrows"]]:
+            raise ARQuiverError("arrow table does not match the rebuilt quiver")
+        if rebuilt["m"] != list(payload["m"]):
+            raise ARQuiverError("m values do not match the rebuilt quiver")
+    except (QuiverError, rs.RootSystemError, ARQuiverError):
+        raise  # these already name the fault in the diagram or height function
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ARQuiverError(f"malformed quiver payload: {type(exc).__name__}: {exc}") from None
     return ar
 
 
 def from_json(text: str) -> ARQuiver:
     import json
 
-    return from_json_dict(json.loads(text))
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ARQuiverError(f"not JSON: {exc}") from None
+    return from_json_dict(payload)

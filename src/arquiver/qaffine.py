@@ -27,7 +27,6 @@ exhaustive harness confirms).
 from __future__ import annotations
 
 import re
-from collections import Counter
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Optional
@@ -88,8 +87,20 @@ def _exponent(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{{{num}/{den}}}"
 
 
-def _off_lattice(base: str, num: int, den: int) -> QAffineError:
-    return QAffineError(f"{base}^{_exponent(num, den)} does not live in the parameter group")
+def _units(base: str, num: int, den: int, per: int) -> int:
+    """The exponent num/den counted in units of 1/per; off that lattice it is no parameter."""
+    units, rest = divmod(per * num, den)
+    if rest:
+        raise QAffineError(f"{base}^{_exponent(num, den)} does not live in the parameter group")
+    return units
+
+
+def _ratio(exponent) -> tuple[int, int]:
+    """An int's or a Fraction's numerator and denominator; the arithmetic here is exact."""
+    try:
+        return exponent.numerator, exponent.denominator
+    except AttributeError:
+        raise QAffineError(f"an exponent must be an int or a Fraction, not {exponent!r}") from None
 
 
 def parse_param(text: str) -> SpectralParam:
@@ -105,9 +116,7 @@ def parse_param(text: str) -> SpectralParam:
     num, _, den = exponent.partition("/")
     num, den = int(num), int(den or 1)
     # (-q)^(num/den) in half-units h is (2h, h); (-q^2)^(num/den) in quarter-units e is (e, e)
-    units, rest = divmod((4 if squared else 2) * num, den)
-    if rest:
-        raise _off_lattice("(-q^2)" if squared else "(-q)", num, den)
+    units = _units("(-q^2)" if squared else "(-q)", num, den, 4 if squared else 2)
     power = SpectralParam(units, units) if squared else SpectralParam(2 * units, units)
     return SpectralParam(2 * _UNITS.index(unit), 0) * power
 
@@ -118,18 +127,14 @@ SQRT_MINUS_ONE = SpectralParam(2, 0)
 
 def mq(exponent) -> SpectralParam:
     """(-q)^exponent, for an integer or half-integer exponent."""
-    p = 2 * exponent
-    if p.denominator != 1:
-        raise _off_lattice("(-q)", exponent.numerator, exponent.denominator)
-    return SpectralParam(2 * int(p), int(p))
+    h = _units("(-q)", *_ratio(exponent), 2)
+    return SpectralParam(2 * h, h)
 
 
 def mq2(exponent) -> SpectralParam:
     """(-q^2)^exponent, for an exponent in (1/4)Z."""
-    p = 4 * exponent
-    if p.denominator != 1:
-        raise _off_lattice("(-q^2)", exponent.numerator, exponent.denominator)
-    return SpectralParam(int(p), int(p))
+    e = _units("(-q^2)", *_ratio(exponent), 4)
+    return SpectralParam(e, e)
 
 
 class DenominatorPoly(NamedTuple):
@@ -139,9 +144,6 @@ class DenominatorPoly(NamedTuple):
 
     def zero_multiplicity(self, at: SpectralParam) -> int:
         return self.roots.count(at)
-
-    def counter(self) -> Counter:
-        return Counter(self.roots)
 
 
 @lru_cache(maxsize=None)
@@ -210,16 +212,8 @@ def double_zero_set_D1(n: int) -> frozenset[tuple[int, int, int]]:
 
 
 def double_zero_set_D2(n: int) -> frozenset[tuple[int, int, int]]:
-    """(k, l, s) with a double zero of d_{k,l} at (-q^2)^(s/2), twisted over n+1."""
-    out = set()
-    for k in range(2, n):
-        for l in range(2, n):
-            if k + l <= n:
-                continue
-            for s in range(2 * n + 2 - k - l, k + l + 1):
-                if (s - k - l) % 2 == 0:
-                    out.add((k, l, s))
-    return frozenset(out)
+    """(k, l, s) with a double zero of d_{k,l} at (-q^2)^(s/2): the untwisted rank-(n+1) table."""
+    return double_zero_set_D1(n + 1)
 
 
 # --- Dorey predicates ---------------------------------------------------------
@@ -342,7 +336,7 @@ def star_map(n: int, level: int, param: SpectralParam) -> tuple[int, SpectralPar
     return n, param * shift
 
 
-# --- bridges from Gamma_Q ---------------------------------------------------------
+# --- the bridge from Gamma_Q ------------------------------------------------------
 
 def pair_to_triple(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> HomTriple:
     """Candidate hom data of a pair: (level, (-q)^column) of beta, alpha, gamma."""
@@ -354,33 +348,3 @@ def pair_to_triple(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> HomTri
     ai, ap = ar.coord_of(alpha)
     gi, gp = ar.coord_of(gamma)
     return HomTriple(bi, mq(bp), ai, mq(ap), gi, mq(gp))
-
-
-def multiplicity_theorem_check(ar, pair, verdict) -> bool:
-    """Zero multiplicity at (-q)^|column gap| must be 1 (minimal) or 2 (not)."""
-    alpha, beta = orders.orient_pair(ar, *pair)
-    gap = abs(ar.column_of(alpha) - ar.column_of(beta))
-    poly = denom_D1(ar.rank, ar.level_of(alpha), ar.level_of(beta))
-    multiplicity = poly.zero_multiplicity(mq(gap))
-    expected = 1 if verdict == orders.Verdict.MINIMAL else 2
-    return multiplicity == expected
-
-
-def same_path_commuting_check(ar: ARQuiver, alpha: Root, beta: Root) -> bool:
-    """Both directed denominator evaluations vanish nowhere for the pair."""
-    if alpha == beta:
-        raise QAffineError("need two distinct roots")
-    if ar.datum.diagram_type != "D":
-        raise QAffineError("denominator tables here are for type D")
-    on_common_path = any(
-        ar.coord_of(alpha) in path.coords and ar.coord_of(beta) in path.coords
-        for path in ar.sectional_paths()
-    )
-    if not on_common_path:
-        raise QAffineError(f"{alpha} and {beta} share no sectional path")
-    gap = ar.column_of(alpha) - ar.column_of(beta)
-    poly = denom_D1(ar.rank, ar.level_of(alpha), ar.level_of(beta))
-    return (
-        poly.zero_multiplicity(mq(gap)) == 0
-        and poly.zero_multiplicity(mq(-gap)) == 0
-    )

@@ -321,7 +321,7 @@ def summand_class(datum: CartanDatum, signed_index: int) -> frozenset[Root]:
 
 _ANGLE_RE = re.compile(r"^<\s*(\d+)\s*,\s*(-?\d+)\s*>$")
 _EPS_RE = re.compile(r"^e(\d+)\s*([+-])\s*e(\d+)$")
-_BRACKET_RE = re.compile(r"^\[([\d,\s]*)\]$")
+_BRACKET_RE = re.compile(r"^\[(\s*\d+\s*(?:,\s*\d+\s*)*)\]$")  # one integer per slot
 
 
 def parse_root(datum: CartanDatum, text: str) -> Root:
@@ -329,8 +329,7 @@ def parse_root(datum: CartanDatum, text: str) -> Root:
     text = text.strip()
     m = _BRACKET_RE.match(text)
     if m:
-        parts = [p.strip() for p in m.group(1).split(",") if p.strip()]
-        coeffs = tuple(int(p) for p in parts)
+        coeffs = tuple(int(p) for p in m.group(1).split(","))
         if len(coeffs) != datum.rank:
             raise RootSystemError(
                 f"expected {datum.rank} coefficients, got {len(coeffs)}"

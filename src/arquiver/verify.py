@@ -522,52 +522,42 @@ def check_star_transport(ar: ARQuiver) -> Optional[str]:
 
 
 def check_surj_free_multiplicity(ar: ARQuiver) -> Optional[str]:
-    """Zero multiplicity 1 for minimal pairs, 2 otherwise."""
+    """Zero multiplicity at (-q)^|column gap| is 1 for minimal pairs, 2 otherwise."""
     for gamma, pair in orders.all_pairs(ar):
-        verdict = orders.classify_pair(ar, gamma, pair).verdict
-        if not qaffine.multiplicity_theorem_check(ar, pair, verdict):
-            return f"zero multiplicity wrong for pair {pair} of {gamma}"
+        minimal = orders.classify_pair(ar, gamma, pair).verdict == orders.Verdict.MINIMAL
+        (k, p), (l, r) = ar.coord_of(pair[0]), ar.coord_of(pair[1])
+        found = qaffine.denom_D1(ar.rank, k, l).zero_multiplicity(qaffine.mq(abs(p - r)))
+        if found != (1 if minimal else 2):
+            return f"zero multiplicity {found} for pair {pair} of {gamma}"
     return None
 
 
 def check_sectional_commuting(ar: ARQuiver) -> Optional[str]:
     """No denominator zero in either direction along a path."""
     for path in ar.sectional_paths():
-        coords = list(path.coords)
-        for x in range(len(coords)):
-            for y in range(x + 1, len(coords)):
-                alpha = ar.root_at[coords[x]]
-                beta = ar.root_at[coords[y]]
-                if not qaffine.same_path_commuting_check(ar, alpha, beta):
-                    return f"pair {coords[x]}, {coords[y]} on {path.kind}-path has a zero"
+        for x, (k, p) in enumerate(path.coords):
+            for l, r in path.coords[x + 1:]:
+                poly = qaffine.denom_D1(ar.rank, k, l)
+                if any(poly.zero_multiplicity(qaffine.mq(gap)) for gap in (p - r, r - p)):
+                    return f"pair {(k, p)}, {(l, r)} on {path.kind}-path has a zero"
     return None
 
 
 def check_double_zero_correspondence() -> Optional[str]:
-    """Untwisted rank n+1 and twisted n double zeros agree."""
+    """Untwisted rank n+1 and twisted n double zeros both equal one table."""
     for n in range(3, 9):
-        if qaffine.double_zero_set_D1(n + 1) != qaffine.double_zero_set_D2(n):
-            return f"double-zero sets disagree at n = {n}"
-        independents = set()
-        for k in range(1, n + 2):
-            for l in range(1, n + 2):
-                for root, mult in qaffine.denom_D1(n + 1, k, l).counter().items():
-                    if mult == 2 and root.p % 2 == 0 and qaffine.mq(root.p // 2) == root:
-                        independents.add((k, l, root.p // 2))
-        if independents != set(qaffine.double_zero_set_D1(n + 1)):
-            return f"untwisted multiset route disagrees at rank {n + 1}"
-        independents = set()
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                for root, mult in qaffine.denom_D2(n, k, l).counter().items():
-                    if (
-                        mult == 2
-                        and root.p % 2 == 0
-                        and qaffine.SpectralParam(root.p, root.p) == root
-                    ):
-                        independents.add((k, l, root.p // 2))
-        if independents != set(qaffine.double_zero_set_D2(n)):
-            return f"twisted multiset route disagrees at n = {n}"
+        for family, denom, rank, at in (
+            ("untwisted", qaffine.denom_D1, n + 1, qaffine.mq),
+            ("twisted", qaffine.denom_D2, n, lambda s: qaffine.SpectralParam(2 * s, 2 * s)),
+        ):  # a double zero at (-q)^s, or at (-q^2)^(s/2), is listed as s
+            found = set()
+            for k in range(1, rank + 1):
+                for l in range(1, rank + 1):
+                    poly = denom(rank, k, l)
+                    found |= {(k, l, root.p // 2) for root in poly.roots
+                              if poly.zero_multiplicity(root) == 2 and at(root.p // 2) == root}
+            if found != qaffine.double_zero_set_D1(n + 1):
+                return f"{family} double zeros disagree with the table at n = {n}"
     return None
 
 

@@ -346,6 +346,37 @@ def test_json_detects_tampering(example1_ar, tamper, message):
         ar_quiver.from_json(json.dumps(payload))
 
 
+def _drop(key):
+    return lambda payload: payload.pop(key)
+
+
+def _set_diagram_arrows(payload):
+    payload["diagram"]["arrows"] = "x"
+
+
+def _set_xi_strings(payload):
+    payload["xi"] = ["a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [lambda payload: payload.clear(), _drop("xi"), _drop("vertices"),
+     _set_diagram_arrows, _set_xi_strings],
+    ids=["empty", "no-xi", "no-vertices", "diagram-arrows", "xi-strings"],
+)
+def test_malformed_payload_raises_ar_quiver_error(example1_ar, tamper):
+    payload = example1_ar.to_json_dict()
+    tamper(payload)
+    with pytest.raises(ARQuiverError, match="malformed quiver payload"):
+        ar_quiver.from_json_dict(payload)
+
+
+@pytest.mark.parametrize("text", ["[]", '"abc"', "{", ""])
+def test_malformed_json_raises_ar_quiver_error(text):
+    with pytest.raises(ARQuiverError):
+        ar_quiver.from_json(text)
+
+
 def test_dot_export(example1_ar):
     dot = example1_ar.to_dot()
     assert dot.startswith("digraph")

@@ -266,6 +266,9 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "error:" in err
     code, out, err = run(capsys, ["pairs", *EX1, "--gamma", "e1-e2"])
     assert code == 2 and "simple roots have no pairs" in err and out == ""
+    for bad in ("[1 2 1 1]", "[1,,2,1,1]", "[,1,2,1,1,]"):
+        code, out, err = run(capsys, ["pairs", *EX1, "--gamma", bad])
+        assert (code, out, err) == (2, "", f"error: cannot parse root {bad!r}\n")
     code, _, err = run(
         capsys, ["build", "--type", "D", "--rank", "4", "--arrows", "1>4,2>3,2>4"]
     )

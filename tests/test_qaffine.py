@@ -51,6 +51,13 @@ def test_spectral_group_laws():
             mq(off_lattice)
 
 
+@pytest.mark.parametrize("fn, exponent", [(mq, 0.5), (mq, 1.0), (mq2, 0.25)])
+def test_float_exponents_raise_qaffine_error(fn, exponent):
+    # the group arithmetic is exact: a float is refused even when it is integral
+    with pytest.raises(QAffineError, match="must be an int or a Fraction"):
+        fn(exponent)
+
+
 def test_spectral_arithmetic_builds_no_fractions(monkeypatch):
     d5 = CartanDatum("D", 5)
     quiver = DynkinQuiver.from_bitmask(d5, 5)
@@ -165,9 +172,8 @@ def test_denominator_d2_examples():
     assert poly.zero_multiplicity(mq2(2).negate()) == 2
     # quadratic factors come in +- phase pairs
     mixed = denom_D2(3, 1, 3)
-    counts = mixed.counter()
-    for root in counts:
-        assert counts[root.negate()] == counts[root]
+    for root in mixed.roots:
+        assert mixed.zero_multiplicity(root.negate()) == mixed.zero_multiplicity(root)
 
 
 def test_double_zero_sets():
@@ -241,64 +247,111 @@ def test_pair_to_triple_example(example1_ar, d4):
         pair_to_triple(example1_ar, gamma, (d4.simple_root(1), d4.simple_root(2)))
 
 
-def test_multiplicity_theorem_examples(example1_ar, d4):
+def _with_zero(monkeypatch, levels, zero):
+    """Make denom_D1 of any rank list one more zero for the given (sorted) levels."""
+    real = qaffine.denom_D1
+
+    def faulty(n, k, l):
+        poly = real(n, k, l)
+        if (min(k, l), max(k, l)) == levels:
+            return DenominatorPoly(tuple(sorted((*poly.roots, zero))))
+        return poly
+
+    monkeypatch.setattr(qaffine, "denom_D1", faulty)
+
+
+def _without_one(monkeypatch, family, rank, k, l, zero):
+    """Make one denominator list a double zero only once."""
+    real = getattr(qaffine, family)
+
+    def faulty(n, kk, ll):
+        poly = real(n, kk, ll)
+        if (n, kk, ll) == (rank, k, l):
+            roots = list(poly.roots)
+            roots.remove(zero)
+            return DenominatorPoly(tuple(roots))
+        return poly
+
+    monkeypatch.setattr(qaffine, family, faulty)
+
+
+def test_multiplicity_theorem_examples(example1_ar, d4, monkeypatch):
+    gamma = rs.parse_root(d4, "e1+e2")
     cases = [
-        (("<1,-4>", "<2,4>"), orders.Verdict.MINIMAL),
-        (("<1,4>", "<2,-4>"), orders.Verdict.NON_MINIMAL),
-        (("<1,3>", "<2,-3>"), orders.Verdict.MINIMAL),
+        (("<1,-4>", "<2,4>"), orders.Verdict.MINIMAL, 1),
+        (("<1,4>", "<2,-4>"), orders.Verdict.NON_MINIMAL, 2),
+        (("<1,3>", "<2,-3>"), orders.Verdict.MINIMAL, 1),
     ]
-    for (a, b), verdict in cases:
-        pair = (rs.parse_root(d4, a), rs.parse_root(d4, b))
-        assert qaffine.multiplicity_theorem_check(example1_ar, pair, verdict)
-    # and the converse orientation of the theorem fails by construction
-    pair = (rs.parse_root(d4, "<1,-4>"), rs.parse_root(d4, "<2,4>"))
-    assert not qaffine.multiplicity_theorem_check(
-        example1_ar, pair, orders.Verdict.NON_MINIMAL
-    )
+    for (a, b), verdict, multiplicity in cases:
+        alpha, beta = rs.parse_root(d4, a), rs.parse_root(d4, b)
+        assert orders.classify_pair(example1_ar, gamma, (alpha, beta)).verdict == verdict
+        (k, p), (l, r) = example1_ar.coord_of(alpha), example1_ar.coord_of(beta)
+        assert denom_D1(4, k, l).zero_multiplicity(mq(abs(p - r))) == multiplicity
+    assert verify.check_surj_free_multiplicity(example1_ar) is None
+    # a classifier that calls the first minimal pair non-minimal is caught
+    real = orders.classify_pair
+    flipped = (rs.parse_root(d4, "<1,-4>"), rs.parse_root(d4, "<2,4>"))
+
+    def faulty(ar, gamma, pair):
+        verdict = real(ar, gamma, pair)
+        if tuple(pair) == flipped:
+            return verdict._replace(verdict=orders.Verdict.NON_MINIMAL)
+        return verdict
+
+    monkeypatch.setattr(orders, "classify_pair", faulty)
+    message = verify.check_surj_free_multiplicity(example1_ar)
+    assert message == f"zero multiplicity 1 for pair {flipped} of {gamma}"
 
 
-def test_same_path_commuting(example1_ar, d4):
-    alpha = rs.parse_root(d4, "<1,3>")  # (3,-4)
-    beta = rs.parse_root(d4, "<1,-4>")  # (1,-2): same N-broom
-    assert qaffine.same_path_commuting_check(example1_ar, alpha, beta)
-    # all roots sharing -e4 lie on one S-path and pairwise commute
-    class_roots = [
-        rs.parse_root(d4, "<1,-4>"),
-        rs.parse_root(d4, "<2,-4>"),
-        rs.parse_root(d4, "<3,-4>"),
+def test_same_path_commuting(example1_ar, d4, monkeypatch):
+    # <1,3> at (3,-4) and <1,-4> at (1,-2) share an N-broom; the roots sharing
+    # -e4 lie on one S-broom
+    on_paths = [
+        {(3, -4), (1, -2)},
+        {example1_ar.coord_of(rs.parse_root(d4, f"<{a},-4>")) for a in (1, 2, 3)},
     ]
-    for x in range(len(class_roots)):
-        for y in range(x + 1, len(class_roots)):
-            assert qaffine.same_path_commuting_check(
-                example1_ar, class_roots[x], class_roots[y]
-            )
-    with pytest.raises(QAffineError):
-        qaffine.same_path_commuting_check(example1_ar, alpha, alpha)
-    with pytest.raises(QAffineError):
-        qaffine.same_path_commuting_check(
-            example1_ar, rs.parse_root(d4, "<1,-2>"), rs.parse_root(d4, "<2,-4>")
-        )
+    for coords in on_paths:
+        assert any(coords <= set(path.coords) for path in example1_ar.sectional_paths())
+    assert verify.check_sectional_commuting(example1_ar) is None
+    # a zero at the gap (-q)^2 of levels 1 and 3 is caught on a path
+    _with_zero(monkeypatch, (1, 3), mq(2))
+    message = verify.check_sectional_commuting(example1_ar)
+    assert message is not None and message.endswith("-path has a zero")
 
 
-def test_fork_tips_count_as_same_path():
+def test_fork_tips_count_as_same_path(monkeypatch):
     d4 = CartanDatum("D", 4)
     quiver = parse_arrow_spec(d4, "1>2,2>3,2>4")
     ar = ar_quiver.build(quiver, make_height_function(quiver, 4, 0))
     # same-column spin vertices sit at the tips of one S-broom
-    columns = sorted(
-        p for (i, p) in ar.root_at if i == 3 and (4, p) in ar.root_at
-    )
-    tips_checked = 0
-    for p in columns:
-        upper, lower = ar.root_at[(3, p)], ar.root_at[(4, p)]
-        on_common = any(
-            (3, p) in path.coords and (4, p) in path.coords
-            for path in ar.sectional_paths()
-        )
-        if on_common:
-            assert qaffine.same_path_commuting_check(ar, upper, lower)
-            tips_checked += 1
-    assert tips_checked > 0
+    tips = [
+        ((3, p), (4, p))
+        for path in ar.sectional_paths()
+        for (i, p) in path.coords
+        if i == 3 and (4, p) in path.coords
+    ]
+    assert tips
+    assert verify.check_sectional_commuting(ar) is None
+    # so a zero at their gap (-q)^0 is caught
+    _with_zero(monkeypatch, (3, 4), mq(0))
+    message = verify.check_sectional_commuting(ar)
+    assert message is not None and any(f"{a}, {b}" in message for a, b in tips)
+
+
+@pytest.mark.parametrize(
+    "family, rank, k, l, zero, message",
+    [
+        ("denom_D1", 4, 2, 2, mq(4), "untwisted double zeros disagree with the table at n = 3"),
+        ("denom_D2", 3, 2, 2, mq2(2), "twisted double zeros disagree with the table at n = 3"),
+    ],
+    ids=["untwisted", "twisted"],
+)
+def test_double_zero_correspondence_catches_a_lost_double_zero(
+    monkeypatch, family, rank, k, l, zero, message
+):
+    assert verify.check_double_zero_correspondence() is None
+    _without_one(monkeypatch, family, rank, k, l, zero)
+    assert verify.check_double_zero_correspondence() == message
 
 
 # --- the Dorey row tables against a branch-ladder reference ------------------------

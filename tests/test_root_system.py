@@ -194,6 +194,11 @@ def test_parse_and_format(d4):
         rs.parse_root(d4, "[2,0,0,0]")
     with pytest.raises(RootSystemError):
         rs.parse_root(d4, "e1*e2")
+    assert rs.parse_root(d4, "[ 1 , 2,1, 1 ]") == (1, 2, 1, 1)
+    # each comma-separated slot holds exactly one integer
+    for bad in ("[1 2 1 1]", "[1,,2,1,1]", "[,1,2,1,1,]", "[1,2,1,1,]", "[]"):
+        with pytest.raises(RootSystemError, match="cannot parse root"):
+            rs.parse_root(d4, bad)
 
 
 def _reference_root_from_epsilon(datum, eps):
