@@ -134,23 +134,38 @@ class ARQuiver:
     # --- reachability / the convex partial order ------------------------------
 
     @cached_property
-    def _closure(self) -> dict[Coord, frozenset[Coord]]:
-        closure: dict[Coord, frozenset[Coord]] = {}
-        for c in sorted(self.root_at, key=lambda c: -c[1]):
-            acc: set[Coord] = set()
+    def _path_order(self) -> tuple[tuple[Coord, ...], dict[Root, int], dict[Root, int]]:
+        """The path order as int bitsets: (coords, bit, below).
+
+        Vertex coords[k] owns bit 1 << k, coords running columns descending;
+        bit maps each root to its bit and below maps it to the mask of every
+        vertex reachable from it along arrows.  Arrows raise the column, so
+        each down-set is ready before the vertices that point into it.
+        """
+        coords = tuple(sorted(self.root_at, key=lambda c: (-c[1], c[0])))
+        bit = {self.root_at[c]: 1 << k for k, c in enumerate(coords)}
+        below: dict[Root, int] = {}
+        for c in coords:
+            mask = 0
             for nxt in self.out_arrows(c):
-                acc.add(nxt)
-                acc |= closure[nxt]
-            closure[c] = frozenset(acc)
-        return closure
+                root = self.root_at[nxt]
+                mask |= bit[root] | below[root]
+            below[self.root_at[c]] = mask
+        return coords, bit, below
 
     def descendants(self, coord: Coord) -> frozenset[Coord]:
         """All coordinates reachable from coord along arrows (coord excluded)."""
-        return self._closure[coord]
+        coords, _, below = self._path_order
+        mask = below[self.root_at[coord]]
+        return frozenset(c for k, c in enumerate(coords) if mask >> k & 1)
 
     def prec(self, alpha: Root, beta: Root) -> bool:
         """alpha strictly precedes beta: a path from beta down to alpha exists."""
-        return self.coord_of(alpha) in self.descendants(self.coord_of(beta))
+        _, bit, below = self._path_order
+        try:
+            return bit[alpha] & below[beta] != 0
+        except KeyError as exc:
+            raise ARQuiverError(f"{exc.args[0]} is not a positive root here") from None
 
     # --- named structure -------------------------------------------------------
 

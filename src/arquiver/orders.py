@@ -265,11 +265,15 @@ def _check_pair(ar: ARQuiver, gamma: Root, pair) -> tuple[Root, Root]:
 
 def minimal_wrt(order: ConvexOrder, pair: tuple[Root, Root], gamma: Root) -> bool:
     """False iff some pair of gamma nests inside `pair` with gamma between its parts."""
-    alpha, beta = pair
-    lo, hi = sorted((order.index(alpha), order.index(beta)))
-    mid = order.index(gamma)
-    for other in rs.root_sums(order.datum)[gamma]:
-        x, y = sorted(map(order.index, other))
+    pos = order.position
+    lo, hi = pos[pair[0]], pos[pair[1]]
+    if lo > hi:
+        lo, hi = hi, lo
+    mid = pos[gamma]
+    for a, b in rs.root_sums(order.datum)[gamma]:
+        x, y = pos[a], pos[b]
+        if x > y:
+            x, y = y, x
         if lo < x < mid < y < hi:
             return False
     return True

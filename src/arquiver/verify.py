@@ -350,21 +350,17 @@ def check_longest_root(ar: ARQuiver) -> Optional[str]:
 
 def check_nfree_region(ar: ARQuiver) -> Optional[str]:
     """Tall roots stay in the diagonal window below tall spin roots."""
-    datum = ar.datum
     n = ar.rank
     hi, lo, inside = ar.nfree_region()
     if hi - lo != 2 * (n - 3):
         return f"window extremes ({hi},{lo}) differ by {hi - lo} != {2 * (n - 3)}"
+    mul = {coord: rs.mul(root) for root, coord in ar.phi.items()}
     for root, coord in ar.phi.items():
-        if rs.mul(root) >= 2 and not inside(coord):
+        if mul[coord] >= 2 and not inside(coord):
             return f"tall root {root} at {coord} escapes the window"
     for path in ar.sectional_paths():
-        tall = [c for c in path.coords if rs.mul(ar.root_at[c]) >= 2]
-        flat = [
-            c
-            for c in path.coords
-            if rs.mul(ar.root_at[c]) == 1 and c[0] < n - 1
-        ]
+        tall = [c for c in path.coords if mul[c] >= 2]
+        flat = [c for c in path.coords if mul[c] == 1 and c[0] < n - 1]
         for cf in flat:
             for ct in tall:
                 if cf[0] >= ct[0]:
@@ -390,16 +386,17 @@ def check_canonical_orders(ar: ARQuiver) -> Optional[str]:
 
 
 def check_compatibility(ar: ARQuiver) -> Optional[str]:
-    """Path order implies order in every canonical reading."""
+    """Path order implies order in every canonical reading.
+
+    The path order is the transitive closure of the arrows and a reading is
+    a total order, so it is enough that each arrow's head comes first.
+    """
     readings = {tag: orders.canonical_reading(ar, tag) for tag in orders.STRATEGIES}
-    roots = sorted(ar.phi)
-    for alpha in roots:
-        below = ar.descendants(ar.coord_of(alpha))
-        for coord in below:
-            beta = ar.root_at[coord]
-            for tag, order in readings.items():
-                if not order.index(beta) < order.index(alpha):
-                    return f"{tag}: {beta} should precede {alpha}"
+    for src, dst in sorted(ar.arrows):
+        alpha, beta = ar.root_at[src], ar.root_at[dst]
+        for tag, order in readings.items():
+            if not order.index(beta) < order.index(alpha):
+                return f"{tag}: {beta} should precede {alpha}"
     return None
 
 

@@ -1,3 +1,4 @@
+import re
 from collections import deque
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from arquiver import ar_quiver, verify
 from arquiver import root_system as rs
-from arquiver.ar_quiver import ARQuiver, ARQuiverError
+from arquiver.ar_quiver import ARQuiver, ARQuiverError, Coord
 from arquiver.quiver import (
     DynkinQuiver,
     all_orientations,
@@ -241,6 +242,41 @@ def test_prec(example1_ar):
     first = example1_ar.root_at[(3, 0)]  # <3,-4>, read first in every order
     assert example1_ar.descendants((3, 0)) == frozenset()
     assert example1_ar.prec(first, example1_ar.root_at[(2, -1)])
+
+
+def _reference_closure(self) -> dict[Coord, frozenset[Coord]]:
+    """The former frozenset closure of the path order, kept as the reference."""
+    closure: dict[Coord, frozenset[Coord]] = {}
+    for c in sorted(self.root_at, key=lambda c: -c[1]):
+        acc: set[Coord] = set()
+        for nxt in self.out_arrows(c):
+            acc.add(nxt)
+            acc |= closure[nxt]
+        closure[c] = frozenset(acc)
+    return closure
+
+
+@pytest.mark.parametrize(
+    "diagram, rank", [("A", n) for n in range(1, 7)] + [("D", n) for n in range(4, 9)]
+)
+def test_path_order_bitsets_equal_the_frozenset_closure(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    for quiver in all_orientations(datum):
+        ar = ar_quiver.build(quiver, make_height_function(quiver, rank, 0))
+        closure = _reference_closure(ar)
+        for coord, below in closure.items():
+            assert ar.descendants(coord) == below
+        for a, root_a in ar.root_at.items():
+            for b, root_b in ar.root_at.items():
+                assert ar.prec(root_a, root_b) == (a in closure[b])
+
+
+def test_prec_names_a_root_outside_the_quiver(example1_ar):
+    inside = example1_ar.root_at[(3, 0)]
+    for outside in ((1, 0, 1, 0), (2, 0, 0, 0)):
+        for args in ((outside, inside), (inside, outside)):
+            with pytest.raises(ARQuiverError, match=re.escape(f"{outside} is not a positive root")):
+                example1_ar.prec(*args)
 
 
 def test_nfree_region(example1_ar):

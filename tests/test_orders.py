@@ -349,10 +349,71 @@ def test_minimal_wrt_equals_the_scan_of_positions(diagram, rank):
         for gamma, pair in orders.all_pairs(ar):
             for order in readings:
                 expected = _scanned_minimal(order, pair, gamma)
+                assert _reference_minimal_wrt(order, pair, gamma) == expected
                 assert orders.minimal_wrt(order, pair, gamma) == expected
                 assert orders.minimal_wrt(order, pair[::-1], gamma) == expected
                 verdicts.add(expected)
     assert verdicts == {True, False} or rank < 4  # both verdicts occur from rank 4
+
+
+# --- the classifier against its former bodies ----------------------------------------
+
+def _reference_minimal_wrt(order, pair, gamma):
+    """The former minimal_wrt, sorting positions through order.index."""
+    alpha, beta = pair
+    lo, hi = sorted((order.index(alpha), order.index(beta)))
+    mid = order.index(gamma)
+    for other in rs.root_sums(order.datum)[gamma]:
+        x, y = sorted(map(order.index, other))
+        if lo < x < mid < y < hi:
+            return False
+    return True
+
+
+def _reference_minimality_tag(ar, gamma, pair):
+    if ar.datum.diagram_type != "D":
+        return None
+    for tag in orders.STRATEGIES:
+        order = orders.canonical_reading(ar, tag)
+        if _reference_minimal_wrt(order, pair, gamma):
+            return tag
+    return None
+
+
+def _reference_classify_pair(ar, gamma, pair):
+    """The former classify_pair, tagging through the former minimal_wrt."""
+    alpha, beta = orders._check_pair(ar, gamma, pair)
+    for other_alpha, other_beta in orders.pairs_of(ar, gamma):
+        if (other_alpha, other_beta) == (alpha, beta):
+            continue
+        if ar.prec(alpha, other_alpha) and ar.prec(other_beta, beta):
+            return orders.PairVerdict(
+                gamma, alpha, beta, Verdict.NON_MINIMAL,
+                witness=(other_alpha, other_beta),
+            )
+    tag = _reference_minimality_tag(ar, gamma, (alpha, beta))
+    return orders.PairVerdict(gamma, alpha, beta, Verdict.MINIMAL, order_tag=tag)
+
+
+@pytest.mark.parametrize("diagram, rank", ORIENTED_TYPES)
+def test_classify_pair_equals_its_former_body(diagram, rank):
+    for ar in _every_orientation(diagram, rank):
+        for gamma, pair in orders.all_pairs(ar):
+            expected = _reference_classify_pair(ar, gamma, pair)
+            assert orders.classify_pair(ar, gamma, pair) == expected
+            assert orders.classify_pair(ar, gamma, pair[::-1]) == expected
+
+
+def test_minimal_wrt_equals_its_former_body_in_every_reading(example1_ar):
+    pairs = list(orders.all_pairs(example1_ar))
+    readings = 0
+    for order in orders.all_readings(example1_ar):
+        readings += 1
+        for gamma, pair in pairs:
+            expected = _reference_minimal_wrt(order, pair, gamma)
+            assert orders.minimal_wrt(order, pair, gamma) == expected
+            assert orders.minimal_wrt(order, pair[::-1], gamma) == expected
+    assert readings == 72
 
 
 def test_check_convexity_rejects_a_sum_outside_its_parts(example1_ar, d4):

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from arquiver import ar_quiver, verify
+from arquiver import ar_quiver, orders, verify
+from arquiver import root_system as rs
 from arquiver.ar_quiver import ARQuiver
-from arquiver.quiver import DynkinQuiver
+from arquiver.quiver import DynkinQuiver, all_orientations, make_height_function
 from arquiver.root_system import CartanDatum
 from arquiver.verify import run_suite
 
@@ -207,3 +208,97 @@ def test_every_structure_check_passes_examplewise(example1_ar):
         if check.suite != "structure":
             continue
         assert check.fn(example1_ar) is None, check.id
+
+
+# --- checks against their former bodies ------------------------------------------------
+
+def _every_d_orientation(rank):
+    for quiver in all_orientations(CartanDatum("D", rank)):
+        yield ar_quiver.build(quiver, make_height_function(quiver, rank, 0))
+
+
+def _copy(ar, root_at):
+    return ARQuiver(ar.quiver, ar.xi, root_at, ar.arrows, ar.m)
+
+
+def _reference_check_compatibility(ar):
+    """The former check_compatibility, over every (alpha, descendant) pair."""
+    readings = {tag: orders.canonical_reading(ar, tag) for tag in orders.STRATEGIES}
+    roots = sorted(ar.phi)
+    for alpha in roots:
+        below = ar.descendants(ar.coord_of(alpha))
+        for coord in below:
+            beta = ar.root_at[coord]
+            for tag, order in readings.items():
+                if not order.index(beta) < order.index(alpha):
+                    return f"{tag}: {beta} should precede {alpha}"
+    return None
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6])
+def test_check_compatibility_equals_its_former_body(rank):
+    for ar in _every_d_orientation(rank):
+        assert verify.check_compatibility(ar) is None
+        assert _reference_check_compatibility(ar) is None
+        # one fault per arrow: a reading in which its two endpoints trade places
+        for k, (src, dst) in enumerate(sorted(ar.arrows)):
+            tag = orders.STRATEGIES[k % len(orders.STRATEGIES)]
+            order = ar.readings_cache[tag]
+            x, y = order.index(ar.root_at[src]), order.index(ar.root_at[dst])
+            roots, word = list(order.roots), list(order.word)
+            roots[x], roots[y] = roots[y], roots[x]
+            word[x], word[y] = word[y], word[x]
+            faulted = _copy(ar, ar.root_at)
+            faulted.readings_cache.update(ar.readings_cache)
+            faulted.readings_cache[tag] = orders.ConvexOrder(ar.datum, tuple(word), tuple(roots))
+            for check in (verify.check_compatibility, _reference_check_compatibility):
+                message = check(faulted)
+                assert message is not None and "should precede" in message
+
+
+def _reference_check_nfree_region(ar):
+    """The former check_nfree_region, taking rs.mul at every coordinate it reads."""
+    datum = ar.datum
+    n = ar.rank
+    hi, lo, inside = ar.nfree_region()
+    if hi - lo != 2 * (n - 3):
+        return f"window extremes ({hi},{lo}) differ by {hi - lo} != {2 * (n - 3)}"
+    for root, coord in ar.phi.items():
+        if rs.mul(root) >= 2 and not inside(coord):
+            return f"tall root {root} at {coord} escapes the window"
+    for path in ar.sectional_paths():
+        tall = [c for c in path.coords if rs.mul(ar.root_at[c]) >= 2]
+        flat = [
+            c
+            for c in path.coords
+            if rs.mul(ar.root_at[c]) == 1 and c[0] < n - 1
+        ]
+        for cf in flat:
+            for ct in tall:
+                if cf[0] >= ct[0]:
+                    return (
+                        f"multiplicity-free {cf} not below non-free {ct} "
+                        f"on one sectional path"
+                    )
+    return None
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6])
+def test_check_nfree_region_equals_its_former_body(rank):
+    messages = set()
+    for ar in _every_d_orientation(rank):
+        assert verify.check_nfree_region(ar) is None
+        assert _reference_check_nfree_region(ar) is None
+        # faults: a tall root trades places with each other root
+        tall = [c for c, root in ar.root_at.items() if rs.mul(root) >= 2]
+        for ct in tall:
+            for other in ar.root_at:
+                root_at = dict(ar.root_at)
+                root_at[ct], root_at[other] = root_at[other], root_at[ct]
+                faulted = _copy(ar, root_at)
+                message = verify.check_nfree_region(faulted)
+                assert message == _reference_check_nfree_region(faulted)
+                messages.add(message.split(" ")[0] if message else None)
+    # at D4 no swap gets past the window to the sectional-path clause
+    expected = {None, "window", "tall"} | ({"multiplicity-free"} if rank > 4 else set())
+    assert messages == expected
