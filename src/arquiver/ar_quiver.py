@@ -17,6 +17,10 @@ level <= n-2.  Two roots count as lying on a common sectional path when one
 maximal broom contains both.  A swing is read off the paths too: the
 S-broom whose tips are the fork (n-1, u), (n, u) plus the N-broom leaving
 that fork.
+
+The rest of the paper's description of Gamma_Q (spin-level pairs, triangles,
+the place of e_1+e_2, the sigma/kappa sequences, the non-free window) is
+stated once, in the ``verify`` checks that test it.
 """
 
 from __future__ import annotations
@@ -99,9 +103,6 @@ class ARQuiver:
         except KeyError:
             raise ARQuiverError(f"{root} is not a positive root here") from None
 
-    def column_of(self, root: Root) -> int:
-        return self.coord_of(root)[1]
-
     @property
     def t_index(self) -> int:
         """The spin index t: roots with summand +-e_t sit at levels n-1 and n."""
@@ -167,49 +168,6 @@ class ARQuiver:
         except KeyError as exc:
             raise ARQuiverError(f"{exc.args[0]} is not a positive root here") from None
 
-    # --- named structure -------------------------------------------------------
-
-    def level_pair_sum(self, column: int) -> Optional[tuple[int, tuple[Root, Root]]]:
-        """For a column holding both spin levels: the index a with root sum 2*e_a."""
-        n = self.rank
-        upper = self.root_at.get((n - 1, column))
-        lower = self.root_at.get((n, column))
-        if upper is None or lower is None:
-            return None
-        total = tuple(x + y for x, y in zip(upper, lower))
-        e = rs.epsilon_coords(self.datum, total)
-        support = [(i + 1, c) for i, c in enumerate(e) if c]
-        if len(support) != 1 or support[0][1] != 2:
-            raise ARQuiverError(f"column {column}: spin pair sums to {total}, not 2*e_a")
-        return support[0][0], (upper, lower)
-
-    def triangle_apex(self, coord_a: Coord, coord_b: Coord) -> Coord:
-        """Where the sum of two spin-level roots sits: (n-1-k, (s+l)/2)."""
-        n = self.rank
-        (na, s), (nb, l) = coord_a, coord_b
-        if na not in (n - 1, n) or nb not in (n - 1, n):
-            raise ARQuiverError("both coordinates must be at the spin levels")
-        if abs(s - l) == 0 or abs(s - l) % 2:
-            raise ARQuiverError("columns must differ by a positive even number")
-        k = abs(s - l) // 2
-        if (na - nb) % 2 != (k - 1) % 2:
-            raise ARQuiverError(f"parity mismatch: levels ({na},{nb}) with k={k}")
-        apex = (n - 1 - k, (s + l) // 2)
-        total = tuple(
-            x + y for x, y in zip(self.root_at[coord_a], self.root_at[coord_b])
-        )
-        if self.root_at.get(apex) != total:
-            raise ARQuiverError(f"apex {apex} does not hold the sum of the pair")
-        return apex
-
-    def longest_root_coord(self) -> Coord:
-        if self.datum.diagram_type != "D":
-            raise ARQuiverError("the longest-root formula is for type D")
-        n = self.rank
-        if self.quiver.is_source(1):
-            return (n - 2, self.xi[0] - n + 1)
-        return (n - 2, self.xi[0] - n + 3)
-
     # --- sectional paths and swings ---------------------------------------------
 
     def sectional_paths(self) -> list[SectionalPath]:
@@ -274,67 +232,6 @@ class ARQuiver:
                 f"swing at fork {fork} shares {sorted(common or ())} summands, expected one"
             )
         return common.pop()
-
-    # --- the sigma and kappa sequences ------------------------------------------
-
-    def sigma(self) -> tuple[list[Root], list[int]]:
-        """Level-(n-1) roots minus simples, columns descending, with swing indices."""
-        if self.datum.diagram_type != "D":
-            raise ARQuiverError("the sigma sequence exists only in type D")
-        n = self.rank
-        simples = {self.datum.simple_root(n - 1), self.datum.simple_root(n)}
-        members = [
-            (p, root)
-            for (i, p), root in self.root_at.items()
-            if i == n - 1 and root not in simples
-        ]
-        members.sort(key=lambda pr: -pr[0])
-        roots = [root for _, root in members]
-        indices = [rs.epsilon_form(self.datum, root).a for root in roots]
-        return roots, indices
-
-    def kappa(self) -> tuple[list[Root], list[int], int]:
-        """Level-1 roots (columns descending), summand indices, and the fold."""
-        if self.datum.diagram_type != "D":
-            raise ARQuiverError("the kappa sequence exists only in type D")
-        members = [(p, root) for (i, p), root in self.root_at.items() if i == 1]
-        members.sort(key=lambda pr: -pr[0])
-        roots = [root for _, root in members]
-        indices = [rs.epsilon_form(self.datum, root).b_signed for root in roots]
-        tp = self.t_prime_index
-        fold = None
-        for pos in range(1, len(indices)):
-            if abs(indices[pos - 1]) == tp and abs(indices[pos]) == tp:
-                fold = pos + 1  # 1-based position l with |j_l| = |j_{l-1}| = t'
-                break
-        if fold is None:
-            raise ARQuiverError("kappa sequence has no adjacent +-t' pair")
-        return roots, indices, fold
-
-    # --- multiplicity-non-free region ---------------------------------------------
-
-    def nfree_region(self):
-        """(i, j, predicate): column extremes of tall spin-level roots and the
-        coordinate window that contains every multiplicity-non-free root."""
-        if self.datum.diagram_type != "D":
-            raise ARQuiverError("the non-free region exists only in type D")
-        n = self.rank
-        spin_tall = [
-            p
-            for (lvl, p), root in self.root_at.items()
-            if lvl in (n - 1, n) and rs.ht(root) >= 2
-        ]
-        if not spin_tall:
-            raise ARQuiverError("no spin-level roots of height >= 2")
-        hi, lo = max(spin_tall), min(spin_tall)
-
-        def inside(coord: Coord) -> bool:
-            level, p = coord
-            if not 1 < level < n - 1:
-                return False
-            return lo - (n - 1 - level) <= p <= hi - (n - 1 - level)
-
-        return hi, lo, inside
 
     # --- export ---------------------------------------------------------------
 

@@ -205,9 +205,9 @@ _XI_RE = re.compile(r"^\s*(\d+)\s*=\s*(-?\d+)\s*$")
 
 
 def parse_arrow_spec(datum: CartanDatum, text: str) -> DynkinQuiver:
-    """Parse `2>1,3>2,2>4` into an orientation."""
+    """Parse `2>1,3>2,2>4` into an orientation; a blank spec has no arrows (A1)."""
     arrows = []
-    for chunk in text.split(","):
+    for chunk in text.split(",") if text.strip() else ():
         m = _ARROW_RE.match(chunk)
         if not m:
             raise QuiverError(f"cannot parse arrow {chunk!r}")

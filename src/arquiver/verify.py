@@ -158,13 +158,12 @@ def check_level_pair_sums(ar: ARQuiver) -> Optional[str]:
     n = ar.rank
     t = ar.t_index
     for p in sorted({q for (lvl, q) in ar.root_at if lvl == n - 1}):
-        result = ar.level_pair_sum(p)
-        if result is None:
+        if (n, p) not in ar.root_at:
             continue
-        a, (upper, lower) = result
-        eps = {rs.epsilon_form(datum, upper), rs.epsilon_form(datum, lower)}
-        expected = {rs.EpsilonForm(a, t), rs.EpsilonForm(a, -t)}
-        if a > n - 1 or eps != expected:
+        a = rs.epsilon_form(datum, ar.root_at[n - 1, p]).a
+        eps = {rs.epsilon_form(datum, ar.root_at[i, p]) for i in (n - 1, n)}
+        # <a,t> and <a,-t> sum to 2e_a, so the sum needs no test of its own
+        if eps != {rs.EpsilonForm(a, t), rs.EpsilonForm(a, -t)}:
             return f"column {p}: pair {sorted(map(str, eps))} != <{a},+-{t}>"
     return None
 
@@ -181,10 +180,9 @@ def check_triangle(ar: ARQuiver) -> Optional[str]:
             k = gap // 2
             if (ca[0] - cb[0]) % 2 != (k - 1) % 2:
                 continue
-            try:
-                ar.triangle_apex(ca, cb)
-            except ar_quiver.ARQuiverError as exc:
-                return f"triangle at {ca},{cb}: {exc}"
+            apex = (n - 1 - k, ca[1] + k)
+            if ar.root_at.get(apex) != tuple(map(sum, zip(ar.root_at[ca], ar.root_at[cb]))):
+                return f"triangle at {ca},{cb}: apex {apex} does not hold the sum of the pair"
     return None
 
 
@@ -261,21 +259,28 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
     """sigma swing indices are reverse-unimodal; kappa tents at t'."""
     datum = ar.datum
     n = ar.rank
-    sigma_roots, sigma_idx = ar.sigma()
-    if len(sigma_roots) != n - 2:
-        return f"|sigma| = {len(sigma_roots)} != {n - 2}"
-    cols = [ar.column_of(r) for r in sigma_roots]
+    # sigma: the level-(n-1) roots other than the simples, columns descending
+    simples = {datum.simple_root(n - 1), datum.simple_root(n)}
+    sigma = sorted(((p, root) for (i, p), root in ar.root_at.items()
+                    if i == n - 1 and root not in simples), reverse=True)
+    if len(sigma) != n - 2:
+        return f"|sigma| = {len(sigma)} != {n - 2}"
+    cols, sigma_roots = map(list, zip(*sigma))
     if any(cols[k] - cols[k + 1] != 2 for k in range(len(cols) - 1)):
         return f"sigma columns {cols} do not descend by 2"
+    sigma_idx = [rs.epsilon_form(datum, root).a for root in sigma_roots]
     if sorted(sigma_idx) != list(range(1, n - 1)):
         return f"sigma swing indices {sigma_idx} are not 1..{n - 2}"
     valley = sigma_idx.index(1)
     down, up = sigma_idx[: valley + 1], sigma_idx[valley:]
     if down != sorted(down, reverse=True) or up != sorted(up):
         return f"sigma indices {sigma_idx} are not reverse-unimodal"
-    swings = {s.shared_index: s for s in ar.swings()}
-    for pos, (root, idx) in enumerate(zip(sigma_roots, sigma_idx)):
-        if ar.coord_of(root) not in swings[idx].coords:
+    try:
+        swings = {s.shared_index: s for s in ar.swings()}
+    except ar_quiver.ARQuiverError as exc:
+        return str(exc)
+    for pos, (p, idx) in enumerate(zip(cols, sigma_idx)):
+        if idx not in swings or (n - 1, p) not in swings[idx].coords:
             return f"sigma_{pos + 1} not in its {idx}-swing"
         s_len, n_len = len(swings[idx].s_part), len(swings[idx].n_part)
         if pos < valley and not n_len < s_len:
@@ -283,19 +288,23 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
         if pos > valley and not s_len < n_len:
             return f"{idx}-swing right of the valley has S-part not shorter"
 
-    kappa_roots, kappa_idx, fold = ar.kappa()
-    if len(kappa_roots) != n - 1:
-        return f"|kappa| = {len(kappa_roots)} != {n - 1}"
-    cols = [ar.column_of(r) for r in kappa_roots]
+    # kappa: the level-1 roots, columns descending
+    kappa = sorted(((p, root) for (i, p), root in ar.root_at.items() if i == 1), reverse=True)
+    if len(kappa) != n - 1:
+        return f"|kappa| = {len(kappa)} != {n - 1}"
+    cols, kappa_roots = map(list, zip(*kappa))
     if any(cols[k] - cols[k + 1] != 2 for k in range(len(cols) - 1)):
         return f"kappa columns {cols} do not descend by 2"
+    kappa_idx = [rs.epsilon_form(datum, root).b_signed for root in kappa_roots]
     tp = ar.t_prime_index
     expected_idx = set(range(-2, -(n - 2) - 1, -1)) | {tp, -tp}
     if set(kappa_idx) != expected_idx or len(kappa_idx) != len(expected_idx):
         return f"kappa summand indices {kappa_idx} != {sorted(expected_idx)}"
     mags = [abs(j) for j in kappa_idx]
-    if not (mags[fold - 1] == mags[fold - 2] == tp):
-        return f"kappa fold {fold} does not sit on the +-{tp} pair"
+    # the fold: the 1-based position l with |j_(l-1)| = |j_l| = t'
+    fold = next((l for l in range(2, len(mags) + 1) if mags[l - 2] == mags[l - 1] == tp), None)
+    if fold is None:
+        return f"kappa sequence has no adjacent +-{tp} pair"
     left, right = mags[: fold - 1], mags[fold - 1:]
     if left != sorted(left) or right != sorted(right, reverse=True):
         return f"kappa magnitudes {mags} are not a tent around position {fold}"
@@ -335,13 +344,17 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
 
 def check_longest_root(ar: ARQuiver) -> Optional[str]:
     """e_1+e_2 at (n-2, xi_1-n+1 or +3); 1- and 2-swings adjacent."""
-    datum = ar.datum
     n = ar.rank
-    longest = rs.root_from_epsilon(datum, rs.EpsilonForm(1, 2))
-    coord = ar.coord_of(longest)
-    if coord != ar.longest_root_coord():
-        return f"e_1+e_2 at {coord}, formula gives {ar.longest_root_coord()}"
-    swings = {s.shared_index: s for s in ar.swings()}
+    coord = ar.coord_of(rs.root_from_epsilon(ar.datum, rs.EpsilonForm(1, 2)))
+    formula = (n - 2, ar.xi[0] - n + (1 if ar.quiver.is_source(1) else 3))
+    if coord != formula:
+        return f"e_1+e_2 at {coord}, formula gives {formula}"
+    try:
+        swings = {s.shared_index: s for s in ar.swings()}
+    except ar_quiver.ARQuiverError as exc:
+        return str(exc)
+    if 1 not in swings or 2 not in swings:
+        return f"swing indices {sorted(swings)} lack 1 or 2"
     gap = abs(swings[1].fork[0][1] - swings[2].fork[0][1])
     if gap != 2:
         return f"1-swing and 2-swing forks are {gap} columns apart"
@@ -351,13 +364,19 @@ def check_longest_root(ar: ARQuiver) -> Optional[str]:
 def check_nfree_region(ar: ARQuiver) -> Optional[str]:
     """Tall roots stay in the diagonal window below tall spin roots."""
     n = ar.rank
-    hi, lo, inside = ar.nfree_region()
+    # the window's extremes: the columns of the spin-level roots of height >= 2
+    spin_tall = [p for (i, p), root in ar.root_at.items() if i in (n - 1, n) and rs.ht(root) >= 2]
+    if not spin_tall:
+        return "no spin-level roots of height >= 2"
+    hi, lo = max(spin_tall), min(spin_tall)
     if hi - lo != 2 * (n - 3):
         return f"window extremes ({hi},{lo}) differ by {hi - lo} != {2 * (n - 3)}"
     mul = {coord: rs.mul(root) for root, coord in ar.phi.items()}
-    for root, coord in ar.phi.items():
-        if mul[coord] >= 2 and not inside(coord):
-            return f"tall root {root} at {coord} escapes the window"
+    for root, (level, p) in ar.phi.items():
+        # level l of the window spans columns lo - d .. hi - d, d = n-1-l
+        inside = 1 < level < n - 1 and lo - (n - 1 - level) <= p <= hi - (n - 1 - level)
+        if mul[level, p] >= 2 and not inside:
+            return f"tall root {root} at {(level, p)} escapes the window"
     for path in ar.sectional_paths():
         tall = [c for c in path.coords if mul[c] >= 2]
         flat = [c for c in path.coords if mul[c] == 1 and c[0] < n - 1]

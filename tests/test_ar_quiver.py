@@ -24,6 +24,20 @@ def eps_of(ar, coord):
     return (form.a, form.b_signed)
 
 
+def swapped(ar, x, y):
+    """A copy of ar in which the roots at x and y have traded places."""
+    root_at = dict(ar.root_at)
+    root_at[x], root_at[y] = root_at[y], root_at[x]
+    return ARQuiver(ar.quiver, ar.xi, root_at, ar.arrows, ar.m)
+
+
+def without_swing(ar, index):
+    """A copy of ar whose swings() has lost the index-swing."""
+    copy = ARQuiver(ar.quiver, ar.xi, ar.root_at, ar.arrows, ar.m)
+    copy._swings = tuple(s for s in ar.swings() if s.shared_index != index)
+    return copy
+
+
 def test_example1_grid_exact(example1_ar):
     got = {coord: eps_of(example1_ar, coord) for coord in example1_ar.root_at}
     assert got == EXAMPLE1_GRID
@@ -59,15 +73,17 @@ def test_left_intermediate_simple_root_position():
 
 
 def test_level_pair_sum(example1_ar):
-    result = example1_ar.level_pair_sum(-4)
-    assert result is not None
-    a, (upper, lower) = result
-    assert a == 1
+    # column -4 holds the spin pair <1,3>, <1,-3>, summing to 2e_1; column 0 holds one root
     assert eps_of(example1_ar, (3, -4)) == (1, 3)
     assert eps_of(example1_ar, (4, -4)) == (1, -3)
-    assert example1_ar.level_pair_sum(0) is None
+    assert (3, 0) in example1_ar.root_at and (4, 0) not in example1_ar.root_at
     assert example1_ar.t_index == 3
     assert example1_ar.t_prime_index == 4
+    assert verify.check_level_pair_sums(example1_ar) is None
+    faulted = swapped(example1_ar, (4, -4), (4, -2))
+    assert verify.check_level_pair_sums(faulted) == (
+        "column -4: pair ['<1,3>', '<2,3>'] != <1,+-3>"
+    )
 
 
 def test_spin_indices_exist_only_in_type_d():
@@ -92,27 +108,25 @@ def test_level_pair_equal_heights():
     xi = make_height_function(quiver, 4, 0)
     ar = ar_quiver.build(quiver, xi)
     assert ar.t_index == 4
-    for p in {q for (i, q) in ar.root_at if i == 3}:
-        result = ar.level_pair_sum(p)
-        if result is None:
-            continue
-        _, (upper, lower) = result
-        forms = {abs(rs.epsilon_form(d4, r).b_signed) for r in (upper, lower)}
+    columns = {q for (i, q) in ar.root_at if i == 3} & {q for (i, q) in ar.root_at if i == 4}
+    assert columns == {-4, -2, 0}
+    for p in columns:
+        forms = {abs(rs.epsilon_form(d4, ar.root_at[i, p]).b_signed) for i in (3, 4)}
         assert forms == {4}
+    assert verify.check_level_pair_sums(ar) is None
+    message = verify.check_level_pair_sums(swapped(ar, (4, 0), (1, 0)))
+    assert message is not None and message.startswith("column 0: pair")
 
 
 def test_triangle_apex(example1_ar):
-    # k = 1 pairs sit at the same spin level, two columns apart
-    assert example1_ar.triangle_apex((3, -4), (3, -2)) == (2, -3)
-    assert example1_ar.triangle_apex((4, -4), (4, -2)) == (2, -3)
-    with pytest.raises(ARQuiverError):
-        example1_ar.triangle_apex((3, -4), (3, 0))  # k=2 needs opposite levels
-    with pytest.raises(ARQuiverError):
-        example1_ar.triangle_apex((3, -4), (4, -2))  # k=1 needs equal levels
-    with pytest.raises(ARQuiverError):
-        example1_ar.triangle_apex((3, -4), (4, -4))  # same column
-    with pytest.raises(ARQuiverError):
-        example1_ar.triangle_apex((2, -3), (3, -2))  # not at spin levels
+    # k = 1 pairs sit at the same spin level, two columns apart, with apex (2, -3)
+    root_at = example1_ar.root_at
+    for pair in (((3, -4), (3, -2)), ((4, -4), (4, -2))):
+        assert tuple(map(sum, zip(*(root_at[c] for c in pair)))) == root_at[2, -3]
+    assert verify.check_triangle(example1_ar) is None
+    assert verify.check_triangle(swapped(example1_ar, (2, -3), (2, -5))) == (
+        "triangle at (3, -4),(3, -2): apex (2, -3) does not hold the sum of the pair"
+    )
 
 
 def test_swings_example1(example1_ar):
@@ -201,36 +215,47 @@ def test_stemless_spin_pair_is_no_path():
 
 
 def test_sigma_kappa_example1(example1_ar):
-    sigma_roots, sigma_idx = example1_ar.sigma()
-    assert [eps_of(example1_ar, example1_ar.coord_of(r)) for r in sigma_roots] == [
-        (2, -3),
-        (1, 3),
-    ]
-    assert sigma_idx == [2, 1]
-    kappa_roots, kappa_idx, fold = example1_ar.kappa()
-    assert [example1_ar.column_of(r) for r in kappa_roots] == [-2, -4, -6]
-    assert kappa_idx == [-4, 4, -2]
-    assert fold == 2
+    # sigma: level 3 minus the simple alpha_3 at (3, 0); kappa: level 1; columns descending
+    assert [eps_of(example1_ar, (3, p)) for p in (-2, -4)] == [(2, -3), (1, 3)]
+    assert (3, 0) == example1_ar.coord_of(example1_ar.datum.simple_root(3))
+    assert {p for (i, p) in example1_ar.root_at if i == 1} == {-2, -4, -6}
+    kappa = [eps_of(example1_ar, (1, p)) for p in (-2, -4, -6)]
+    assert [b for _, b in kappa] == [-4, 4, -2]  # the fold is at position 2
     total = [0] * 4
-    for root in kappa_roots:
-        for i, c in enumerate(root):
+    for p in (-2, -4, -6):
+        for i, c in enumerate(example1_ar.root_at[1, p]):
             total[i] += c
     assert rs.epsilon_coords(example1_ar.datum, tuple(total)) == (2, 0, 0, 0)
+    assert verify.check_sigma_kappa(example1_ar) is None
+    assert verify.check_sigma_kappa(without_swing(example1_ar, 2)) == "sigma_1 not in its 2-swing"
+    # a D5 copy whose kappa loses its adjacent +-t' pair
+    d5 = CartanDatum("D", 5)
+    quiver = parse_arrow_spec(d5, "1>2,2>3,3>4,3>5")
+    ar = ar_quiver.build(quiver, make_height_function(quiver, 5, 0))
+    assert verify.check_sigma_kappa(ar) is None
+    assert verify.check_sigma_kappa(swapped(ar, (1, -3), (1, 3))) == (
+        "kappa sequence has no adjacent +-4 pair"
+    )
 
 
 def test_longest_root_coord(example1_ar):
     gamma = rs.root_from_epsilon(example1_ar.datum, EpsilonForm(1, 2))
-    assert example1_ar.coord_of(gamma) == (2, -3)
-    assert example1_ar.longest_root_coord() == (2, -3)
+    assert example1_ar.coord_of(gamma) == (2, -3)  # vertex 1 is a sink: xi_1 - n + 3
+    assert example1_ar.xi[0] - 4 + 3 == -3
+    assert verify.check_longest_root(example1_ar) is None
+    assert verify.check_longest_root(swapped(example1_ar, (2, -3), (2, -5))) == (
+        "e_1+e_2 at (2, -5), formula gives (2, -3)"
+    )
+    assert verify.check_longest_root(without_swing(example1_ar, 2)) == (
+        "swing indices [1] lack 1 or 2"
+    )
     # source case
     d4 = CartanDatum("D", 4)
     quiver = parse_arrow_spec(d4, "1>2,2>3,2>4")
     xi = make_height_function(quiver, 4, 0)
     ar = ar_quiver.build(quiver, xi)
-    assert ar.longest_root_coord() == (4 - 2, xi[0] - 4 + 1)
-    assert ar.coord_of(rs.root_from_epsilon(d4, EpsilonForm(1, 2))) == (
-        ar.longest_root_coord()
-    )
+    assert ar.coord_of(rs.root_from_epsilon(d4, EpsilonForm(1, 2))) == (4 - 2, xi[0] - 4 + 1)
+    assert verify.check_longest_root(ar) is None
 
 
 def test_prec(example1_ar):
@@ -280,12 +305,19 @@ def test_prec_names_a_root_outside_the_quiver(example1_ar):
 
 
 def test_nfree_region(example1_ar):
-    hi, lo, inside = example1_ar.nfree_region()
+    # the window's extremes are the columns of the spin-level roots of height >= 2
+    spin_tall = [p for (i, p), root in example1_ar.root_at.items()
+                 if i in (3, 4) and rs.ht(root) >= 2]
+    hi, lo = max(spin_tall), min(spin_tall)
     assert (hi, lo) == (-2, -4)
     assert hi - lo == 2 * (4 - 3)
-    assert inside((2, -3))  # the only tall root lives here
-    assert not inside((1, -2))
-    assert not inside((3, -4))
+    assert [c for c, root in example1_ar.root_at.items() if rs.mul(root) >= 2] == [(2, -3)]
+    assert verify.check_nfree_region(example1_ar) is None  # the only tall root is inside
+    for outside in ((1, -2), (3, -4)):
+        faulted = swapped(example1_ar, (2, -3), outside)
+        assert verify.check_nfree_region(faulted) == (
+            f"tall root (1, 2, 1, 1) at {outside} escapes the window"
+        )
 
 
 def test_xi_shift_moves_columns(example1_quiver, example1_ar):
@@ -304,10 +336,6 @@ def test_type_a_build_and_guards():
     assert len(ar.root_at) == 6
     with pytest.raises(ARQuiverError):
         ar.swings()
-    with pytest.raises(ARQuiverError):
-        ar.sigma()
-    with pytest.raises(ARQuiverError):
-        ar.nfree_region()
 
 
 def test_a_kernel_that_never_turns_negative_fails_the_build(monkeypatch, example1_quiver):

@@ -83,6 +83,16 @@ def test_roots_type_a(capsys):
     assert "[1]" in out
 
 
+@pytest.mark.parametrize("arrows", ["", " "])
+def test_build_type_a1_takes_a_blank_arrow_spec(capsys, arrows):
+    code, out, err = run(capsys, ["build", "--type", "A", "--rank", "1", "--arrows", arrows])
+    assert (code, err) == (0, "")
+    assert "[1]" in out and "xi = 1=0" in out
+    # a blank spec orients no edge, so a diagram with edges is still bad input
+    code, out, err = run(capsys, ["build", "--type", "A", "--rank", "2", "--arrows", arrows])
+    assert (code, out) == (2, "") and "not oriented" in err
+
+
 def test_denom_with_at(capsys):
     code, out, _ = run(
         capsys,

@@ -133,6 +133,15 @@ def test_parse_arrow_spec_errors(d4):
         parse_arrow_spec(d4, "1>2,2>1,3>2,2>4")  # duplicate edge
     with pytest.raises(QuiverError):
         parse_arrow_spec(d4, "1>2,2>3")  # missing edge
+    with pytest.raises(QuiverError, match="not oriented"):
+        parse_arrow_spec(d4, " ")  # a blank spec orients no edge
+    with pytest.raises(QuiverError, match="cannot parse arrow"):
+        parse_arrow_spec(d4, "1>2,,3>2,2>4")  # an empty chunk in a spec is still bad
+
+
+def test_blank_arrow_spec_is_the_edgeless_a1():
+    a1 = CartanDatum("A", 1)
+    assert parse_arrow_spec(a1, "") == parse_arrow_spec(a1, "  ") == DynkinQuiver(a1, ())
 
 
 # --- the former arrow-walking bodies, kept to pin the height-function ones ------

@@ -9,7 +9,7 @@ import pytest
 
 from arquiver import ar_quiver, orders, verify
 from arquiver import root_system as rs
-from arquiver.ar_quiver import ARQuiver
+from arquiver.ar_quiver import ARQuiver, ARQuiverError
 from arquiver.quiver import DynkinQuiver, all_orientations, make_height_function
 from arquiver.root_system import CartanDatum
 from arquiver.verify import run_suite
@@ -256,11 +256,250 @@ def test_check_compatibility_equals_its_former_body(rank):
                 assert message is not None and "should precede" in message
 
 
+# the ARQuiver methods that the structure checks once called, verbatim
+
+def _reference_column_of(self, root):
+    return self.coord_of(root)[1]
+
+
+def _reference_level_pair_sum(self, column):
+    """For a column holding both spin levels: the index a with root sum 2*e_a."""
+    n = self.rank
+    upper = self.root_at.get((n - 1, column))
+    lower = self.root_at.get((n, column))
+    if upper is None or lower is None:
+        return None
+    total = tuple(x + y for x, y in zip(upper, lower))
+    e = rs.epsilon_coords(self.datum, total)
+    support = [(i + 1, c) for i, c in enumerate(e) if c]
+    if len(support) != 1 or support[0][1] != 2:
+        raise ARQuiverError(f"column {column}: spin pair sums to {total}, not 2*e_a")
+    return support[0][0], (upper, lower)
+
+
+def _reference_triangle_apex(self, coord_a, coord_b):
+    """Where the sum of two spin-level roots sits: (n-1-k, (s+l)/2)."""
+    n = self.rank
+    (na, s), (nb, l) = coord_a, coord_b
+    if na not in (n - 1, n) or nb not in (n - 1, n):
+        raise ARQuiverError("both coordinates must be at the spin levels")
+    if abs(s - l) == 0 or abs(s - l) % 2:
+        raise ARQuiverError("columns must differ by a positive even number")
+    k = abs(s - l) // 2
+    if (na - nb) % 2 != (k - 1) % 2:
+        raise ARQuiverError(f"parity mismatch: levels ({na},{nb}) with k={k}")
+    apex = (n - 1 - k, (s + l) // 2)
+    total = tuple(
+        x + y for x, y in zip(self.root_at[coord_a], self.root_at[coord_b])
+    )
+    if self.root_at.get(apex) != total:
+        raise ARQuiverError(f"apex {apex} does not hold the sum of the pair")
+    return apex
+
+
+def _reference_longest_root_coord(self):
+    if self.datum.diagram_type != "D":
+        raise ARQuiverError("the longest-root formula is for type D")
+    n = self.rank
+    if self.quiver.is_source(1):
+        return (n - 2, self.xi[0] - n + 1)
+    return (n - 2, self.xi[0] - n + 3)
+
+
+def _reference_sigma(self):
+    """Level-(n-1) roots minus simples, columns descending, with swing indices."""
+    if self.datum.diagram_type != "D":
+        raise ARQuiverError("the sigma sequence exists only in type D")
+    n = self.rank
+    simples = {self.datum.simple_root(n - 1), self.datum.simple_root(n)}
+    members = [
+        (p, root)
+        for (i, p), root in self.root_at.items()
+        if i == n - 1 and root not in simples
+    ]
+    members.sort(key=lambda pr: -pr[0])
+    roots = [root for _, root in members]
+    indices = [rs.epsilon_form(self.datum, root).a for root in roots]
+    return roots, indices
+
+
+def _reference_kappa(self):
+    """Level-1 roots (columns descending), summand indices, and the fold."""
+    if self.datum.diagram_type != "D":
+        raise ARQuiverError("the kappa sequence exists only in type D")
+    members = [(p, root) for (i, p), root in self.root_at.items() if i == 1]
+    members.sort(key=lambda pr: -pr[0])
+    roots = [root for _, root in members]
+    indices = [rs.epsilon_form(self.datum, root).b_signed for root in roots]
+    tp = self.t_prime_index
+    fold = None
+    for pos in range(1, len(indices)):
+        if abs(indices[pos - 1]) == tp and abs(indices[pos]) == tp:
+            fold = pos + 1  # 1-based position l with |j_l| = |j_{l-1}| = t'
+            break
+    if fold is None:
+        raise ARQuiverError("kappa sequence has no adjacent +-t' pair")
+    return roots, indices, fold
+
+
+def _reference_nfree_region(self):
+    """(i, j, predicate): column extremes of tall spin-level roots and the
+    coordinate window that contains every multiplicity-non-free root."""
+    if self.datum.diagram_type != "D":
+        raise ARQuiverError("the non-free region exists only in type D")
+    n = self.rank
+    spin_tall = [
+        p
+        for (lvl, p), root in self.root_at.items()
+        if lvl in (n - 1, n) and rs.ht(root) >= 2
+    ]
+    if not spin_tall:
+        raise ARQuiverError("no spin-level roots of height >= 2")
+    hi, lo = max(spin_tall), min(spin_tall)
+
+    def inside(coord):
+        level, p = coord
+        if not 1 < level < n - 1:
+            return False
+        return lo - (n - 1 - level) <= p <= hi - (n - 1 - level)
+
+    return hi, lo, inside
+
+
+# the former bodies of the checks that called them, verbatim but for the calls
+
+def _reference_check_level_pair_sums(ar):
+    """Same-column spin roots are <a,t>, <a,-t> summing to 2e_a."""
+    datum = ar.datum
+    n = ar.rank
+    t = ar.t_index
+    for p in sorted({q for (lvl, q) in ar.root_at if lvl == n - 1}):
+        result = _reference_level_pair_sum(ar, p)
+        if result is None:
+            continue
+        a, (upper, lower) = result
+        eps = {rs.epsilon_form(datum, upper), rs.epsilon_form(datum, lower)}
+        expected = {rs.EpsilonForm(a, t), rs.EpsilonForm(a, -t)}
+        if a > n - 1 or eps != expected:
+            return f"column {p}: pair {sorted(map(str, eps))} != <{a},+-{t}>"
+    return None
+
+
+def _reference_check_triangle(ar):
+    """Spin pairs with matching parity meet at (n-1-k, (s+l)/2)."""
+    n = ar.rank
+    spin = [c for c in ar.root_at if c[0] in (n - 1, n)]
+    for ca in spin:
+        for cb in spin:
+            gap = cb[1] - ca[1]
+            if gap <= 0 or gap % 2:
+                continue
+            k = gap // 2
+            if (ca[0] - cb[0]) % 2 != (k - 1) % 2:
+                continue
+            try:
+                _reference_triangle_apex(ar, ca, cb)
+            except ar_quiver.ARQuiverError as exc:
+                return f"triangle at {ca},{cb}: {exc}"
+    return None
+
+
+def _reference_check_sigma_kappa(ar):
+    """sigma swing indices are reverse-unimodal; kappa tents at t'."""
+    datum = ar.datum
+    n = ar.rank
+    sigma_roots, sigma_idx = _reference_sigma(ar)
+    if len(sigma_roots) != n - 2:
+        return f"|sigma| = {len(sigma_roots)} != {n - 2}"
+    cols = [_reference_column_of(ar, r) for r in sigma_roots]
+    if any(cols[k] - cols[k + 1] != 2 for k in range(len(cols) - 1)):
+        return f"sigma columns {cols} do not descend by 2"
+    if sorted(sigma_idx) != list(range(1, n - 1)):
+        return f"sigma swing indices {sigma_idx} are not 1..{n - 2}"
+    valley = sigma_idx.index(1)
+    down, up = sigma_idx[: valley + 1], sigma_idx[valley:]
+    if down != sorted(down, reverse=True) or up != sorted(up):
+        return f"sigma indices {sigma_idx} are not reverse-unimodal"
+    swings = {s.shared_index: s for s in ar.swings()}
+    for pos, (root, idx) in enumerate(zip(sigma_roots, sigma_idx)):
+        if ar.coord_of(root) not in swings[idx].coords:
+            return f"sigma_{pos + 1} not in its {idx}-swing"
+        s_len, n_len = len(swings[idx].s_part), len(swings[idx].n_part)
+        if pos < valley and not n_len < s_len:
+            return f"{idx}-swing left of the valley has N-part not shorter"
+        if pos > valley and not s_len < n_len:
+            return f"{idx}-swing right of the valley has S-part not shorter"
+
+    kappa_roots, kappa_idx, fold = _reference_kappa(ar)
+    if len(kappa_roots) != n - 1:
+        return f"|kappa| = {len(kappa_roots)} != {n - 1}"
+    cols = [_reference_column_of(ar, r) for r in kappa_roots]
+    if any(cols[k] - cols[k + 1] != 2 for k in range(len(cols) - 1)):
+        return f"kappa columns {cols} do not descend by 2"
+    tp = ar.t_prime_index
+    expected_idx = set(range(-2, -(n - 2) - 1, -1)) | {tp, -tp}
+    if set(kappa_idx) != expected_idx or len(kappa_idx) != len(expected_idx):
+        return f"kappa summand indices {kappa_idx} != {sorted(expected_idx)}"
+    mags = [abs(j) for j in kappa_idx]
+    if not (mags[fold - 1] == mags[fold - 2] == tp):
+        return f"kappa fold {fold} does not sit on the +-{tp} pair"
+    left, right = mags[: fold - 1], mags[fold - 1:]
+    if left != sorted(left) or right != sorted(right, reverse=True):
+        return f"kappa magnitudes {mags} are not a tent around position {fold}"
+
+    def eps_sum(roots):
+        return rs.epsilon_coords(datum, tuple(map(sum, zip(*roots))))
+
+    e = eps_sum(kappa_roots)
+    if [c for c in e if c] != [2] or e[0] != 2:
+        return f"sum of kappa is not 2*e_1 (epsilon coords {e})"
+    head = eps_sum(kappa_roots[: fold - 1])
+    tail = tuple(a - b for a, b in zip(e, head))
+    want = {
+        tuple(1 if i in (0, tp - 1) else 0 for i in range(n)),
+        tuple(1 if i == 0 else (-1 if i == tp - 1 else 0) for i in range(n)),
+    }
+    if {head, tail} != want:
+        return f"kappa partial sums {head}, {tail} are not e_1 +- e_{tp}"
+    if ar.quiver.is_sink(1):
+        segment = kappa_roots[: n - 2]
+    else:
+        segment = kappa_roots[1:]
+    seg = eps_sum(segment)
+    if seg != tuple(1 if i in (0, 1) else 0 for i in range(n)):
+        return f"kappa segment sum {seg} is not e_1 + e_2"
+    for pos, (root, j) in enumerate(zip(kappa_roots, kappa_idx), start=1):
+        path = verify._summand_class_path(ar, j)
+        if len(rs.summand_class(datum, j)) <= 1:
+            continue
+        if path is None:
+            return f"kappa_{pos} class {j} lies on no single broom"
+        want_kind = "S" if pos <= fold - 1 else "N"
+        if path.kind != want_kind:
+            return f"kappa_{pos} class {j} is {path.kind}-sectional, wanted {want_kind}"
+    return None
+
+
+def _reference_check_longest_root(ar):
+    """e_1+e_2 at (n-2, xi_1-n+1 or +3); 1- and 2-swings adjacent."""
+    datum = ar.datum
+    n = ar.rank
+    longest = rs.root_from_epsilon(datum, rs.EpsilonForm(1, 2))
+    coord = ar.coord_of(longest)
+    if coord != _reference_longest_root_coord(ar):
+        return f"e_1+e_2 at {coord}, formula gives {_reference_longest_root_coord(ar)}"
+    swings = {s.shared_index: s for s in ar.swings()}
+    gap = abs(swings[1].fork[0][1] - swings[2].fork[0][1])
+    if gap != 2:
+        return f"1-swing and 2-swing forks are {gap} columns apart"
+    return None
+
+
 def _reference_check_nfree_region(ar):
     """The former check_nfree_region, taking rs.mul at every coordinate it reads."""
     datum = ar.datum
     n = ar.rank
-    hi, lo, inside = ar.nfree_region()
+    hi, lo, inside = _reference_nfree_region(ar)
     if hi - lo != 2 * (n - 3):
         return f"window extremes ({hi},{lo}) differ by {hi - lo} != {2 * (n - 3)}"
     for root, coord in ar.phi.items():
@@ -302,3 +541,63 @@ def test_check_nfree_region_equals_its_former_body(rank):
     # at D4 no swap gets past the window to the sectional-path clause
     expected = {None, "window", "tall"} | ({"multiplicity-free"} if rank > 4 else set())
     assert messages == expected
+
+
+REWRITTEN = {
+    "level_pair_sums": _reference_check_level_pair_sums,
+    "triangle": _reference_check_triangle,
+    "sigma_kappa": _reference_check_sigma_kappa,
+    "longest_root": _reference_check_longest_root,
+    "nfree_region": _reference_check_nfree_region,
+}
+
+
+def _two_root_swaps(ar):
+    """Copies of ar in which each pair of roots has traded places."""
+    coords = sorted(ar.root_at)
+    for x, cx in enumerate(coords):
+        for cy in coords[x + 1:]:
+            root_at = dict(ar.root_at)
+            root_at[cx], root_at[cy] = root_at[cy], root_at[cx]
+            yield _copy(ar, root_at)
+
+
+def _reference_outcome(reference, ar):
+    """The former check's message, or the exception it raised."""
+    try:
+        return reference(ar)
+    except Exception as exc:
+        return exc
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6, 7])
+def test_rewritten_checks_pass_where_their_former_bodies_pass(rank):
+    for ar in _every_d_orientation(rank):
+        for check_id, reference in REWRITTEN.items():
+            assert reference(ar) is None, check_id
+            assert getattr(verify, f"check_{check_id}")(ar) is None, check_id
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_rewritten_checks_flag_what_their_former_bodies_flag(rank):
+    # a former body that raised or returned a message is a fault the new check
+    # must report; where the former body returned None, so must the new one
+    flagged = dict.fromkeys(REWRITTEN, 0)
+    for ar in _every_d_orientation(rank):
+        for faulted in _two_root_swaps(ar):
+            for check_id, reference in REWRITTEN.items():
+                message = getattr(verify, f"check_{check_id}")(faulted)
+                former = _reference_outcome(reference, faulted)
+                assert (message is None) == (former is None), (check_id, former)
+                flagged[check_id] += message is not None
+    assert all(flagged.values()), flagged
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_structure_checks_never_raise_on_swapped_roots(rank):
+    structure = [c.fn for c in verify.ORIENTATION_CHECKS if c.suite == "structure"]
+    for ar in _every_d_orientation(rank):
+        for faulted in _two_root_swaps(ar):
+            for check in structure:
+                message = check(faulted)
+                assert message is None or isinstance(message, str), check.__name__
