@@ -26,10 +26,11 @@ stated once, in the ``verify`` checks that test it.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import add
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import root_system as rs
-from .quiver import DynkinQuiver, QuiverError, check_height_function, coxeter_word, eta_zeta
+from .quiver import DynkinQuiver, QuiverError, check_height_function, coxeter_word, eta_from_heights
 from .root_system import CartanDatum, Root
 
 if TYPE_CHECKING:
@@ -120,7 +121,7 @@ class ARQuiver:
         i, p = coord
         return [
             (j, p + 1)
-            for j in self.datum.neighbors(i)
+            for j in self.datum.neighbor_table[i]
             if (j, p + 1) in self.root_at
         ]
 
@@ -128,7 +129,7 @@ class ARQuiver:
         i, p = coord
         return [
             (j, p - 1)
-            for j in self.datum.neighbors(i)
+            for j in self.datum.neighbor_table[i]
             if (j, p - 1) in self.root_at
         ]
 
@@ -289,7 +290,7 @@ class ARQuiver:
 
 
 def build(quiver: DynkinQuiver, xi, validate: bool = True) -> ARQuiver:
-    """Knit Gamma_Q from the seeds (i, xi_i) -> eta_i by repeated tau steps."""
+    """Knit Gamma_Q from the seeds (i, xi_i) -> eta_i, read off xi, by repeated tau steps."""
     datum = quiver.datum
     xi = tuple(xi)
     check_height_function(quiver, xi)
@@ -297,7 +298,7 @@ def build(quiver: DynkinQuiver, xi, validate: bool = True) -> ARQuiver:
     root_at: dict[Coord, Root] = {}
     m = []
     for i in datum.vertices:
-        beta, _ = eta_zeta(quiver, i)
+        beta = eta_from_heights(datum, xi, i)
         p = xi[i - 1]
         for _ in range(datum.num_positive_roots):  # the most a tau-orbit can hold
             root_at[(i, p)] = beta
@@ -313,7 +314,7 @@ def build(quiver: DynkinQuiver, xi, validate: bool = True) -> ARQuiver:
         m.append((xi[i - 1] - p) // 2)
     arrows = set()
     for (i, p) in root_at:
-        for j in datum.neighbors(i):
+        for j in datum.neighbor_table[i]:
             if (j, p + 1) in root_at:
                 arrows.add(((i, p), (j, p + 1)))
     ar = ARQuiver(quiver, xi, root_at, frozenset(arrows), tuple(m))
@@ -357,31 +358,29 @@ def check_nakayama(ar: ARQuiver) -> Optional[str]:
 
 def check_mesh_additivity(ar: ARQuiver) -> Optional[str]:
     """beta + tau(beta) equals the sum over arrow sources into beta."""
-    for (i, p), root in ar.root_at.items():
-        prev = ar.root_at.get((i, p - 2))
+    root_at, arrows, neighbors = ar.root_at, ar.arrows, ar.datum.neighbor_table
+    for (i, p), root in root_at.items():
+        prev = root_at.get((i, p - 2))
         if prev is None:
             continue
-        mesh = [0] * ar.rank
-        for src in ar.in_arrows((i, p)):
-            if (src, (i, p)) not in ar.arrows:
-                continue
-            for idx, c in enumerate(ar.root_at[src]):
-                mesh[idx] += c
-        if tuple(mesh) != tuple(a + b for a, b in zip(root, prev)):
+        mesh = (0,) * ar.rank
+        for j in neighbors.get(i, ()):
+            src = (j, p - 1)
+            if src in root_at and (src, (i, p)) in arrows:
+                mesh = tuple(map(add, mesh, root_at[src]))
+        if mesh != tuple(map(add, root, prev)):
             return f"mesh fails at ({i},{p})"
     return None
 
 
 def check_arrow_rule(ar: ARQuiver) -> Optional[str]:
     """Arrows are exactly (i,p)->(j,p+1) for adjacent levels."""
+    neighbors = ar.datum.neighbor_table
     for a, b in ar.arrows:
-        if b[1] != a[1] + 1 or not ar.datum.adjacent(a[0], b[0]):
+        if b[1] != a[1] + 1 or b[0] not in neighbors.get(a[0], ()):
             return f"arrow {a}->{b} malformed"
-    expected = set()
-    for (i, p) in ar.root_at:
-        for j in ar.datum.neighbors(i):
-            if (j, p + 1) in ar.root_at:
-                expected.add(((i, p), (j, p + 1)))
+    expected = {((i, p), (j, p + 1)) for i, p in ar.root_at
+                for j in neighbors.get(i, ()) if (j, p + 1) in ar.root_at}
     if expected != ar.arrows:
         extra = ar.arrows - expected
         missing = expected - ar.arrows

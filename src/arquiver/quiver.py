@@ -168,17 +168,24 @@ def coxeter_word(quiver: DynkinQuiver) -> WeylWord:
     return tuple(word)
 
 
-def eta_zeta(quiver: DynkinQuiver, i: int) -> tuple[Root, Root]:
-    """eta_i sums alpha_j over j with a path j ~> i, zeta_i over i ~> j.
+def eta_from_heights(datum: CartanDatum, xi, i: int) -> Root:
+    """eta_i of the quiver with height function xi: alpha_j summed over j ~> i.
 
     Q is a tree, so j ~> i exactly when xi_j - xi_i is the distance d(i, j).
     """
+    dist, top = datum.distance_table[i], xi[i - 1]
+    return tuple(int(h - top == dist[j]) for j, h in enumerate(xi, 1))
+
+
+def eta_zeta(quiver: DynkinQuiver, i: int) -> tuple[Root, Root]:
+    """eta_i sums alpha_j over j with a path j ~> i, zeta_i over i ~> j.
+
+    Reversing every arrow negates xi and turns each path i ~> j into j ~> i,
+    so zeta_i is eta_i read off -xi.
+    """
     datum = quiver.datum
     xi = make_height_function(quiver, i, 0)
-    dist = [datum.distance(i, j) for j in datum.vertices]
-    eta = tuple(int(h == d) for h, d in zip(xi, dist))
-    zeta = tuple(int(-h == d) for h, d in zip(xi, dist))
-    return eta, zeta
+    return eta_from_heights(datum, xi, i), eta_from_heights(datum, [-h for h in xi], i)
 
 
 def check_height_function(quiver: DynkinQuiver, xi) -> None:

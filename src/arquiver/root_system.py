@@ -12,6 +12,7 @@ alpha_n = e_{n-1} + e_n in the usual orthonormal coordinates.
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -73,6 +74,16 @@ class CartanDatum(_CartanFields):
         return {i: tuple(sorted(js)) for i, js in table.items()}
 
     @cached_property
+    def neighbor_index(self) -> dict[int, tuple[int, ...]]:
+        """Vertex -> its neighbours' 0-based coordinates; letter 0 or -1 finds no key."""
+        return {i: tuple(j - 1 for j in js) for i, js in self.neighbor_table.items()}
+
+    @cached_property
+    def edge_index(self) -> tuple[tuple[int, int], ...]:
+        """The diagram edges as pairs of 0-based coordinates."""
+        return tuple((i - 1, j - 1) for i, j in self.edges)
+
+    @cached_property
     def distance_table(self) -> dict[int, dict[int, int]]:
         """Vertex -> {vertex: graph distance}, by breadth-first search."""
         dist: dict[int, dict[int, int]] = {}
@@ -121,28 +132,43 @@ class CartanDatum(_CartanFields):
 
     def pairing(self, a: Root, b: Root) -> int:
         """Symmetric bilinear form (a, b) induced by the Cartan matrix."""
-        total = 2 * sum(x * y for x, y in zip(a, b))
-        for i, j in self.edges:
-            total -= a[i - 1] * b[j - 1] + a[j - 1] * b[i - 1]
+        if len(a) != self.rank or len(b) != self.rank:
+            raise RootSystemError(f"cannot pair {a} with {b} in rank {self.rank}")
+        total = 2 * sum(map(operator.mul, a, b))
+        for i, j in self.edge_index:
+            total -= a[i] * b[j] + a[j] * b[i]
         return total
 
 
-def _as_signed(root: Root | SignedRoot) -> SignedRoot:
-    if len(root) == 2 and isinstance(root[1], tuple):
-        return root  # type: ignore[return-value]
-    return (1, root)  # type: ignore[return-value]
+def _bad_letter(datum: CartanDatum, i: object) -> RootSystemError:
+    return RootSystemError(f"letter {i!r} is not a vertex in 1..{datum.rank}")
+
+
+def _as_signed(datum: CartanDatum, root: Root | SignedRoot) -> SignedRoot:
+    """(sign, coeffs) of a bare or signed root whose coeffs have rank entries."""
+    sign, coeffs = root if len(root) == 2 and isinstance(root[1], tuple) else (1, root)
+    if len(coeffs) != datum.rank:
+        raise RootSystemError(f"{coeffs} has {len(coeffs)} coefficients, rank is {datum.rank}")
+    return sign, coeffs  # type: ignore[return-value]
 
 
 def reflect(datum: CartanDatum, i: int, root: Root | SignedRoot) -> SignedRoot:
-    """Apply the simple reflection s_i to a (signed) root."""
-    sign, coeffs = _as_signed(root)
-    # <alpha_i^vee, beta> = 2 c_i - sum of c_j over the neighbours j of i
-    pair = 2 * coeffs[i - 1] - sum(coeffs[j - 1] for j in datum.neighbor_table[i])
+    """Apply the simple reflection s_i to a (signed) root.
+
+    Coordinate i becomes the sum of its neighbours minus itself; a negative
+    one negates the vector and flips the sign (only coordinate i moves, and a
+    root is never mixed-sign).  ``apply_word`` runs this rule once per letter.
+    """
+    sign, coeffs = _as_signed(datum, root)
+    neighbors = datum.neighbor_index.get(i)
+    if neighbors is None:
+        raise _bad_letter(datum, i)
     out = list(coeffs)
-    out[i - 1] -= pair
-    # only coordinate i moved off a non-negative vector, and a root is never
-    # mixed-sign: the image is negative exactly when that coordinate is
-    if out[i - 1] < 0:
+    value = -out[i - 1]
+    for j in neighbors:
+        value += out[j]
+    out[i - 1] = value
+    if value < 0:
         return (-sign, tuple(-c for c in out))
     return (sign, tuple(out))
 
@@ -154,14 +180,20 @@ def apply_word(datum: CartanDatum, word: WeylWord, root: Root | SignedRoot) -> S
     whole word: coordinate i becomes the sum of its neighbours minus itself,
     and a negative coordinate negates the vector and flips the sign.
     """
-    sign, coeffs = _as_signed(root)
+    sign, coeffs = _as_signed(datum, root)
     out = list(coeffs)
-    neighbors = datum.neighbor_table
-    for i in reversed(word):
-        value = sum(out[j - 1] for j in neighbors[i]) - out[i - 1]
-        out[i - 1] = value
-        if value < 0:
-            sign, out = -sign, [-c for c in out]
+    table = datum.neighbor_index
+    try:
+        for i in reversed(word):
+            neighbors = table[i]  # before out[i - 1], which 0 or n + 1 would wrap or overrun
+            value = -out[i - 1]
+            for j in neighbors:
+                value += out[j]
+            out[i - 1] = value
+            if value < 0:
+                sign, out = -sign, [-c for c in out]
+    except KeyError as exc:
+        raise _bad_letter(datum, exc.args[0]) from None
     return (sign, tuple(out))
 
 

@@ -11,6 +11,9 @@ from arquiver.ar_quiver import ARQuiver, ARQuiverError, Coord
 from arquiver.quiver import (
     DynkinQuiver,
     all_orientations,
+    check_height_function,
+    coxeter_word,
+    eta_zeta,
     make_height_function,
     parse_arrow_spec,
 )
@@ -353,6 +356,147 @@ def test_a_kernel_that_never_turns_negative_fails_the_build(monkeypatch, example
         ar_quiver.build(example1_quiver, make_height_function(example1_quiver, 3, 0))
     records = verify._run_orientation_task((4, 0, ("structure",)))
     assert [(r.check_id, r.status) for r in records] == [("build", "fail")]
+
+
+def _reference_build(quiver, xi):
+    """The former body of ``ar_quiver.build`` without validation: each eta_i
+    from its own ``eta_zeta`` height walk."""
+    datum = quiver.datum
+    xi = tuple(xi)
+    check_height_function(quiver, xi)
+    tau = coxeter_word(quiver)
+    root_at, m = {}, []
+    for i in datum.vertices:
+        beta, _ = eta_zeta(quiver, i)
+        p = xi[i - 1]
+        for _ in range(datum.num_positive_roots):  # the most a tau-orbit can hold
+            root_at[(i, p)] = beta
+            sign, image = rs.apply_word(datum, tau, beta)
+            if sign < 0:
+                break
+            p -= 2
+            beta = image
+        else:
+            raise ARQuiverError(
+                f"tau-orbit of level {i} still positive after {datum.num_positive_roots} steps"
+            )
+        m.append((xi[i - 1] - p) // 2)
+    arrows = set()
+    for (i, p) in root_at:
+        for j in datum.neighbors(i):
+            if (j, p + 1) in root_at:
+                arrows.add(((i, p), (j, p + 1)))
+    return ARQuiver(quiver, xi, root_at, frozenset(arrows), tuple(m))
+
+
+@pytest.mark.parametrize(
+    "diagram, rank", [("A", n) for n in range(1, 8)] + [("D", n) for n in range(4, 10)]
+)
+def test_build_equals_its_reference(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    for quiver in all_orientations(datum):
+        xi = make_height_function(quiver, 1, 3)
+        ar, expected = ar_quiver.build(quiver, xi), _reference_build(quiver, xi)
+        assert ar.root_at == expected.root_at
+        assert ar.arrows == expected.arrows
+        assert (ar.m, ar.xi) == (expected.m, expected.xi)
+
+
+def _reference_check_mesh_additivity(ar):
+    """The former body of ``ar_quiver.check_mesh_additivity``, through ``in_arrows``."""
+    for (i, p), root in ar.root_at.items():
+        prev = ar.root_at.get((i, p - 2))
+        if prev is None:
+            continue
+        mesh = [0] * ar.rank
+        for src in ar.in_arrows((i, p)):
+            if (src, (i, p)) not in ar.arrows:
+                continue
+            for idx, c in enumerate(ar.root_at[src]):
+                mesh[idx] += c
+        if tuple(mesh) != tuple(a + b for a, b in zip(root, prev)):
+            return f"mesh fails at ({i},{p})"
+    return None
+
+
+@pytest.mark.parametrize("rank", range(4, 8))
+def test_mesh_check_equals_its_reference(rank):
+    for quiver in all_orientations(CartanDatum("D", rank)):
+        ar = ar_quiver.build(quiver, make_height_function(quiver, rank, 0))
+        assert ar_quiver.check_mesh_additivity(ar) is _reference_check_mesh_additivity(ar) is None
+        if rank > 5:
+            continue
+        coords = sorted(ar.root_at)
+        for k, x in enumerate(coords):
+            for y in coords[k + 1:]:
+                faulted = swapped(ar, x, y)
+                message = ar_quiver.check_mesh_additivity(faulted)
+                assert message == _reference_check_mesh_additivity(faulted), (x, y)
+
+
+def test_mesh_check_counts_only_the_arrows_in_the_quiver(example1_ar):
+    # in_arrows reads the grid; the mesh sums only the sources that ar.arrows holds
+    messages = set()
+    for dropped in sorted(example1_ar.arrows):
+        broken = ARQuiver(example1_ar.quiver, example1_ar.xi, example1_ar.root_at,
+                          example1_ar.arrows - {dropped}, example1_ar.m)
+        message = ar_quiver.check_mesh_additivity(broken)
+        assert message == _reference_check_mesh_additivity(broken), dropped
+        messages.add(message)
+    assert "mesh fails at (2,-1)" in messages
+
+
+def test_mesh_and_arrow_checks_name_a_stray_level(example1_ar):
+    # a vertex at level 0 is outside the diagram: a message, not a KeyError
+    root_at = dict(example1_ar.root_at)
+    root_at[(0, -2)] = root_at[(0, -4)] = (1, 0, 0, 0)
+    stray = ARQuiver(example1_ar.quiver, example1_ar.xi, root_at,
+                     example1_ar.arrows | {((0, -3), (1, -2))}, example1_ar.m)
+    assert ar_quiver.check_mesh_additivity(stray) == "mesh fails at (0,-2)"
+    assert ar_quiver.check_arrow_rule(stray) == "arrow (0, -3)->(1, -2) malformed"
+    assert ar_quiver.check_arrow_rule(stray) == _reference_check_arrow_rule(stray)
+
+
+def _reference_check_arrow_rule(ar):
+    """The former body of ``ar_quiver.check_arrow_rule``, through ``adjacent``/``neighbors``."""
+    for a, b in ar.arrows:
+        if b[1] != a[1] + 1 or not ar.datum.adjacent(a[0], b[0]):
+            return f"arrow {a}->{b} malformed"
+    expected = set()
+    for (i, p) in ar.root_at:
+        for j in ar.datum.neighbors(i):
+            if (j, p + 1) in ar.root_at:
+                expected.add(((i, p), (j, p + 1)))
+    if expected != ar.arrows:
+        extra = ar.arrows - expected
+        missing = expected - ar.arrows
+        return f"arrow set off: extra {sorted(extra)}, missing {sorted(missing)}"
+    return None
+
+
+def _arrow_faults(ar):
+    """ar with one arrow dropped, or with one malformed or stray arrow added."""
+    (i, p), _ = min(ar.arrows)
+    far = next(j for j in ar.datum.vertices if abs(i - j) > 1 and not ar.datum.adjacent(i, j))
+    j = ar.datum.neighbors(i)[0]
+    added = [((i, p), (i, p + 1)), ((i, p), (far, p + 1)), ((i, p), (0, p + 1)),
+             ((i, p), (j, p + 3)), ((99, p), (i, p + 1)), ((i, p + 100), (j, p + 101))]
+    for arrows in [ar.arrows - {arrow} for arrow in sorted(ar.arrows)] + [
+        ar.arrows | {arrow} for arrow in added
+    ]:
+        yield ARQuiver(ar.quiver, ar.xi, ar.root_at, frozenset(arrows), ar.m)
+
+
+@pytest.mark.parametrize("diagram, rank", [("A", 4), ("D", 4), ("D", 5), ("D", 6), ("D", 7)])
+def test_arrow_rule_equals_its_reference(diagram, rank):
+    for quiver in all_orientations(CartanDatum(diagram, rank)):
+        ar = ar_quiver.build(quiver, make_height_function(quiver, rank, 0))
+        assert ar_quiver.check_arrow_rule(ar) is _reference_check_arrow_rule(ar) is None
+        if rank > 5:
+            continue
+        for faulted in _arrow_faults(ar):
+            message = ar_quiver.check_arrow_rule(faulted)
+            assert message is not None and message == _reference_check_arrow_rule(faulted)
 
 
 def test_json_roundtrip(example1_ar):

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arquiver import root_system as rs
+from arquiver.orders import order_from_word
 from arquiver.quiver import all_orientations, coxeter_word
 from arquiver.root_system import CartanDatum, EpsilonForm, RootSystemError
 
@@ -105,7 +108,7 @@ def test_apply_word_examples(d4):
 
 def _reference_apply_word(datum, word, root):
     """The former body of ``rs.apply_word``: one ``reflect`` per letter."""
-    current = rs._as_signed(root)
+    current = rs._as_signed(datum, root)
     for i in reversed(word):
         current = rs.reflect(datum, i, current)
     return current
@@ -123,6 +126,72 @@ def test_apply_word_equals_one_reflect_per_letter(diagram, rank):
             for given_as in (root, (1, root), (-1, root)):
                 expected = _reference_apply_word(datum, word, given_as)
                 assert rs.apply_word(datum, word, given_as) == expected
+
+
+D4 = CartanDatum("D", 4)
+E1_MINUS_E2 = (1, 0, 0, 0)
+W0_D4 = (1, 2, 3, 1, 2, 4, 1, 2, 3, 1, 2, 4)  # a reduced word of the longest element
+
+
+_BAD_CALLS = {
+    "apply_word-letter-0": (
+        lambda: rs.apply_word(D4, (0,), E1_MINUS_E2), "letter 0 is not a vertex in 1..4"
+    ),
+    # letter 0 must not wrap round to coordinate 4 and act as s_4
+    "apply_word-letter-0-on-alpha4": (
+        lambda: rs.apply_word(D4, (0,), D4.simple_root(4)), "letter 0 is not"
+    ),
+    "apply_word-letter-minus-1": (
+        lambda: rs.apply_word(D4, (2, -1), E1_MINUS_E2), "letter -1 is not"
+    ),
+    "apply_word-letter-5": (lambda: rs.apply_word(D4, (5, 1), E1_MINUS_E2), "letter 5 is not"),
+    "is_reduced-letter-9": (lambda: rs.is_reduced(D4, (1, 9)), "letter 9 is not"),
+    "reflect-letter-5": (lambda: rs.reflect(D4, 5, E1_MINUS_E2), "letter 5 is not"),
+    "reflect-letter-0": (lambda: rs.reflect(D4, 0, E1_MINUS_E2), "letter 0 is not"),
+    "reflect-letter-minus-1": (lambda: rs.reflect(D4, -1, (-1, E1_MINUS_E2)), "letter -1 is not"),
+    "apply_word-short-root": (
+        lambda: rs.apply_word(D4, (1,), (1, 0, 0)), "has 3 coefficients, rank is 4"
+    ),
+    "apply_word-long-signed-root": (
+        lambda: rs.apply_word(D4, (), (-1, (1, 0, 0, 0, 0))), "has 5 coefficients"
+    ),
+    "reflect-short-root": (lambda: rs.reflect(D4, 1, (1, 0, 0)), "has 3 coefficients"),
+    "pairing-short-right": (lambda: D4.pairing(E1_MINUS_E2, (1, 0, 0)), "cannot pair"),
+    "pairing-both-short": (lambda: D4.pairing((1, 0, 0), (1, 0, 0)), "cannot pair"),
+    "pairing-long-left": (lambda: D4.pairing((1, 0, 0, 0, 0), E1_MINUS_E2), "cannot pair"),
+    "order_from_word-letter-9": (lambda: order_from_word(D4, W0_D4[:11] + (9,)), "no vertex 9"),
+}
+
+
+@pytest.mark.parametrize("call, message", _BAD_CALLS.values(), ids=_BAD_CALLS.keys())
+def test_root_arithmetic_rejects_a_bad_letter_or_length(call, message):
+    with pytest.raises(RootSystemError, match=re.escape(message)):
+        call()
+
+
+def _reference_reflect(datum, i, root):
+    """The former body of ``rs.reflect``, on 1-based neighbours."""
+    sign, coeffs = rs._as_signed(datum, root)
+    # <alpha_i^vee, beta> = 2 c_i - sum of c_j over the neighbours j of i
+    pair = 2 * coeffs[i - 1] - sum(coeffs[j - 1] for j in datum.neighbor_table[i])
+    out = list(coeffs)
+    out[i - 1] -= pair
+    # only coordinate i moved off a non-negative vector, and a root is never
+    # mixed-sign: the image is negative exactly when that coordinate is
+    if out[i - 1] < 0:
+        return (-sign, tuple(-c for c in out))
+    return (sign, tuple(out))
+
+
+@pytest.mark.parametrize(
+    "diagram, rank", [("A", n) for n in range(1, 8)] + [("D", n) for n in range(4, 10)]
+)
+def test_reflect_equals_its_reference(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    for root in sorted(rs.enumerate_positive_roots(datum)):
+        for i in datum.vertices:
+            for given_as in (root, (1, root), (-1, root)):
+                assert rs.reflect(datum, i, given_as) == _reference_reflect(datum, i, given_as)
 
 
 def test_longest_element_negates_with_star(d4):

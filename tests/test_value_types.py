@@ -9,7 +9,7 @@ from arquiver.ar_quiver import SectionalPath, Swing
 from arquiver.orders import PairVerdict, Verdict
 from arquiver.qaffine import ONE, DenominatorPoly, DoreyVerdict, HomTriple, SpectralParam
 from arquiver.quiver import DynkinQuiver
-from arquiver.root_system import CartanDatum, EpsilonForm
+from arquiver.root_system import CartanDatum, EpsilonForm, reflect
 from arquiver.verify import CheckRecord
 
 D4 = CartanDatum("D", 4)
@@ -49,6 +49,10 @@ def test_value_semantics_the_named_tuples_keep():
     forms = [EpsilonForm(a, b) for a, b in [(2, -3), (1, 4), (2, 3), (1, -4), (1, 2)]]
     assert sorted(forms) == sorted(forms, key=lambda x: (x.a, x.b_signed))
     datum.distance(1, 5)  # fills the cached tables
+    datum.pairing(datum.simple_root(1), datum.simple_root(2))
+    reflect(datum, 3, datum.simple_root(3))
     copy = pickle.loads(pickle.dumps(datum))
     assert copy == datum and vars(copy) == vars(datum)
-    assert {"edges", "neighbor_table", "distance_table"} <= set(vars(copy))
+    tables = {"edges", "neighbor_table", "distance_table", "neighbor_index", "edge_index"}
+    assert tables <= set(vars(copy))
+    assert reflect(copy, 3, copy.simple_root(4)) == (1, (0, 0, 1, 1, 0))
