@@ -83,7 +83,7 @@ class ARQuiver:
         self.arrows = arrows
         self.m = m
         # tables the orders module fills on first use
-        self.pairs_cache: dict[Root, tuple[tuple[Root, Root], ...]] = {}
+        self.pairs_cache: dict[Root, dict[tuple[Root, Root], Optional[tuple[Root, Root]]]] = {}
         self.oracle_cache: dict[tuple[Root, Root, Root], bool] = {}
         self.readings_cache: dict[str, ConvexOrder] = {}
 

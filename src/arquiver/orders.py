@@ -194,18 +194,37 @@ def commutation_class(datum: CartanDatum, word: WeylWord) -> frozenset[WeylWord]
 
 def pairs_of(ar: ARQuiver, gamma: Root) -> list[tuple[Root, Root]]:
     """All pairs (alpha, beta) with alpha + beta = gamma, alpha first in <=_Q."""
+    return list(_pair_table(ar, gamma))
+
+
+def _pair_table(ar: ARQuiver, gamma: Root) -> dict[tuple[Root, Root], Optional[tuple[Root, Root]]]:
+    """gamma's oriented pairs, in pairs_of order, each mapped to its first dominating
+    pair (c, d), a < c and d < b, or to None; built once into ``ar.pairs_cache`` from
+    the path-order bitsets.  The order is strict, so no pair dominates itself."""
+    table = ar.pairs_cache.get(gamma)
+    if table is not None:
+        return table
     if rs.ht(gamma) < 2:
         raise OrderError("simple roots have no pairs")
-    cached = ar.pairs_cache.get(gamma)
-    if cached is not None:
-        return list(cached)
     sums = rs.root_sums(ar.datum).get(gamma)
     if sums is None:
         raise OrderError(f"{gamma} is not a positive root")
     pairs = [orient_pair(ar, alpha, beta) for alpha, beta in sums]
     pairs.sort(key=lambda ab: ar.coord_of(ab[0]))
-    ar.pairs_cache[gamma] = tuple(pairs)
-    return pairs
+    _, bit, below = ar._path_order
+    table = ar.pairs_cache[gamma] = {
+        (a, b): next(((c, d) for c, d in pairs if bit[a] & below[c] and bit[d] & below[b]), None)
+        for a, b in pairs
+    }
+    return table
+
+
+def in_pair_table(ar: ARQuiver, gamma: Root, pair) -> bool:
+    """Whether ``pair``, in the order given, is in gamma's filled pair table."""
+    try:
+        return tuple(pair) in ar.pairs_cache.get(gamma, ())
+    except TypeError:  # a list is no key; the sum check turns it away
+        return False
 
 
 def all_pairs(ar: ARQuiver) -> Iterator[tuple[Root, tuple[Root, Root]]]:
@@ -232,16 +251,13 @@ def orient_pair(ar: ARQuiver, alpha: Root, beta: Root) -> tuple[Root, Root]:
 
 def classify_pair(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> PairVerdict:
     """Dominance test: a pair is non-minimal iff another pair of gamma nests
-    strictly inside it in the path order (alpha < alpha' and beta' < beta)."""
-    alpha, beta = _check_pair(ar, gamma, pair)
-    for other_alpha, other_beta in pairs_of(ar, gamma):
-        if (other_alpha, other_beta) == (alpha, beta):
-            continue
-        if ar.prec(alpha, other_alpha) and ar.prec(other_beta, beta):
-            return PairVerdict(
-                gamma, alpha, beta, Verdict.NON_MINIMAL,
-                witness=(other_alpha, other_beta),
-            )
+    strictly inside it in the path order (alpha < alpha' and beta' < beta).
+    A pair gamma's table holds, in its order, is not checked again; the
+    witness is read off the table."""
+    alpha, beta = pair if in_pair_table(ar, gamma, pair) else _check_pair(ar, gamma, pair)
+    witness = _pair_table(ar, gamma)[alpha, beta]
+    if witness is not None:
+        return PairVerdict(gamma, alpha, beta, Verdict.NON_MINIMAL, witness=witness)
     tag = _minimality_tag(ar, gamma, (alpha, beta))
     return PairVerdict(gamma, alpha, beta, Verdict.MINIMAL, order_tag=tag)
 

@@ -341,9 +341,10 @@ def star_map(n: int, level: int, param: SpectralParam) -> tuple[int, SpectralPar
 def pair_to_triple(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> HomTriple:
     """Candidate hom data of a pair: (level, (-q)^column) of beta, alpha, gamma."""
     alpha, beta = pair
-    if tuple(a + b for a, b in zip(alpha, beta)) != tuple(gamma):
-        raise QAffineError(f"{alpha} + {beta} != {gamma}")
-    alpha, beta = orders.orient_pair(ar, alpha, beta)
+    if not orders.in_pair_table(ar, gamma, pair):
+        if tuple(a + b for a, b in zip(alpha, beta)) != tuple(gamma):
+            raise QAffineError(f"{alpha} + {beta} != {gamma}")
+        alpha, beta = orders.orient_pair(ar, alpha, beta)
     bi, bp = ar.coord_of(beta)
     ai, ap = ar.coord_of(alpha)
     gi, gp = ar.coord_of(gamma)

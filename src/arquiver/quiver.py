@@ -177,17 +177,6 @@ def eta_from_heights(datum: CartanDatum, xi, i: int) -> Root:
     return tuple(int(h - top == dist[j]) for j, h in enumerate(xi, 1))
 
 
-def eta_zeta(quiver: DynkinQuiver, i: int) -> tuple[Root, Root]:
-    """eta_i sums alpha_j over j with a path j ~> i, zeta_i over i ~> j.
-
-    Reversing every arrow negates xi and turns each path i ~> j into j ~> i,
-    so zeta_i is eta_i read off -xi.
-    """
-    datum = quiver.datum
-    xi = make_height_function(quiver, i, 0)
-    return eta_from_heights(datum, xi, i), eta_from_heights(datum, [-h for h in xi], i)
-
-
 def check_height_function(quiver: DynkinQuiver, xi) -> None:
     if len(xi) != quiver.datum.rank:
         raise QuiverError("height function has wrong length")

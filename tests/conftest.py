@@ -1,8 +1,85 @@
 import pytest
 
-from arquiver import ar_quiver
-from arquiver.quiver import make_height_function, parse_arrow_spec
-from arquiver.root_system import CartanDatum
+from arquiver import ar_quiver, orders
+from arquiver import root_system as rs
+from arquiver.orders import OrderError, Verdict
+from arquiver.quiver import (
+    DynkinQuiver,
+    all_orientations,
+    eta_from_heights,
+    make_height_function,
+    parse_arrow_spec,
+)
+from arquiver.root_system import CartanDatum, Root
+
+
+def eta_zeta(quiver: DynkinQuiver, i: int) -> tuple[Root, Root]:
+    """eta_i sums alpha_j over j with a path j ~> i, zeta_i over i ~> j.
+
+    Reversing every arrow negates xi and turns each path i ~> j into j ~> i,
+    so zeta_i is eta_i read off -xi.
+    """
+    datum = quiver.datum
+    xi = make_height_function(quiver, i, 0)
+    return eta_from_heights(datum, xi, i), eta_from_heights(datum, [-h for h in xi], i)
+
+
+def _every_orientation(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    for quiver in all_orientations(datum):
+        yield ar_quiver.build(quiver, make_height_function(quiver, rank, 0))
+
+
+def _reference_minimal_wrt(order, pair, gamma):
+    """The former minimal_wrt, sorting positions through order.index."""
+    alpha, beta = pair
+    lo, hi = sorted((order.index(alpha), order.index(beta)))
+    mid = order.index(gamma)
+    for other in rs.root_sums(order.datum)[gamma]:
+        x, y = sorted(map(order.index, other))
+        if lo < x < mid < y < hi:
+            return False
+    return True
+
+
+def _reference_minimality_tag(ar, gamma, pair):
+    if ar.datum.diagram_type != "D":
+        return None
+    for tag in orders.STRATEGIES:
+        order = orders.canonical_reading(ar, tag)
+        if _reference_minimal_wrt(order, pair, gamma):
+            return tag
+    return None
+
+
+def _reference_pairs_of(ar, gamma):
+    """The former pairs_of without its cache: each pair oriented through two
+    prec calls."""
+    if rs.ht(gamma) < 2:
+        raise OrderError("simple roots have no pairs")
+    sums = rs.root_sums(ar.datum).get(gamma)
+    if sums is None:
+        raise OrderError(f"{gamma} is not a positive root")
+    pairs = [orders.orient_pair(ar, alpha, beta) for alpha, beta in sums]
+    pairs.sort(key=lambda ab: ar.coord_of(ab[0]))
+    return pairs
+
+
+def _reference_classify_pair(ar, gamma, pair):
+    """The former classify_pair: it scans every other pair of gamma through
+    prec and tags through the former minimal_wrt."""
+    alpha, beta = orders._check_pair(ar, gamma, pair)
+    for other_alpha, other_beta in _reference_pairs_of(ar, gamma):
+        if (other_alpha, other_beta) == (alpha, beta):
+            continue
+        if ar.prec(alpha, other_alpha) and ar.prec(other_beta, beta):
+            return orders.PairVerdict(
+                gamma, alpha, beta, Verdict.NON_MINIMAL,
+                witness=(other_alpha, other_beta),
+            )
+    tag = _reference_minimality_tag(ar, gamma, (alpha, beta))
+    return orders.PairVerdict(gamma, alpha, beta, Verdict.MINIMAL, order_tag=tag)
+
 
 # The running example: D4 with arrows 2>1, 3>2, 2>4 and xi_3 = 0.
 EXAMPLE1_ARROWS = "2>1,3>2,2>4"

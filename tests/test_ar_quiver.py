@@ -13,13 +13,12 @@ from arquiver.quiver import (
     all_orientations,
     check_height_function,
     coxeter_word,
-    eta_zeta,
     make_height_function,
     parse_arrow_spec,
 )
 from arquiver.root_system import CartanDatum, EpsilonForm
 
-from conftest import EXAMPLE1_GRID
+from conftest import EXAMPLE1_GRID, eta_zeta
 
 
 def eps_of(ar, coord):

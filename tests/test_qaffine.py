@@ -31,6 +31,8 @@ from arquiver.qaffine import (
 from arquiver.quiver import DynkinQuiver, make_height_function, parse_arrow_spec
 from arquiver.root_system import CartanDatum
 
+from conftest import _every_orientation, _reference_classify_pair
+
 
 def exps(poly):
     return sorted(Fraction(r.p, 2) for r in poly.roots)
@@ -245,6 +247,92 @@ def test_pair_to_triple_example(example1_ar, d4):
     assert verdict.case == "ii"
     with pytest.raises(QAffineError):
         pair_to_triple(example1_ar, gamma, (d4.simple_root(1), d4.simple_root(2)))
+
+
+def _reference_pair_to_triple(ar, gamma, pair):
+    """The former pair_to_triple: it checks the sum and orients through prec."""
+    alpha, beta = pair
+    if tuple(a + b for a, b in zip(alpha, beta)) != tuple(gamma):
+        raise QAffineError(f"{alpha} + {beta} != {gamma}")
+    alpha, beta = orders.orient_pair(ar, alpha, beta)
+    bi, bp = ar.coord_of(beta)
+    ai, ap = ar.coord_of(alpha)
+    gi, gp = ar.coord_of(gamma)
+    return HomTriple(bi, mq(bp), ai, mq(ap), gi, mq(gp))
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6])
+def test_pair_to_triple_equals_its_former_body(rank):
+    for ar in _every_orientation("D", rank):
+        sums = [(gamma, pair) for gamma, pairs in rs.root_sums(ar.datum).items() for pair in pairs]
+        # before any pair table is filled, then after all_pairs has filled them all
+        for gamma, pair in sums + list(orders.all_pairs(ar)):
+            for either in (pair, pair[::-1]):
+                expected = _reference_pair_to_triple(ar, gamma, either)
+                assert pair_to_triple(ar, gamma, either) == expected
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+def _bad_pairs(ar):
+    """(what, gamma, pair) inputs that classify_pair and pair_to_triple reject."""
+    d4 = ar.datum
+    a1, a2 = d4.simple_root(1), d4.simple_root(2)
+    theta = rs.parse_root(d4, "e1+e2")
+    # two comparable roots whose sum is no root
+    low, high = next(
+        (a, b) for a in sorted(ar.phi) for b in sorted(ar.phi)
+        if ar.prec(a, b) and tuple(map(sum, zip(a, b))) not in ar.phi
+    )
+    return [
+        ("wrong sum", theta, (a1, a2)),
+        ("wrong sum of list roots", theta, (list(a1), list(a2))),
+        ("wrong sum to a list gamma", list(theta), (a1, a2)),
+        ("root outside the quiver", (1, 1, 0, 0), ((2, 0, 0, 0), (-1, 1, 0, 0))),
+        ("simple gamma", a1, ((1, 1, 0, 0), (0, -1, 0, 0))),
+        ("gamma not a root", tuple(map(sum, zip(low, high))), (high, low)),
+    ]
+
+
+def test_bad_pairs_raise_as_the_former_bodies_do(example1_quiver):
+    ar = ar_quiver.build(example1_quiver, make_height_function(example1_quiver, 3, 0))
+    cases = [
+        (orders.classify_pair, _reference_classify_pair),
+        (pair_to_triple, _reference_pair_to_triple),
+    ]
+    for filled in (False, True):
+        if filled:
+            list(orders.all_pairs(ar))
+        for what, gamma, pair in _bad_pairs(ar):
+            for fn, reference in cases:
+                expected = _raised(reference, ar, gamma, pair)
+                assert expected is not None, (what, fn.__name__)
+                assert _raised(fn, ar, gamma, pair) == expected, (what, filled, fn.__name__)
+
+
+def test_a_filled_pair_table_orients_its_own_pairs_without_prec(monkeypatch, example1_quiver):
+    ar = ar_quiver.build(example1_quiver, make_height_function(example1_quiver, 3, 0))
+    pairs = list(orders.all_pairs(ar))
+    for tag in orders.STRATEGIES:
+        orders.canonical_reading(ar, tag)
+    calls = []
+    prec = ar_quiver.ARQuiver.prec
+    monkeypatch.setattr(
+        ar_quiver.ARQuiver, "prec", lambda self, a, b: calls.append((a, b)) or prec(self, a, b)
+    )
+    for gamma, pair in pairs:
+        # a reversed pair is checked as before: orient_pair, once in each function
+        for either, most in ((pair, 0), (pair[::-1], 4)):
+            calls.clear()
+            assert orders.classify_pair(ar, gamma, either).alpha == pair[0]
+            assert pair_to_triple(ar, gamma, either).j == ar.coord_of(pair[0])[0]
+            assert len(calls) <= most, (gamma, either)
 
 
 def _with_zero(monkeypatch, levels, zero):

@@ -11,12 +11,13 @@ from arquiver.quiver import (
     all_orientations,
     classify_vertex,
     coxeter_word,
-    eta_zeta,
     is_adapted,
     make_height_function,
     parse_arrow_spec,
 )
 from arquiver.root_system import CartanDatum
+
+from conftest import eta_zeta
 
 
 def test_classify_example1(example1_quiver):
