@@ -334,6 +334,64 @@ def test_unwritable_verify_json_fails_before_the_sweep(monkeypatch, capsys):
     assert code == 2 and err.startswith("error: cannot write") and out == ""
 
 
+PINS = Path(__file__).parent / "cli_pins"
+D1_TRIPLE = ["dorey", "--family", "D1", "--rank", "4", "--triple"]
+D2_DENOM = ["denom", "--family", "D2", "--rank", "4", "-k", "1", "-l", "4"]
+PINNED = {
+    "roots-D4": ["roots", "--type", "D", "--rank", "4"],
+    "roots-A3": ["roots", "--type", "A", "--rank", "3"],
+    "build": ["build", *EX1],
+    "build-dot": ["build", *EX1, "--format", "dot"],
+    "order-U1": ["order", *EX1, "--strategy", "u1"],
+    "order-L2": ["order", *EX1, "--strategy", "L2"],
+    "pairs-e1+e2": ["pairs", *EX1, "--gamma", "e1+e2"],
+    "pairs-angle": ["pairs", *EX1, "--gamma", "<1,-4>"],
+    "denom-D1": ["denom", "--family", "D1", "--rank", "4", "-k", "2", "-l", "2"],
+    "denom-D1-at": ["denom", "--family", "D1", "--rank", "4", "-k", "2", "-l", "2",
+                    "--at", "(-q)^4"],
+    "denom-D2-at": [*D2_DENOM, "--at=-i*(-q^2)^{5/2}"],
+    "dorey-D1-yes": [*D1_TRIPLE, "(3,-4);(3,-2);(2,-3)"],
+    "dorey-D1-no": [*D1_TRIPLE, "(1,0);(1,0);(2,0)"],
+    "dorey-D2": ["dorey", "--family", "D2", "--rank", "3",
+                 "--triple", "(1,(-q^2)^{-1/2});(1,(-q^2)^{1/2});(2,0)"],
+}
+PINNED.update({f"{name}-json": [*argv, "--format", "json"]
+               for name, argv in list(PINNED.items()) if name != "build-dot"})
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_output_bytes_are_pinned(tmp_path, capsys, name):
+    # the whole stdout of each command and format, JSON key order and indent included
+    argv = PINNED[name]
+    expected = (PINS / f"{name}.txt").read_text()
+    assert run(capsys, argv) == (0, expected, "")
+    path = tmp_path / "out.txt"
+    assert run(capsys, [*argv, "--out", str(path)]) == (0, "", "")
+    assert path.read_text() == expected
+
+
+def test_text_output_loads_no_json_and_no_query_loads_fractions():
+    text = [argv for name, argv in PINNED.items() if not name.endswith("-json")]
+    json_queries = [argv for name, argv in PINNED.items() if name.endswith("-json")]
+    code = (
+        "import sys\n"
+        "from arquiver.cli import main\n"
+        f"for argv in {text!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert main(['verify', '--rank-max', '4', '--suite', 'structure']) == 0\n"
+        "print(sorted({'json', 'fractions'} & set(sys.modules)), file=sys.stderr)\n"
+        f"for argv in {json_queries!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted({'json', 'fractions'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n['json']\n"
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
