@@ -6,11 +6,11 @@ import argparse
 import os
 import re
 import sys
+from functools import partial
 
 from . import __version__, ar_quiver, orders, qaffine, verify
 from . import root_system as rs
 from .quiver import (
-    DynkinQuiver,
     QuiverError,
     make_height_function,
     parse_arrow_spec,
@@ -52,24 +52,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", help="list the positive roots")
+    p.set_defaults(run=cmd_roots)
     _add_quiver_args(p, need_arrows=False)
     _add_output_args(p)
 
     p = sub.add_parser("build", help="build and render Gamma_Q")
+    p.set_defaults(run=cmd_build)
     _add_quiver_args(p)
     _add_output_args(p, formats=("ascii", "dot", "json"))
 
     p = sub.add_parser("order", help="one of the four canonical convex orders")
+    p.set_defaults(run=cmd_order)
     _add_quiver_args(p)
     p.add_argument("--strategy", type=str.upper, choices=orders.STRATEGIES, required=True)
     _add_output_args(p)
 
     p = sub.add_parser("pairs", help="classify the pairs of a positive root")
+    p.set_defaults(run=cmd_pairs)
     _add_quiver_args(p)
     p.add_argument("--gamma", required=True, help="a root: [..], e1+e2, or <1,-4>")
     _add_output_args(p)
 
     p = sub.add_parser("denom", help="denominator polynomial zeros")
+    p.set_defaults(run=cmd_denom)
     p.add_argument("--family", choices=("D1", "D2"), required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
@@ -78,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
 
     p = sub.add_parser("dorey", help="evaluate a Dorey-rule predicate")
+    p.set_defaults(run=cmd_dorey)
     p.add_argument("--family", choices=("D1", "D2"), required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument(
@@ -89,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
 
     p = sub.add_parser("verify", help="run the exhaustive theorem harness")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--rank-max", type=int, default=4)
     p.add_argument(
         "--suite",
@@ -116,21 +123,11 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _emit_json(payload, out: str | None) -> None:
-    import json
-
-    _emit(json.dumps(payload, indent=2), out)
-
-
-def _quiver_from_args(args) -> tuple[CartanDatum, DynkinQuiver, tuple[int, ...]]:
+def _gamma_q_from_args(args) -> ar_quiver.ARQuiver:
     datum = CartanDatum(args.diagram_type, args.rank)
     quiver = parse_arrow_spec(datum, args.arrows)
-    if args.xi:
-        vertex, value = parse_xi_anchor(args.xi)
-    else:
-        vertex, value = datum.rank, 0
-    xi = make_height_function(quiver, vertex, value)
-    return datum, quiver, xi
+    vertex, value = parse_xi_anchor(args.xi) if args.xi else (datum.rank, 0)
+    return ar_quiver.build(quiver, make_height_function(quiver, vertex, value))
 
 
 # --- ascii rendering of Gamma_Q -------------------------------------------------
@@ -215,154 +212,117 @@ def parse_triple(text: str) -> qaffine.HomTriple:
 
 # --- subcommands ---------------------------------------------------------------------
 
-def cmd_roots(args) -> int:
-    datum = CartanDatum(args.diagram_type, args.rank)
-    roots = sorted(rs.enumerate_positive_roots(datum), key=lambda r: (rs.ht(r), r))
+def _show(args, payload, text: str) -> int:
+    """Print a query's result: its payload under --format json, else its text."""
     if args.format == "json":
-        payload = []
-        for root in roots:
-            entry = {"coeffs": list(root), "ht": rs.ht(root), "mul": rs.mul(root)}
-            if datum.diagram_type == "D":
-                eps = rs.epsilon_form(datum, root)
-                entry["eps"] = [eps.a, eps.b_signed]
-            payload.append(entry)
-        _emit_json(payload, args.out)
-        return 0
-    lines = [f"{len(roots)} positive roots of type {datum.diagram_type}_{datum.rank}"]
-    for root in roots:
-        tag = (
-            f"  {rs.epsilon_form(datum, root)}" if datum.diagram_type == "D" else ""
-        )
-        vec = "[" + ",".join(str(c) for c in root) + "]"
-        lines.append(f"  {vec}{tag}  ht={rs.ht(root)} mul={rs.mul(root)}")
-    _emit("\n".join(lines), args.out)
+        import json
+
+        text = json.dumps(payload, indent=2)
+    _emit(text, args.out)
     return 0
 
 
+def cmd_roots(args) -> int:
+    datum = CartanDatum(args.diagram_type, args.rank)
+    roots = sorted(rs.enumerate_positive_roots(datum), key=lambda r: (rs.ht(r), r))
+    payload = []
+    lines = [f"{len(roots)} positive roots of type {datum.diagram_type}_{datum.rank}"]
+    for root in roots:
+        entry = {"coeffs": list(root), "ht": rs.ht(root), "mul": rs.mul(root)}
+        tag = ""
+        if datum.diagram_type == "D":
+            eps = rs.epsilon_form(datum, root)
+            entry["eps"] = [eps.a, eps.b_signed]
+            tag = f"  {eps}"
+        payload.append(entry)
+        vec = "[" + ",".join(str(c) for c in root) + "]"
+        lines.append(f"  {vec}{tag}  ht={entry['ht']} mul={entry['mul']}")
+    return _show(args, payload, "\n".join(lines))
+
+
 def cmd_build(args) -> int:
-    _, quiver, xi = _quiver_from_args(args)
-    ar = ar_quiver.build(quiver, xi)
-    if args.format == "json":
-        _emit(ar.to_json(), args.out)
-    elif args.format == "dot":
-        _emit(ar.to_dot(), args.out)
-    else:
-        _emit(render_grid(ar), args.out)
+    render = {"ascii": render_grid, "dot": ar_quiver.ARQuiver.to_dot,
+              "json": ar_quiver.ARQuiver.to_json}[args.format]
+    _emit(render(_gamma_q_from_args(args)), args.out)
     return 0
 
 
 def cmd_order(args) -> int:
-    datum, quiver, xi = _quiver_from_args(args)
-    ar = ar_quiver.build(quiver, xi)
+    ar = _gamma_q_from_args(args)
     order = orders.canonical_reading(ar, args.strategy)
-    if args.format == "json":
-        payload = {
-            "strategy": args.strategy,
-            "word": list(order.word),
-            "roots": [rs.format_root(datum, r) for r in order.roots],
-            "coeffs": [list(r) for r in order.roots],
-        }
-        _emit_json(payload, args.out)
-        return 0
-    sequence = " < ".join(rs.format_root(datum, r) for r in order.roots)
+    names = [rs.format_root(ar.datum, r) for r in order.roots]
+    payload = {
+        "strategy": args.strategy,
+        "word": list(order.word),
+        "roots": names,
+        "coeffs": [list(r) for r in order.roots],
+    }
     word = " ".join(f"s{i}" for i in order.word)
-    _emit(f"{sequence}\nword: {word}", args.out)
-    return 0
+    return _show(args, payload, " < ".join(names) + f"\nword: {word}")
 
 
 def cmd_pairs(args) -> int:
-    datum, quiver, xi = _quiver_from_args(args)
-    ar = ar_quiver.build(quiver, xi)
-    gamma = rs.parse_root(datum, args.gamma)
-    results = []
+    ar = _gamma_q_from_args(args)
+    gamma = rs.parse_root(ar.datum, args.gamma)
+    name = partial(rs.format_root, ar.datum)
+    payload, lines = [], []
     for pair in orders.pairs_of(ar, gamma):
-        results.append(orders.classify_pair(ar, gamma, pair))
-    if args.format == "json":
-        payload = []
-        for pv in results:
-            payload.append(
-                {
-                    "gamma": rs.format_root(datum, pv.gamma),
-                    "alpha": rs.format_root(datum, pv.alpha),
-                    "beta": rs.format_root(datum, pv.beta),
-                    "verdict": pv.verdict.value,
-                    "witness": (
-                        [rs.format_root(datum, w) for w in pv.witness]
-                        if pv.witness
-                        else None
-                    ),
-                    "order_tag": pv.order_tag,
-                }
-            )
-        _emit_json(payload, args.out)
-        return 0
-    lines = [f"pairs of {rs.format_root(datum, gamma)}:"]
-    for pv in results:
+        pv = orders.classify_pair(ar, gamma, pair)
+        witness = [name(w) for w in pv.witness] if pv.witness else None
+        payload.append({
+            "gamma": name(pv.gamma),
+            "alpha": name(pv.alpha),
+            "beta": name(pv.beta),
+            "verdict": pv.verdict.value,
+            "witness": witness,
+            "order_tag": pv.order_tag,
+        })
         extra = ""
-        if pv.witness:
-            a, b = pv.witness
-            extra = (
-                f"  dominated by ({rs.format_root(datum, a)}, {rs.format_root(datum, b)})"
-            )
+        if witness:
+            extra = f"  dominated by ({', '.join(witness)})"
         elif pv.order_tag:
             extra = f"  minimal under {pv.order_tag}"
-        lines.append(
-            f"  ({rs.format_root(datum, pv.alpha)}, {rs.format_root(datum, pv.beta)})"
-            f"  {pv.verdict.value}{extra}"
-        )
-    _emit("\n".join(lines), args.out)
-    return 0
+        lines.append(f"  ({name(pv.alpha)}, {name(pv.beta)})  {pv.verdict.value}{extra}")
+    return _show(args, payload, "\n".join([f"pairs of {name(gamma)}:", *lines]))
 
 
 def cmd_denom(args) -> int:
     fn = qaffine.denom_D1 if args.family == "D1" else qaffine.denom_D2
     poly = fn(args.rank, args.k, args.l)
-    at = qaffine.parse_param(args.at) if args.at else None
-    if args.format == "json":
-        payload = {
-            "family": args.family,
-            "rank": args.rank,
-            "k": args.k,
-            "l": args.l,
-            "factors": [{"u": r.u, "p": r.p} for r in poly.roots],
-        }
-        if at is not None:
-            payload["at"] = {"u": at.u, "p": at.p}
-            payload["multiplicity"] = poly.zero_multiplicity(at)
-        _emit_json(payload, args.out)
-        return 0
+    payload = {
+        "family": args.family,
+        "rank": args.rank,
+        "k": args.k,
+        "l": args.l,
+        "factors": [{"u": r.u, "p": r.p} for r in poly.roots],
+    }
     lines = [
         f"d_{{{args.k},{args.l}}} for {args.family} rank {args.rank}: "
-        f"{len(poly.roots)} zeros"
+        f"{len(poly.roots)} zeros",
+        *(f"  z = {root}" for root in poly.roots),
     ]
-    for root in poly.roots:
-        lines.append(f"  z = {root}")
-    if at is not None:
-        lines.append(f"multiplicity at {at}: {poly.zero_multiplicity(at)}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    if args.at:
+        at = qaffine.parse_param(args.at)
+        payload["at"] = {"u": at.u, "p": at.p}
+        payload["multiplicity"] = poly.zero_multiplicity(at)
+        lines.append(f"multiplicity at {at}: {payload['multiplicity']}")
+    return _show(args, payload, "\n".join(lines))
 
 
 def cmd_dorey(args) -> int:
     triple = parse_triple(args.triple)
-    if args.family == "D1":
-        verdict = qaffine.dorey_D1(args.rank, triple)
-    else:
-        verdict = qaffine.dorey_D2(args.rank, triple)
-    if args.format == "json":
-        payload = {
-            "family": args.family,
-            "rank": args.rank,
-            "admissible": verdict.admissible,
-            "case": verdict.case,
-            "exhaustive": verdict.exhaustive,
-        }
-        _emit_json(payload, args.out)
-        return 0
+    rule = qaffine.dorey_D1 if args.family == "D1" else qaffine.dorey_D2
+    verdict = rule(args.rank, triple)
+    payload = {
+        "family": args.family,
+        "rank": args.rank,
+        "admissible": verdict.admissible,
+        "case": verdict.case,
+        "exhaustive": verdict.exhaustive,
+    }
     note = "" if verdict.exhaustive else "  (one-way rule: no means unknown)"
     answer = f"yes, case ({verdict.case})" if verdict.admissible else "no"
-    _emit(answer + note, args.out)
-    return 0
+    return _show(args, payload, answer + note)
 
 
 def cmd_verify(args) -> int:
@@ -385,22 +345,16 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-COMMANDS = {
-    "roots": cmd_roots,
-    "build": cmd_build,
-    "order": cmd_order,
-    "pairs": cmd_pairs,
-    "denom": cmd_denom,
-    "dorey": cmd_dorey,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except (CliError, QuiverError, RootSystemError, qaffine.QAffineError,
             orders.OrderError, ar_quiver.ARQuiverError, verify.VerifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -140,10 +140,6 @@ class CartanDatum(_CartanFields):
         return total
 
 
-def _bad_letter(datum: CartanDatum, i: object) -> RootSystemError:
-    return RootSystemError(f"letter {i!r} is not a vertex in 1..{datum.rank}")
-
-
 def _as_signed(datum: CartanDatum, root: Root | SignedRoot) -> SignedRoot:
     """(sign, coeffs) of a bare or signed root whose coeffs have rank entries."""
     sign, coeffs = root if len(root) == 2 and isinstance(root[1], tuple) else (1, root)
@@ -153,32 +149,16 @@ def _as_signed(datum: CartanDatum, root: Root | SignedRoot) -> SignedRoot:
 
 
 def reflect(datum: CartanDatum, i: int, root: Root | SignedRoot) -> SignedRoot:
-    """Apply the simple reflection s_i to a (signed) root.
-
-    Coordinate i becomes the sum of its neighbours minus itself; a negative
-    one negates the vector and flips the sign (only coordinate i moves, and a
-    root is never mixed-sign).  ``apply_word`` runs this rule once per letter.
-    """
-    sign, coeffs = _as_signed(datum, root)
-    neighbors = datum.neighbor_index.get(i)
-    if neighbors is None:
-        raise _bad_letter(datum, i)
-    out = list(coeffs)
-    value = -out[i - 1]
-    for j in neighbors:
-        value += out[j]
-    out[i - 1] = value
-    if value < 0:
-        return (-sign, tuple(-c for c in out))
-    return (sign, tuple(out))
+    """Apply the simple reflection s_i to a (signed) root: ``apply_word`` on one letter."""
+    return apply_word(datum, (i,), root)
 
 
 def apply_word(datum: CartanDatum, word: WeylWord, root: Root | SignedRoot) -> SignedRoot:
     """Apply a product of simple reflections; the last letter acts first.
 
-    The rule of ``reflect`` on one coefficient list and one sign for the
-    whole word: coordinate i becomes the sum of its neighbours minus itself,
-    and a negative coordinate negates the vector and flips the sign.
+    Coordinate i becomes the sum of its neighbours minus itself; a negative
+    one negates the vector and flips the sign (only coordinate i moves, and a
+    root is never mixed-sign).
     """
     sign, coeffs = _as_signed(datum, root)
     out = list(coeffs)
@@ -193,7 +173,8 @@ def apply_word(datum: CartanDatum, word: WeylWord, root: Root | SignedRoot) -> S
             if value < 0:
                 sign, out = -sign, [-c for c in out]
     except KeyError as exc:
-        raise _bad_letter(datum, exc.args[0]) from None
+        letter = exc.args[0]
+        raise RootSystemError(f"letter {letter!r} is not a vertex in 1..{datum.rank}") from None
     return (sign, tuple(out))
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -336,7 +337,6 @@ def test_unwritable_verify_json_fails_before_the_sweep(monkeypatch, capsys):
 
 PINS = Path(__file__).parent / "cli_pins"
 D1_TRIPLE = ["dorey", "--family", "D1", "--rank", "4", "--triple"]
-D2_DENOM = ["denom", "--family", "D2", "--rank", "4", "-k", "1", "-l", "4"]
 PINNED = {
     "roots-D4": ["roots", "--type", "D", "--rank", "4"],
     "roots-A3": ["roots", "--type", "A", "--rank", "3"],
@@ -349,7 +349,8 @@ PINNED = {
     "denom-D1": ["denom", "--family", "D1", "--rank", "4", "-k", "2", "-l", "2"],
     "denom-D1-at": ["denom", "--family", "D1", "--rank", "4", "-k", "2", "-l", "2",
                     "--at", "(-q)^4"],
-    "denom-D2-at": [*D2_DENOM, "--at=-i*(-q^2)^{5/2}"],
+    "denom-D2-at": ["denom", "--family", "D2", "--rank", "4", "-k", "1", "-l", "4",
+                    "--at=-i*(-q^2)^{5/2}"],
     "dorey-D1-yes": [*D1_TRIPLE, "(3,-4);(3,-2);(2,-3)"],
     "dorey-D1-no": [*D1_TRIPLE, "(1,0);(1,0);(2,0)"],
     "dorey-D2": ["dorey", "--family", "D2", "--rank", "3",
@@ -390,6 +391,27 @@ def test_text_output_loads_no_json_and_no_query_loads_fractions():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[]\n['json']\n"
+
+
+@pytest.mark.parametrize(
+    "rank, first_line", [(40, "1560 positive roots of type D_40\n"), (4, None)],
+    ids=["in-print", "in-flush"],
+)
+def test_closed_stdout_exits_2_without_a_traceback(rank, first_line):
+    # D40's 1,560 roots overflow a pipe buffer, so print meets the closed end; D4's 12
+    # stay in the (block-buffered) stdout until the flush, long after the reader has gone
+    src = Path(verify.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arquiver.cli", "roots", "--type", "D", "--rank", str(rank)],
+        cwd=src, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    if first_line:
+        assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert err == "error: cannot write stdout: Broken pipe\n"
 
 
 def test_version(capsys):
