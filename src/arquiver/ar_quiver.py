@@ -54,7 +54,7 @@ class SectionalPath(NamedTuple):
 class Swing(NamedTuple):
     """S-broom into the level-(n-1, n) fork plus the N-broom out of it."""
 
-    shared_index: int
+    shared_index: int  # the a of the one +e_a its roots share, else 0
     s_part: tuple[Coord, ...]
     fork: tuple[Coord, Coord]  # ((n-1, u), (n, u))
     n_part: tuple[Coord, ...]
@@ -218,21 +218,15 @@ class ARQuiver:
         for (kind, fork), s_part in stems.items():
             n_part = stems.get(("N", fork))
             if kind == "S" and n_part is not None:
-                shared = self._swing_shared_index(s_part, fork, n_part)
-                swings.append(Swing(shared, s_part, fork, n_part))
+                shared = {s for s in self.common_summands(s_part + fork + n_part) if s > 0}
+                label = shared.pop() if len(shared) == 1 else 0
+                swings.append(Swing(label, s_part, fork, n_part))
         return tuple(sorted(swings, key=lambda s: s.shared_index))
 
-    def _swing_shared_index(self, s_part, fork, n_part) -> int:
-        common: Optional[set[int]] = None
-        for coord in s_part + fork + n_part:
-            eps = rs.epsilon_form(self.datum, self.root_at[coord])
-            mine = {s for s in eps.summands if s > 0}
-            common = mine if common is None else common & mine
-        if not common or len(common) != 1:
-            raise ARQuiverError(
-                f"swing at fork {fork} shares {sorted(common or ())} summands, expected one"
-            )
-        return common.pop()
+    def common_summands(self, coords) -> set[int]:
+        """The signed epsilon summands (a for e_a, -k for -e_k) of every root at coords."""
+        forms = (set(rs.epsilon_form(self.datum, self.root_at[c])) for c in coords)
+        return set.intersection(*forms)
 
     # --- export ---------------------------------------------------------------
 

@@ -352,8 +352,12 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr, flush=True)
+        except BrokenPipeError:  # stderr is the same closed pipe, as under 2>&1
+            os.dup2(devnull, sys.stderr.fileno())
         return 2
     except (CliError, QuiverError, RootSystemError, qaffine.QAffineError,
             orders.OrderError, ar_quiver.ARQuiverError, verify.VerifyError) as exc:

@@ -211,11 +211,6 @@ def double_zero_set_D1(n: int) -> frozenset[tuple[int, int, int]]:
     return frozenset(out)
 
 
-def double_zero_set_D2(n: int) -> frozenset[tuple[int, int, int]]:
-    """(k, l, s) with a double zero of d_{k,l} at (-q^2)^(s/2): the untwisted rank-(n+1) table."""
-    return double_zero_set_D1(n + 1)
-
-
 # --- Dorey predicates ---------------------------------------------------------
 
 class HomTriple(NamedTuple):

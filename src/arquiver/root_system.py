@@ -220,10 +220,6 @@ def root_sums(datum: CartanDatum) -> MappingProxyType[Root, tuple[tuple[Root, Ro
     return MappingProxyType({gamma: tuple(pairs) for gamma, pairs in table.items()})
 
 
-def is_positive_root(datum: CartanDatum, coeffs: Root) -> bool:
-    return coeffs in enumerate_positive_roots(datum)
-
-
 def ht(root: Root) -> int:
     return sum(root)
 
@@ -273,11 +269,6 @@ class EpsilonForm(NamedTuple):
     def __str__(self) -> str:
         return f"<{self.a},{self.b_signed}>"
 
-    @property
-    def summands(self) -> tuple[int, int]:
-        """Signed summand indices (+a, +-b)."""
-        return (self.a, self.b_signed)
-
 
 def epsilon_coords(datum: CartanDatum, root: Root) -> tuple[int, ...]:
     """Coordinates of a root in the orthonormal e-basis (type D)."""
@@ -326,7 +317,7 @@ def summand_class(datum: CartanDatum, signed_index: int) -> frozenset[Root]:
     return frozenset(
         root
         for root in enumerate_positive_roots(datum)
-        if signed_index in epsilon_form(datum, root).summands
+        if signed_index in epsilon_form(datum, root)
     )
 
 
@@ -347,7 +338,7 @@ def parse_root(datum: CartanDatum, text: str) -> Root:
             raise RootSystemError(
                 f"expected {datum.rank} coefficients, got {len(coeffs)}"
             )
-        if not is_positive_root(datum, coeffs):
+        if coeffs not in enumerate_positive_roots(datum):
             raise RootSystemError(f"{text} is not a positive root")
         return coeffs
     m = _ANGLE_RE.match(text)

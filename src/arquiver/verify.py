@@ -187,13 +187,13 @@ def check_triangle(ar: ARQuiver) -> Optional[str]:
 
 
 def check_swing_shapes(ar: ARQuiver) -> Optional[str]:
-    """n-2 maximal swings; the a-swing holds all e_a carriers."""
+    """n-2 maximal swings, each sharing one +e_a; the a-swing holds all e_a carriers."""
     datum = ar.datum
     n = ar.rank
-    try:
-        swings = ar.swings()
-    except ar_quiver.ARQuiverError as exc:
-        return str(exc)
+    swings = ar.swings()
+    unlabelled = [s.fork for s in swings if not s.shared_index]
+    if unlabelled:
+        return f"swing at fork {unlabelled[0]} shares no single +e_a summand"
     if [s.shared_index for s in swings] != list(range(1, n - 1)):
         return f"swing indices {[s.shared_index for s in swings]} != 1..{n - 2}"
     for swing in swings:
@@ -227,12 +227,8 @@ def check_shallow_paths(ar: ARQuiver) -> Optional[str]:
         levels = [c[0] for c in path.coords]
         if min(levels) != 1:
             return f"shallow {path.kind}-path {path.coords} misses level 1"
-        shared = None
-        for c in path.coords:
-            eps = rs.epsilon_form(datum, ar.root_at[c])
-            mine = {eps.b_signed} if eps.b_signed < 0 else set()
-            shared = mine if shared is None else shared & mine
-        if not shared or len(shared) != 1:
+        shared = {s for s in ar.common_summands(path.coords) if s < 0}
+        if len(shared) != 1:
             return f"shallow path {path.coords} shares no single -e_k summand"
         k = -shared.pop()
         if k > n - 2 + delta:
@@ -275,10 +271,7 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
     down, up = sigma_idx[: valley + 1], sigma_idx[valley:]
     if down != sorted(down, reverse=True) or up != sorted(up):
         return f"sigma indices {sigma_idx} are not reverse-unimodal"
-    try:
-        swings = {s.shared_index: s for s in ar.swings()}
-    except ar_quiver.ARQuiverError as exc:
-        return str(exc)
+    swings = {s.shared_index: s for s in ar.swings()}
     for pos, (p, idx) in enumerate(zip(cols, sigma_idx)):
         if idx not in swings or (n - 1, p) not in swings[idx].coords:
             return f"sigma_{pos + 1} not in its {idx}-swing"
@@ -349,10 +342,7 @@ def check_longest_root(ar: ARQuiver) -> Optional[str]:
     formula = (n - 2, ar.xi[0] - n + (1 if ar.quiver.is_source(1) else 3))
     if coord != formula:
         return f"e_1+e_2 at {coord}, formula gives {formula}"
-    try:
-        swings = {s.shared_index: s for s in ar.swings()}
-    except ar_quiver.ARQuiverError as exc:
-        return str(exc)
+    swings = {s.shared_index: s for s in ar.swings()}
     if 1 not in swings or 2 not in swings:
         return f"swing indices {sorted(swings)} lack 1 or 2"
     gap = abs(swings[1].fork[0][1] - swings[2].fork[0][1])
@@ -630,7 +620,7 @@ GLOBAL_CHECKS = (
     Check("qaffine", check_dorey_ii_in_double_zero),
 )
 
-SUITES = ("structure", "orders", "qaffine")
+SUITES = tuple(dict.fromkeys(check.suite for check in ORIENTATION_CHECKS + GLOBAL_CHECKS))
 
 
 def _run_check(check: Check, rank, orientation, *args) -> CheckRecord:

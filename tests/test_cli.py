@@ -414,6 +414,19 @@ def test_closed_stdout_exits_2_without_a_traceback(rank, first_line):
     assert err == "error: cannot write stdout: Broken pipe\n"
 
 
+def test_closed_stdout_shared_with_stderr_exits_2():
+    # as under `2>&1 | head -1`: the error line meets the closed pipe too, and an
+    # escaping exception would exit 1 (or 120 if the flush at exit failed)
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arquiver.cli", "roots", "--type", "D", "--rank", "40"],
+        cwd=src, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    assert proc.stdout.readline() == "1560 positive roots of type D_40\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 2
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

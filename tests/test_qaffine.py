@@ -18,7 +18,6 @@ from arquiver.qaffine import (
     dorey_D1,
     dorey_D2,
     double_zero_set_D1,
-    double_zero_set_D2,
     mq,
     mq2,
     pair_to_triple,
@@ -180,10 +179,7 @@ def test_denominator_d2_examples():
 
 def test_double_zero_sets():
     assert double_zero_set_D1(4) == {(2, 2, 4)}
-    assert double_zero_set_D2(3) == {(2, 2, 4)}
     assert not any(k == 1 or l == 1 for (k, l, _) in double_zero_set_D1(6))
-    for n in range(3, 9):
-        assert double_zero_set_D1(n + 1) == double_zero_set_D2(n)
 
 
 def test_dorey_d1_examples():

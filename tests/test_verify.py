@@ -10,6 +10,7 @@ import pytest
 from arquiver import ar_quiver, orders, verify
 from arquiver import root_system as rs
 from arquiver.ar_quiver import ARQuiver, ARQuiverError
+from arquiver.cli import build_parser
 from arquiver.quiver import DynkinQuiver, all_orientations, make_height_function
 from arquiver.root_system import CartanDatum
 from arquiver.verify import run_suite
@@ -22,12 +23,18 @@ def test_catalog_contents():
     assert "surj_free_multiplicity" in ids
     assert "non_adapted_word" in ids
     assert len(set(ids)) == len(ids)
+    assert verify.SUITES == ("structure", "orders", "qaffine")
     for check in checks:
         assert check.suite in verify.SUITES
         assert check.fn.__doc__
     declared = sorted(check.fn.__name__ for check in checks)
     defined = sorted(name for name in vars(verify) if name.startswith("check_"))
     assert declared == defined
+    parser = build_parser()
+    for suite in (*verify.SUITES, "all"):
+        assert parser.parse_args(["verify", "--suite", suite]).suite == suite
+    with pytest.raises(SystemExit):
+        parser.parse_args(["verify", "--suite", "global"])
 
 
 def test_run_suite_rank4_all_pass():
