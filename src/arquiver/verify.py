@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import sys
 import time
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 from . import ar_quiver, orders, qaffine
@@ -635,10 +636,15 @@ def _run_check(check: Check, rank, orientation, *args) -> CheckRecord:
     return CheckRecord(check.id, check.suite, rank, orientation, status, message, elapsed)
 
 
+@lru_cache(maxsize=None)
+def _datum_D(rank: int) -> CartanDatum:
+    """One datum per rank and process, so its cached diagram tables are built once."""
+    return CartanDatum("D", rank)
+
+
 def _run_orientation_task(args) -> list[CheckRecord]:
     rank, mask, suites = args
-    datum = CartanDatum("D", rank)
-    quiver = DynkinQuiver.from_bitmask(datum, mask)
+    quiver = DynkinQuiver.from_bitmask(_datum_D(rank), mask)
     xi = make_height_function(quiver, rank, 0)
     spec = quiver.spec_string()
     records = []

@@ -777,3 +777,79 @@ def test_dorey_d2_equals_its_reference():
                 assert _verdict(verdict) == _verdict(_reference_dorey_D2(n, triple)), triple
                 admissible += verdict.admissible
     assert admissible == 249
+
+
+QAFFINE_CHECKS = (
+    verify.check_dorey_d1_coverage,
+    verify.check_star_transport,
+    verify.check_surj_free_multiplicity,
+    verify.check_sectional_commuting,
+)
+
+
+def test_cached_answers_equal_the_bodies(monkeypatch):
+    caches = {"mq": qaffine._mq_int, "star_map": star_map, "dorey_D1": dorey_D1,
+              "dorey_D2": dorey_D2}
+    fed = {name: [] for name in caches}
+    for cache in caches.values():
+        cache.cache_clear()
+    for name, inputs in fed.items():
+        original = getattr(qaffine, name)
+
+        def recorder(*args, original=original, inputs=inputs):
+            inputs.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qaffine, name, recorder)
+    for rank in range(4, 8):
+        for ar in _every_orientation("D", rank):
+            for check in QAFFINE_CHECKS:
+                assert check(ar) is None, (check.__name__, ar.quiver.spec_string())
+    monkeypatch.undo()
+
+    # each distinct input was computed once, and the walk repeats them
+    for name, cache in caches.items():
+        info = cache.cache_info()
+        assert info.misses == info.currsize == len(set(fed[name])), name
+        assert info.hits > info.misses, name
+    assert all(type(e) is int for (e,) in fed["mq"])
+    for (e,) in set(fed["mq"]):
+        assert mq(e) == qaffine._mq_int.__wrapped__(e) == mq(Fraction(e)), e
+    for args in set(fed["star_map"]):
+        assert star_map(*args) == star_map.__wrapped__(*args), args
+    for args in set(fed["dorey_D1"]):
+        assert dorey_D1(*args) == dorey_D1.__wrapped__(*args) == _reference_dorey_D1(*args)
+    for args in set(fed["dorey_D2"]):
+        assert dorey_D2(*args) == dorey_D2.__wrapped__(*args) == _reference_dorey_D2(*args)
+
+
+def test_errors_are_never_cached_or_conflated():
+    assert mq(1) == SpectralParam(4, 2)
+    for exponent in (1.0, 0.5):
+        with pytest.raises(QAffineError, match="must be an int or a Fraction"):
+            mq(exponent)
+    assert mq(True) == mq(1) and mq(Fraction(2)) == mq(2)
+
+    triple = HomTriple(1, mq(-1), 1, mq(1), 2, mq(0))
+    assert dorey_D1(4, triple).admissible
+    with pytest.raises(AttributeError):  # an equal plain tuple is no HomTriple
+        dorey_D1(4, tuple(triple))
+    assert star_map(3, 1, mq(0)) == (1, SQRT_MINUS_ONE)
+    assert type(star_map(3, 1.0, mq(0))[0]) is float  # the body's answer, not the int's
+
+    refused = [
+        (dorey_D1, (4, HomTriple(2, mq(-2), 2, mq(2), 0, mq(0))),
+         r"levels \(2, 2, 0\) out of range 1..4"),
+        (dorey_D1, (4, HomTriple(1, SQRT_MINUS_ONE, 1, mq(0), 2, mq(0))),
+         "is not an integer power of"),
+        (dorey_D1, (3, triple), "untwisted type D needs n >= 4"),
+        (dorey_D2, (3, HomTriple(4, mq(0), 1, mq(0), 1, mq(0))),
+         r"levels \(4, 1, 1\) out of range 1..3"),
+        (dorey_D2, (2, triple), "twisted type D needs n >= 3"),
+        (star_map, (3, 5, mq(0)), "level 5 out of range 1..4"),
+        (star_map, (3, 0, SQRT_MINUS_ONE), "level 0 out of range 1..4"),
+    ]
+    for fn, args, message in refused:
+        raised = [_raised(fn, *args) for _ in range(2)]
+        assert raised[0] == raised[1], (fn.__name__, args)
+        assert raised[0][0] is QAffineError and re.search(message, raised[0][1]), raised[0]

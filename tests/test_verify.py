@@ -85,6 +85,22 @@ def test_pool_is_capped_at_the_orientations(monkeypatch):
     assert report.ok and len(report.records) == 120
 
 
+def test_orientations_of_a_rank_share_one_datum(monkeypatch):
+    # the datum's cached diagram tables are built once per rank, not per orientation
+    seen = []
+    from_bitmask = DynkinQuiver.from_bitmask
+
+    def recording(datum, mask):
+        seen.append(datum)
+        return from_bitmask(datum, mask)
+
+    monkeypatch.setattr(DynkinQuiver, "from_bitmask", recording)
+    assert run_suite(5, suites={"structure"}).ok
+    assert sorted(datum.rank for datum in seen) == [4] * 8 + [5] * 16
+    for rank in (4, 5):
+        assert len({id(datum) for datum in seen if datum.rank == rank}) == 1
+
+
 def test_serial_sweep_loads_no_process_pool():
     code = (
         "import sys, arquiver.cli\n"
