@@ -284,23 +284,28 @@ class ARQuiver:
 
 
 def build(quiver: DynkinQuiver, xi, validate: bool = True) -> ARQuiver:
-    """Knit Gamma_Q from the seeds (i, xi_i) -> eta_i, read off xi, by repeated tau steps."""
+    """Knit Gamma_Q from the seeds (i, xi_i) -> eta_i, read off xi, by repeated tau steps.
+
+    Each tau step walks a root's index through the s_i rows of ``rs.root_table``.
+    """
     datum = quiver.datum
     xi = tuple(xi)
     check_height_function(quiver, xi)
-    tau = coxeter_word(quiver)
+    table = rs.root_table(datum)
+    # tau = s_w1 ... s_wn acts on root indices, its last letter first
+    tau_rows = [table.rows[i - 1] for i in reversed(coxeter_word(quiver))]
     root_at: dict[Coord, Root] = {}
     m = []
     for i in datum.vertices:
-        beta = eta_from_heights(datum, xi, i)
+        k = table.index[eta_from_heights(datum, xi, i)]
         p = xi[i - 1]
         for _ in range(datum.num_positive_roots):  # the most a tau-orbit can hold
-            root_at[(i, p)] = beta
-            sign, image = rs.apply_word(datum, tau, beta)
-            if sign < 0:
+            root_at[(i, p)] = table.roots[k]
+            for row in tau_rows:
+                k = row[k] if k >= 0 else ~row[~k]
+            if k < 0:
                 break
             p -= 2
-            beta = image
         else:
             raise ARQuiverError(
                 f"tau-orbit of level {i} still positive after {datum.num_positive_roots} steps"
@@ -360,8 +365,9 @@ def check_mesh_additivity(ar: ARQuiver) -> Optional[str]:
         mesh = (0,) * ar.rank
         for j in neighbors.get(i, ()):
             src = (j, p - 1)
-            if src in root_at and (src, (i, p)) in arrows:
-                mesh = tuple(map(add, mesh, root_at[src]))
+            summand = root_at.get(src)
+            if summand is not None and (src, (i, p)) in arrows:
+                mesh = tuple(map(add, mesh, summand))
         if mesh != tuple(map(add, root, prev)):
             return f"mesh fails at ({i},{p})"
     return None

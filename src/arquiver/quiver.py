@@ -155,16 +155,23 @@ def is_adapted(word: WeylWord, quiver: DynkinQuiver) -> bool:
 
 
 def coxeter_word(quiver: DynkinQuiver) -> WeylWord:
-    """The source-peeling word: repeatedly remove the smallest current source."""
+    """The source-peeling word: repeatedly remove the smallest current source.
+
+    Peeling a source only changes whether its neighbours are sources (no two
+    adjacent vertices are), so the ready list grows by its remaining ones.
+    """
     datum = quiver.datum
     xi = list(make_height_function(quiver, 1, 0))
     remaining = set(datum.vertices)
+    ready = [i for i in datum.vertices if _is_source(datum, xi, i)]
     word = []
-    while remaining:
-        source = min(i for i in remaining if _is_source(datum, xi, i))
-        word.append(source)
+    while ready:
+        source = min(ready)
+        ready.remove(source)
         remaining.discard(source)
+        word.append(source)
         xi[source - 1] -= 2
+        ready += [j for j in datum.neighbors(source) if j in remaining and _is_source(datum, xi, j)]
     return tuple(word)
 
 

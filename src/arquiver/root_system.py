@@ -8,6 +8,13 @@ coefficient vector never leaves this module.
 Type D uses the enumeration with the path 1 - 2 - ... - (n-2) and both
 n-1 and n attached to n-2, so alpha_i = e_i - e_{i+1} for i <= n-1 and
 alpha_n = e_{n-1} + e_n in the usual orthonormal coordinates.
+
+``root_table`` closes the simple roots under reflections once per datum and
+keeps what the closure computed: the sorted positive roots, their indices and
+each s_i as a row of signed indices.  ``ar_quiver.build`` knits by walking
+those indices, so ``reflect`` and ``apply_word`` run only in the closure and
+for callers outside the knitting; ``verify`` caches ``CartanDatum.pairing``
+per root pair for the arrow check.
 """
 
 from __future__ import annotations
@@ -178,37 +185,66 @@ def apply_word(datum: CartanDatum, word: WeylWord, root: Root | SignedRoot) -> S
     return (sign, tuple(out))
 
 
+class RootTable(NamedTuple):
+    """The positive roots of a datum, sorted, with s_i as index rows.
+
+    rows[i - 1][k] is the signed index of s_i(roots[k]): k' when the image is
+    roots[k'] and ~k' when it is -roots[k'].
+    """
+
+    roots: tuple[Root, ...]
+    index: MappingProxyType[Root, int]
+    rows: tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=None)
-def enumerate_positive_roots(datum: CartanDatum) -> frozenset[Root]:
-    """All positive roots, by closing the simple roots under reflections.
+def root_table(datum: CartanDatum) -> RootTable:
+    """Close the simple roots under reflections, recording every s_i-image.
 
     Breadth-first: starting from the simple roots, keep every s_i-image
     that stays positive.  The result is checked against the classical
     count for the type.
     """
-    found: set[Root] = {datum.simple_root(i) for i in datum.vertices}
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for root in frontier:
-            for i in datum.vertices:
-                sign, image = reflect(datum, i, root)
-                if sign > 0 and image not in found:
-                    found.add(image)
-                    nxt.append(image)
-        frontier = nxt
+    found = [datum.simple_root(i) for i in datum.vertices]  # grows as it is read
+    seen = {root: k for k, root in enumerate(found)}
+    images = []  # images[k][i - 1]: s_i(found[k]) as a signed index into found
+    for root in found:
+        row = []
+        for i in datum.vertices:
+            sign, image = reflect(datum, i, root)
+            k = seen.get(image)
+            if k is None:  # a new positive root: a negative image is -alpha_i, seen already
+                k = seen[image] = len(found)
+                found.append(image)
+            row.append(k if sign > 0 else ~k)
+        images.append(row)
     if len(found) != datum.num_positive_roots:
         raise RootSystemError(
             f"positive-root closure gave {len(found)} roots, "
             f"expected {datum.num_positive_roots}"
         )
-    return frozenset(found)
+    order = sorted(range(len(found)), key=found.__getitem__)
+    position = [0] * len(found)
+    for pos, k in enumerate(order):
+        position[k] = pos
+    rows = tuple(
+        tuple(position[x] if x >= 0 else ~position[~x] for x in column)
+        for column in zip(*(images[k] for k in order))
+    )
+    roots = tuple(found[k] for k in order)
+    return RootTable(roots, MappingProxyType(dict(zip(roots, range(len(roots))))), rows)
+
+
+@lru_cache(maxsize=None)
+def enumerate_positive_roots(datum: CartanDatum) -> frozenset[Root]:
+    """All positive roots, read off the closure in ``root_table``."""
+    return frozenset(root_table(datum).roots)
 
 
 @lru_cache(maxsize=None)
 def root_sums(datum: CartanDatum) -> MappingProxyType[Root, tuple[tuple[Root, Root], ...]]:
     """Positive root gamma -> every unordered pair of positive roots summing to it."""
-    roots = sorted(enumerate_positive_roots(datum))
+    roots = root_table(datum).roots
     # 4 bits per coefficient: coefficients are at most 2, so codes add without carries
     codes = [sum(c << 4 * k for k, c in enumerate(root)) for root in roots]
     by_code = dict(zip(codes, roots))

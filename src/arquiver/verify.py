@@ -110,11 +110,17 @@ def check_simple_root_coords(ar: ARQuiver) -> Optional[str]:
     return None
 
 
+@lru_cache(maxsize=None)
+def _pairing(datum: CartanDatum, head: rs.Root, tail: rs.Root) -> int:
+    """``datum.pairing``, once per root pair: a sweep meets each arrow's pair in many quivers."""
+    return datum.pairing(head, tail)
+
+
 def check_arrow_pairing(ar: ARQuiver) -> Optional[str]:
     """Every arrow's endpoints pair to 1 under the root form."""
     datum = ar.datum
     for src, dst in ar.arrows:
-        value = datum.pairing(ar.root_at[dst], ar.root_at[src])
+        value = _pairing(datum, ar.root_at[dst], ar.root_at[src])
         if value != 1:
             return f"arrow {src}->{dst} has pairing {value}"
     return None

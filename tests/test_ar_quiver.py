@@ -364,16 +364,11 @@ def test_type_a_build_and_guards():
 
 
 def test_a_kernel_that_never_turns_negative_fails_the_build(monkeypatch, example1_quiver):
-    datum = example1_quiver.datum
-    budget = [10 * datum.num_positive_roots]
-
-    def endless(datum, word, root):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise RuntimeError("the knitting loop is unbounded")
-        return (1, root)
-
-    monkeypatch.setattr(ar_quiver.rs, "apply_word", endless)
+    # every s_i row fixes every root, so no tau-orbit ever turns negative
+    table = rs.root_table(example1_quiver.datum)
+    identity = tuple(range(len(table.roots)))
+    endless = table._replace(rows=(identity,) * len(table.rows))
+    monkeypatch.setattr(ar_quiver.rs, "root_table", lambda datum: endless)
     with pytest.raises(ARQuiverError, match="still positive after 12 steps"):
         ar_quiver.build(example1_quiver, make_height_function(example1_quiver, 3, 0))
     records = verify._run_orientation_task((4, 0, ("structure",)))

@@ -244,6 +244,13 @@ def test_height_function_bodies_equal_the_arrow_walks(diagram, rank):
                 assert make_height_function(quiver, i, value) == expected
 
 
+@pytest.mark.parametrize("diagram, rank", [("A", n) for n in range(1, 10)]
+                         + [("D", n) for n in range(4, 11)])
+def test_coxeter_word_equals_its_reference(diagram, rank):
+    for quiver in all_orientations(CartanDatum(diagram, rank)):
+        assert coxeter_word(quiver) == _reference_coxeter_word(quiver)
+
+
 @pytest.mark.parametrize("diagram, rank", PINNED_TYPES)
 def test_is_adapted_equals_the_arrow_walk_on_canonical_words(diagram, rank):
     for quiver in all_orientations(CartanDatum(diagram, rank)):

@@ -403,6 +403,41 @@ def test_root_sums_holds_every_pair_of_summands(diagram, rank):
         assert set(map(frozenset, pairs)) == expected[gamma]
 
 
+def _reference_enumerate_positive_roots(datum):
+    """The former body of ``enumerate_positive_roots``, without the table."""
+    found = {datum.simple_root(i) for i in datum.vertices}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for root in frontier:
+            for i in datum.vertices:
+                sign, image = rs.reflect(datum, i, root)
+                if sign > 0 and image not in found:
+                    found.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    assert len(found) == datum.num_positive_roots
+    return frozenset(found)
+
+
+TABLE_TYPES = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 11)]
+
+
+@pytest.mark.parametrize("diagram, rank", TABLE_TYPES)
+def test_root_table_rows_equal_reflect(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    table = rs.root_table(datum)
+    assert rs.enumerate_positive_roots(datum) == _reference_enumerate_positive_roots(datum)
+    assert table.roots == tuple(sorted(rs.enumerate_positive_roots(datum)))
+    assert dict(table.index) == {root: k for k, root in enumerate(table.roots)}
+    assert len(table.rows) == rank
+    for i, row in zip(datum.vertices, table.rows):
+        assert len(row) == len(table.roots)
+        for root, image in zip(table.roots, row):
+            signed = (1, table.roots[image]) if image >= 0 else (-1, table.roots[~image])
+            assert signed == rs.reflect(datum, i, root)
+
+
 @st.composite
 def signed_roots(draw):
     diagram = draw(st.sampled_from("AD"))

@@ -158,6 +158,41 @@ def test_injected_fault_is_caught(example1_ar):
     assert verify.check_arrow_rule(example1_ar) is None
 
 
+def _reference_check_arrow_pairing(ar):
+    """The former body of ``verify.check_arrow_pairing``, through ``datum.pairing``."""
+    for src, dst in ar.arrows:
+        value = ar.datum.pairing(ar.root_at[dst], ar.root_at[src])
+        if value != 1:
+            return f"arrow {src}->{dst} has pairing {value}"
+    return None
+
+
+@pytest.mark.parametrize("diagram, rank", [("A", n) for n in range(1, 5)] + [("D", 4), ("D", 5)])
+def test_cached_pairing_equals_the_form(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    roots = sorted(rs.enumerate_positive_roots(datum))
+    for a in roots:
+        for b in roots:
+            assert verify._pairing(datum, a, b) == datum.pairing(a, b)
+    for short in ((1,) * (rank - 1), (1,) * (rank + 1)):
+        with pytest.raises(rs.RootSystemError, match="cannot pair"):
+            verify._pairing(datum, short, roots[0])
+        with pytest.raises(rs.RootSystemError, match="cannot pair"):
+            verify._pairing(datum, roots[0], short)
+
+
+def test_arrow_pairing_equals_its_reference(example1_ar):
+    coords = sorted(example1_ar.root_at)
+    tangled = ARQuiver(example1_ar.quiver, example1_ar.xi, example1_ar.root_at,
+                       frozenset((a, b) for a in coords for b in coords), example1_ar.m)
+    message = verify.check_arrow_pairing(tangled)
+    assert message is not None and message == _reference_check_arrow_pairing(tangled)
+    assert verify.check_arrow_pairing(example1_ar) is _reference_check_arrow_pairing(example1_ar)
+    for quiver in all_orientations(CartanDatum("D", 5)):
+        ar = ar_quiver.build(quiver, make_height_function(quiver, 5, 0))
+        assert verify.check_arrow_pairing(ar) is _reference_check_arrow_pairing(ar) is None
+
+
 def test_build_validation_and_structure_suite_share_the_checks(example1_ar):
     assert verify.check_vertex_range is ar_quiver.check_vertex_range
     assert verify.check_nakayama is ar_quiver.check_nakayama
