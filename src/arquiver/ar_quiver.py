@@ -16,7 +16,8 @@ p + l(i), kept when it has two or more members and, in type D, one at a
 level <= n-2.  Two roots count as lying on a common sectional path when one
 maximal broom contains both.  A swing is read off the paths too: the
 S-broom whose tips are the fork (n-1, u), (n, u) plus the N-broom leaving
-that fork.
+that fork.  It is labelled by its size, as the paper describes Gamma_Q: the
+a-swing holds the 2n-a-1 roots with summand +e_a, so a = 2n - 1 - |swing|.
 
 The rest of the paper's description of Gamma_Q (spin-level pairs, triangles,
 the place of e_1+e_2, the sigma/kappa sequences, the non-free window) is
@@ -54,7 +55,7 @@ class SectionalPath(NamedTuple):
 class Swing(NamedTuple):
     """S-broom into the level-(n-1, n) fork plus the N-broom out of it."""
 
-    shared_index: int  # the a of the one +e_a its roots share, else 0
+    shared_index: int  # a = 2n - 1 - len(coords), the +e_a its roots share
     s_part: tuple[Coord, ...]
     fork: tuple[Coord, Coord]  # ((n-1, u), (n, u))
     n_part: tuple[Coord, ...]
@@ -218,15 +219,9 @@ class ARQuiver:
         for (kind, fork), s_part in stems.items():
             n_part = stems.get(("N", fork))
             if kind == "S" and n_part is not None:
-                shared = {s for s in self.common_summands(s_part + fork + n_part) if s > 0}
-                label = shared.pop() if len(shared) == 1 else 0
+                label = 2 * n - 1 - len(s_part + fork + n_part)
                 swings.append(Swing(label, s_part, fork, n_part))
         return tuple(sorted(swings, key=lambda s: s.shared_index))
-
-    def common_summands(self, coords) -> set[int]:
-        """The signed epsilon summands (a for e_a, -k for -e_k) of every root at coords."""
-        forms = (set(rs.epsilon_form(self.datum, self.root_at[c])) for c in coords)
-        return set.intersection(*forms)
 
     # --- export ---------------------------------------------------------------
 

@@ -117,7 +117,7 @@ def _write(path: str, text: str, mode: str = "w") -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         _write(out, text if text.endswith("\n") else text + "\n")
     else:
         print(text)
@@ -327,13 +327,14 @@ def cmd_dorey(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = None if args.suite == "all" else {args.suite}
-    if args.json_out:  # fail before the sweep; never empty an old report or leave a new one
+    # fail before the sweep; never empty an old report or leave a new one
+    if args.json_out is not None:
         existed = os.path.exists(args.json_out)
         _write(args.json_out, "", mode="a")
         if not existed:
             os.remove(args.json_out)
     report = verify.run_suite(args.rank_max, suites=suites, parallelism=args.jobs)
-    if args.json_out:
+    if args.json_out is not None:
         _write(args.json_out, report.to_json())
     for record in report.failures():
         print(

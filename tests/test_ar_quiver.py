@@ -144,12 +144,13 @@ def test_swings_example1(example1_ar):
     assert two.fork == ((3, -2), (4, -2))
 
 
-@pytest.mark.parametrize("stem, labels, longest", [
-    (0, [0, 2, 3], "swing indices [0, 2, 3] lack 1 or 2"),
+@pytest.mark.parametrize("stem, missed, sigma_kappa, longest", [
+    (0, (1, 1, 1, 1, 0), "sum of kappa is not 2*e_1 (epsilon coords (1, 0, 0, 1, 0))", None),
     # (3, -3) is on the 1-swing's S-stem and the 2-swing's N-stem, and holds e_1+e_2
-    (-1, [0, 0, 3], "e_1+e_2 at (5, -8), formula gives (3, -3)"),
+    (-1, (1, 2, 2, 1, 1), "kappa_4 class -5 lies on no single broom",
+     "e_1+e_2 at (5, -8), formula gives (3, -3)"),
 ], ids=["first-stem-root", "stem-root-on-two-swings"])
-def test_a_swing_without_one_shared_summand_is_labelled_0(stem, labels, longest):
+def test_a_swing_that_loses_a_carrier_keeps_its_size_label(stem, missed, sigma_kappa, longest):
     d5 = CartanDatum("D", 5)
     quiver = parse_arrow_spec(d5, "1>2,2>3,3>4,5>3")
     ar = ar_quiver.build(quiver, make_height_function(quiver, 5, 0))
@@ -158,12 +159,12 @@ def test_a_swing_without_one_shared_summand_is_labelled_0(stem, labels, longest)
     off = min(set(ar.root_at) - on_swings)
     assert off == (5, -8)
     faulted = swapped(ar, swings[0].s_part[stem], off)
-    assert [s.shared_index for s in faulted.swings()] == labels
-    assert faulted.swings()[0].fork == ((4, -2), (5, -2))
+    assert [s.shared_index for s in faulted.swings()] == [1, 2, 3]
     assert verify.check_swing_shapes(faulted) == (
-        "swing at fork ((4, -2), (5, -2)) shares no single +e_a summand"
+        f"1-swing misses carriers {{{missed}}} or adds extras"
     )
-    assert verify.check_sigma_kappa(faulted) == "sigma_1 not in its 1-swing"
+    assert verify.check_mesh_additivity(faulted) is not None
+    assert verify.check_sigma_kappa(faulted) == sigma_kappa
     assert verify.check_longest_root(faulted) == longest
 
 

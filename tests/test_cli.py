@@ -324,14 +324,30 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     assert not target.exists()
 
 
-def test_unwritable_verify_json_fails_before_the_sweep(monkeypatch, capsys):
-    def no_sweep(*args, **kwargs):
-        pytest.fail("run_suite ran before the --json path was checked")
+def _no_sweep(*args, **kwargs):
+    pytest.fail("run_suite ran before the --json path was checked")
 
-    monkeypatch.setattr(verify, "run_suite", no_sweep)
+
+def test_unwritable_verify_json_fails_before_the_sweep(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "run_suite", _no_sweep)
     code, out, err = run(
         capsys, ["verify", "--rank-max", "4", "--json", "/nonexistent/r.json"]
     )
+    assert code == 2 and err.startswith("error: cannot write") and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--rank-max", "4", "--json"],
+        ["denom", "--family", "D1", "--rank", "4", "-k", "2", "-l", "2", "--out"],
+    ],
+    ids=["verify-json", "denom-out"],
+)
+def test_empty_output_path_is_unwritable(monkeypatch, capsys, argv):
+    # an empty path is a path that cannot be opened, not a request for stdout
+    monkeypatch.setattr(verify, "run_suite", _no_sweep)
+    code, out, err = run(capsys, [*argv, ""])
     assert code == 2 and err.startswith("error: cannot write") and out == ""
 
 

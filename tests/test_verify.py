@@ -9,7 +9,7 @@ import pytest
 
 from arquiver import ar_quiver, orders, verify
 from arquiver import root_system as rs
-from arquiver.ar_quiver import ARQuiver, ARQuiverError
+from arquiver.ar_quiver import ARQuiver, ARQuiverError, Swing
 from arquiver.cli import build_parser
 from arquiver.quiver import DynkinQuiver, all_orientations, make_height_function
 from arquiver.root_system import CartanDatum
@@ -601,12 +601,107 @@ def test_check_nfree_region_equals_its_former_body(rank):
     assert messages == expected
 
 
+# the former labels of swings and shallow brooms: the summands their roots share
+
+def _reference_summands(ar, coords):
+    """The former ARQuiver.common_summands: signed summands every root at coords has."""
+    return set.intersection(*(set(rs.epsilon_form(ar.datum, ar.root_at[c])) for c in coords))
+
+
+def _reference_swings(ar):
+    """The former ARQuiver._swings: each labelled by its one shared +e_a, else 0."""
+    n = ar.rank
+    stems = {}
+    for path in ar.sectional_paths():
+        fork = tuple(c for c in path.coords if c[0] >= n - 1)
+        if len(fork) == 2:
+            stems[path.kind, fork] = tuple(c for c in path.coords if c[0] <= n - 2)
+    swings = []
+    for (kind, fork), s_part in stems.items():
+        n_part = stems.get(("N", fork))
+        if kind == "S" and n_part is not None:
+            shared = {s for s in _reference_summands(ar, s_part + fork + n_part) if s > 0}
+            label = shared.pop() if len(shared) == 1 else 0
+            swings.append(Swing(label, s_part, fork, n_part))
+    return sorted(swings, key=lambda s: s.shared_index)
+
+
+def _reference_check_swing_shapes(ar):
+    """n-2 maximal swings, each sharing one +e_a; the a-swing holds all e_a carriers."""
+    datum = ar.datum
+    n = ar.rank
+    swings = _reference_swings(ar)
+    unlabelled = [s.fork for s in swings if not s.shared_index]
+    if unlabelled:
+        return f"swing at fork {unlabelled[0]} shares no single +e_a summand"
+    if [s.shared_index for s in swings] != list(range(1, n - 1)):
+        return f"swing indices {[s.shared_index for s in swings]} != 1..{n - 2}"
+    for swing in swings:
+        a = swing.shared_index
+        carriers = set(rs.summand_class(datum, a))
+        members = {ar.root_at[c] for c in swing.coords}
+        if members != carriers:
+            return f"{a}-swing misses carriers {carriers - members} or adds extras"
+        if len(members) != 2 * n - a - 1:
+            return f"{a}-swing has {len(members)} roots, expected {2 * n - a - 1}"
+        if datum.simple_root(a) not in members:
+            return f"{a}-swing does not contain alpha_{a}"
+        s_start = swing.s_part[0][0]
+        n_end = swing.n_part[-1][0]
+        if not ((s_start == a and n_end == 1) or (s_start == 1 and n_end == a)):
+            return f"{a}-swing shape ({s_start}..fork..{n_end}) is not one of the two"
+    return None
+
+
+def _reference_check_shallow_paths(ar):
+    """Shallow maximal paths reach level 1 and share one -e_k."""
+    datum = ar.datum
+    n = ar.rank
+    spin_sinks = ar.quiver.is_sink(n - 1) and ar.quiver.is_sink(n)
+    spin_sources = ar.quiver.is_source(n - 1) and ar.quiver.is_source(n)
+    delta = 1 if (spin_sinks or spin_sources) else 0
+    seen_classes = set()
+    for path in ar.sectional_paths():
+        if not path.shallow:
+            continue
+        levels = [c[0] for c in path.coords]
+        if min(levels) != 1:
+            return f"shallow {path.kind}-path {path.coords} misses level 1"
+        shared = {s for s in _reference_summands(ar, path.coords) if s < 0}
+        if len(shared) != 1:
+            return f"shallow path {path.coords} shares no single -e_k summand"
+        k = -shared.pop()
+        if k > n - 2 + delta:
+            return f"shallow path shares -e_{k}, beyond n-2+{delta}"
+        if k in seen_classes:
+            return f"two shallow paths share -e_{k}"
+        seen_classes.add(k)
+        members = {ar.root_at[c] for c in path.coords}
+        if members != rs.summand_class(datum, -k):
+            return f"shallow -e_{k} path does not hold the whole class"
+    return None
+
+
+@pytest.mark.parametrize("rank", range(4, 10))
+def test_sizes_label_swings_and_shallow_brooms_as_their_shared_summands_do(rank):
+    for ar in _every_d_orientation(rank):
+        swings = ar.swings()
+        assert swings == _reference_swings(ar)
+        assert all(s.shared_index == 2 * rank - 1 - len(s.coords) for s in swings)
+        for path in ar.sectional_paths():
+            if path.shallow:
+                shared = {s for s in _reference_summands(ar, path.coords) if s < 0}
+                assert shared == {-(len(path.coords) + 1)}
+
+
 REWRITTEN = {
     "level_pair_sums": _reference_check_level_pair_sums,
     "triangle": _reference_check_triangle,
     "sigma_kappa": _reference_check_sigma_kappa,
     "longest_root": _reference_check_longest_root,
     "nfree_region": _reference_check_nfree_region,
+    "swing_shapes": _reference_check_swing_shapes,
+    "shallow_paths": _reference_check_shallow_paths,
 }
 
 
