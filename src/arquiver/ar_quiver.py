@@ -4,7 +4,9 @@ The quiver is built by seeding level i at column xi_i with the root eta_i
 and stepping left by the Coxeter transformation tau while the image stays
 positive.  Vertices are coordinates (level, column); the builder records
 the bijection between coordinates and positive roots, the arrow set
-((i,p) -> (j,p+1) for adjacent i,j), and the per-level depths m_i.
+((i,p) -> (j,p+1) for adjacent i,j), and the per-level depths m_i.  The
+path order (``prec``, ``descendants``) and the readings are read from that
+stored arrow set alone.
 
 Maximal sectional paths are modelled as "brooms": a diagonal chain through
 levels <= n-2 together with the spin-level tips it runs into (an S-broom
@@ -118,22 +120,6 @@ class ARQuiver:
         """The other spin index t': {t, t'} = {n-1, n}."""
         return 2 * self.rank - 1 - self.t_index
 
-    def out_arrows(self, coord: Coord) -> list[Coord]:
-        i, p = coord
-        return [
-            (j, p + 1)
-            for j in self.datum.neighbor_table[i]
-            if (j, p + 1) in self.root_at
-        ]
-
-    def in_arrows(self, coord: Coord) -> list[Coord]:
-        i, p = coord
-        return [
-            (j, p - 1)
-            for j in self.datum.neighbor_table[i]
-            if (j, p - 1) in self.root_at
-        ]
-
     # --- reachability / the convex partial order ------------------------------
 
     @cached_property
@@ -142,18 +128,18 @@ class ARQuiver:
 
         Vertex coords[k] owns bit 1 << k, coords running columns descending;
         bit maps each root to its bit and below maps it to the mask of every
-        vertex reachable from it along arrows.  Arrows raise the column, so
-        each down-set is ready before the vertices that point into it.
+        vertex reachable from it along the arrows this quiver stores.  Those
+        arrows must raise the column (``check_arrow_rule`` proves it of a
+        built quiver), so walking them by source column, highest first,
+        finishes each down-set before any arrow into its vertex is read.
         """
-        coords = tuple(sorted(self.root_at, key=lambda c: (-c[1], c[0])))
-        bit = {self.root_at[c]: 1 << k for k, c in enumerate(coords)}
-        below: dict[Root, int] = {}
-        for c in coords:
-            mask = 0
-            for nxt in self.out_arrows(c):
-                root = self.root_at[nxt]
-                mask |= bit[root] | below[root]
-            below[self.root_at[c]] = mask
+        root_at = self.root_at
+        coords = tuple(sorted(root_at, key=lambda c: (-c[1], c[0])))
+        bit = {root_at[c]: 1 << k for k, c in enumerate(coords)}
+        below = dict.fromkeys(bit, 0)
+        for source, target in sorted(self.arrows, key=lambda arrow: -arrow[0][1]):
+            target = root_at[target]
+            below[root_at[source]] |= bit[target] | below[target]
         return coords, bit, below
 
     def descendants(self, coord: Coord) -> frozenset[Coord]:

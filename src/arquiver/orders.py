@@ -4,7 +4,8 @@ A reduced word w = s_{i_1}...s_{i_N} of the longest element induces the
 convex order beta_1 < ... < beta_N with beta_z = s_{i_1}...s_{i_{z-1}}
 alpha_{i_z}.  Readings of Gamma_Q (linear extensions of the arrow-reversed
 reachability order) produce exactly the words of the commutation class of
-the orientation.
+the orientation; ``all_readings`` enumerates them on the path-order bitsets
+of ``ARQuiver``.
 """
 
 from __future__ import annotations
@@ -142,33 +143,25 @@ def all_readings(ar: ARQuiver) -> Iterator[ConvexOrder]:
 
     A reading lists a vertex only after everything reachable from it, so the
     outputs are exactly the linear extensions of the arrow-reversed order.
+    They are enumerated on the path-order bitsets: a vertex is ready once its
+    down-set lies inside the mask of the vertices already read.
     """
-    for coords in _reading_sequences(ar):
-        yield _order_from_reading(ar, coords)
-
-
-def _reading_sequences(ar: ARQuiver) -> Iterator[list[Coord]]:
-    coords = sorted(ar.root_at, key=lambda c: (-c[1], c[0]))
-    blockers = {c: len(ar.out_arrows(c)) for c in coords}
+    coords, _, below = ar._path_order
+    vertices = [(c, 1 << k, below[ar.root_at[c]]) for k, c in enumerate(coords)]
+    everything = (1 << len(coords)) - 1
     sequence: list[Coord] = []
 
-    def emit() -> Iterator[list[Coord]]:
-        if len(sequence) == len(coords):
-            yield list(sequence)
+    def extend(read: int) -> Iterator[ConvexOrder]:
+        if read == everything:
+            yield _order_from_reading(ar, sequence)
             return
-        for c in coords:
-            if blockers[c] == 0:
-                blockers[c] = -1
+        for c, own, down in vertices:
+            if not read & own and down & read == down:
                 sequence.append(c)
-                for b in ar.in_arrows(c):
-                    blockers[b] -= 1
-                yield from emit()
-                for b in ar.in_arrows(c):
-                    blockers[b] += 1
+                yield from extend(read | own)
                 sequence.pop()
-                blockers[c] = 0
 
-    return emit()
+    yield from extend(0)
 
 
 def commutation_class(datum: CartanDatum, word: WeylWord) -> frozenset[WeylWord]:

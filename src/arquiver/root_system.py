@@ -118,11 +118,6 @@ class CartanDatum(_CartanFields):
         """Graph distance between diagram vertices."""
         return self.distance_table[i][j]
 
-    def cartan(self, i: int, j: int) -> int:
-        if i == j:
-            return 2
-        return -1 if self.adjacent(i, j) else 0
-
     @property
     def coxeter_number(self) -> int:
         return self.rank + 1 if self.diagram_type == "A" else 2 * self.rank - 2

@@ -224,7 +224,6 @@ def check_shallow_paths(ar: ARQuiver) -> Optional[str]:
     spin_sinks = ar.quiver.is_sink(n - 1) and ar.quiver.is_sink(n)
     spin_sources = ar.quiver.is_source(n - 1) and ar.quiver.is_source(n)
     delta = 1 if (spin_sinks or spin_sources) else 0
-    seen_classes: set[int] = set()
     for path in ar.sectional_paths():
         if not path.shallow:
             continue
@@ -234,9 +233,8 @@ def check_shallow_paths(ar: ARQuiver) -> Optional[str]:
         k = len(path.coords) + 1  # the -e_k class holds the k - 1 roots e_a - e_k, a < k
         if k > n - 2 + delta:
             return f"shallow path {path.coords} is sized for -e_{k}, beyond n-2+{delta}"
-        if k in seen_classes:
-            return f"two shallow paths are sized for -e_{k}"
-        seen_classes.add(k)
+        # two brooms of one size cannot both pass: each would hold the whole
+        # -e_k class, and root_at is injective (check_vertex_range)
         members = {ar.root_at[c] for c in path.coords}
         if members != rs.summand_class(datum, -k):
             return f"shallow -e_{k} path does not hold the whole class"

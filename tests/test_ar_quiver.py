@@ -296,14 +296,35 @@ def test_prec(example1_ar):
 
 
 def _reference_closure(self) -> dict[Coord, frozenset[Coord]]:
-    """The former frozenset closure of the path order, kept as the reference."""
+    """The former frozenset closure of the path order, over the grid's arrows
+    (i,p) -> (j,p+1), kept as the reference."""
+    neighbors = self.datum.neighbor_table
     closure: dict[Coord, frozenset[Coord]] = {}
     for c in sorted(self.root_at, key=lambda c: -c[1]):
+        i, p = c
         acc: set[Coord] = set()
-        for nxt in self.out_arrows(c):
-            acc.add(nxt)
-            acc |= closure[nxt]
+        for j in neighbors[i]:
+            nxt = (j, p + 1)
+            if nxt in self.root_at:
+                acc.add(nxt)
+                acc |= closure[nxt]
         closure[c] = frozenset(acc)
+    return closure
+
+
+def _closure_over(coords, arrows) -> dict[Coord, frozenset[Coord]]:
+    """Every coordinate reachable from each coordinate along the given arrows."""
+    targets: dict[Coord, set[Coord]] = {c: set() for c in coords}
+    for a, b in arrows:
+        targets[a].add(b)
+    closure = {}
+    for c in coords:
+        seen, stack = set(), [c]
+        while stack:
+            for nxt in targets[stack.pop()] - seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        closure[c] = frozenset(seen)
     return closure
 
 
@@ -320,6 +341,25 @@ def test_path_order_bitsets_equal_the_frozenset_closure(diagram, rank):
         for a, root_a in ar.root_at.items():
             for b, root_b in ar.root_at.items():
                 assert ar.prec(root_a, root_b) == (a in closure[b])
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_path_order_follows_the_stored_arrows(rank):
+    # a hand-built quiver short of one arrow orders its roots by the arrows it
+    # holds, not by the grid the arrow rule would knit
+    for quiver in all_orientations(CartanDatum("D", rank)):
+        ar = ar_quiver.build(quiver, make_height_function(quiver, rank, 0))
+        for dropped in sorted(ar.arrows):
+            arrows = ar.arrows - {dropped}
+            broken = ARQuiver(ar.quiver, ar.xi, ar.root_at, arrows, ar.m)
+            closure = _closure_over(ar.root_at, arrows)
+            # every arrow raises the column by one, so no other path replaces it
+            assert dropped[1] not in closure[dropped[0]]
+            for coord, below in closure.items():
+                assert broken.descendants(coord) == below, (dropped, coord)
+            for a, root_a in ar.root_at.items():
+                for b, root_b in ar.root_at.items():
+                    assert broken.prec(root_a, root_b) == (a in closure[b]), (dropped, a, b)
 
 
 def test_prec_names_a_root_outside_the_quiver(example1_ar):
@@ -421,14 +461,16 @@ def test_build_equals_its_reference(diagram, rank):
 
 
 def _reference_check_mesh_additivity(ar):
-    """The former body of ``ar_quiver.check_mesh_additivity``, through ``in_arrows``."""
+    """The former body of ``ar_quiver.check_mesh_additivity``, reading the grid's
+    arrows (j,p-1) -> (i,p) into each vertex."""
     for (i, p), root in ar.root_at.items():
         prev = ar.root_at.get((i, p - 2))
         if prev is None:
             continue
         mesh = [0] * ar.rank
-        for src in ar.in_arrows((i, p)):
-            if (src, (i, p)) not in ar.arrows:
+        for j in ar.datum.neighbor_table[i]:
+            src = (j, p - 1)
+            if src not in ar.root_at or (src, (i, p)) not in ar.arrows:
                 continue
             for idx, c in enumerate(ar.root_at[src]):
                 mesh[idx] += c
@@ -453,7 +495,7 @@ def test_mesh_check_equals_its_reference(rank):
 
 
 def test_mesh_check_counts_only_the_arrows_in_the_quiver(example1_ar):
-    # in_arrows reads the grid; the mesh sums only the sources that ar.arrows holds
+    # the grid offers every neighbour source; the mesh sums only those ar.arrows holds
     messages = set()
     for dropped in sorted(example1_ar.arrows):
         broken = ARQuiver(example1_ar.quiver, example1_ar.xi, example1_ar.root_at,

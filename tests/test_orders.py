@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 
@@ -7,6 +8,8 @@ from arquiver import root_system as rs
 from arquiver.ar_quiver import ARQuiver
 from arquiver.orders import OrderError, Verdict
 from arquiver.quiver import (
+    DynkinQuiver,
+    all_orientations,
     is_adapted,
     make_height_function,
     parse_arrow_spec,
@@ -377,6 +380,65 @@ def test_minimal_wrt_equals_its_former_body_in_every_reading(example1_ar):
             assert orders.minimal_wrt(order, pair, gamma) == expected
             assert orders.minimal_wrt(order, pair[::-1], gamma) == expected
     assert readings == 72
+
+
+# --- the readings against their former blocker-count body ---------------------------
+
+def _reference_all_readings(ar):
+    """The former ``all_readings``: each vertex counts its unread out-arrows on
+    the grid, and is read when the count reaches zero."""
+    neighbors = ar.datum.neighbor_table
+    coords = sorted(ar.root_at, key=lambda c: (-c[1], c[0]))
+
+    def grid_arrows(coord, step):
+        i, p = coord
+        return [(j, p + step) for j in neighbors[i] if (j, p + step) in ar.root_at]
+
+    blockers = {c: len(grid_arrows(c, 1)) for c in coords}
+    sequence = []
+
+    def emit():
+        if len(sequence) == len(coords):
+            yield orders.ConvexOrder(
+                ar.datum, tuple(c[0] for c in sequence), tuple(ar.root_at[c] for c in sequence)
+            )
+            return
+        for c in coords:
+            if blockers[c] == 0:
+                blockers[c] = -1
+                sequence.append(c)
+                for b in grid_arrows(c, -1):
+                    blockers[b] -= 1
+                yield from emit()
+                for b in grid_arrows(c, -1):
+                    blockers[b] += 1
+                sequence.pop()
+                blockers[c] = 0
+
+    return emit()
+
+
+def _reading_cases():
+    for rank in range(1, 6):
+        yield from all_orientations(CartanDatum("A", rank))
+    yield from all_orientations(CartanDatum("D", 4))
+    yield DynkinQuiver.from_bitmask(CartanDatum("D", 5), 0)
+
+
+def _quiver_id(quiver):
+    return f"{quiver.datum.diagram_type}{quiver.datum.rank}-mask{quiver.bitmask}"
+
+
+@pytest.mark.parametrize("quiver", list(_reading_cases()), ids=_quiver_id)
+def test_all_readings_equal_their_former_body_in_order(quiver):
+    ar = ar_quiver.build(quiver, make_height_function(quiver, quiver.datum.rank, 0))
+    pairs = itertools.zip_longest(orders.all_readings(ar), _reference_all_readings(ar))
+    count = 0
+    for order, expected in pairs:
+        count += 1
+        assert order is not None and expected is not None, count
+        assert (order.word, order.roots) == (expected.word, expected.roots), count
+    assert count > 0
 
 
 def test_check_convexity_rejects_a_sum_outside_its_parts(example1_ar, d4):

@@ -41,8 +41,9 @@ def test_diagram_shape_d():
     assert datum.distance(1, 5) == 3
     assert datum.distance(4, 5) == 2
     assert datum.coxeter_number == 8
-    assert datum.cartan(3, 5) == -1
-    assert datum.cartan(4, 5) == 0
+    simple = datum.simple_root
+    assert datum.pairing(simple(3), simple(5)) == -1
+    assert datum.pairing(simple(4), simple(5)) == 0
 
 
 def test_epsilon_form_examples(d4):
@@ -357,7 +358,8 @@ def test_pairing_matches_the_cartan_matrix(diagram, rank):
         for i in datum.vertices
         for j in datum.vertices
     }
-    assert all(datum.cartan(i, j) == a for (i, j), a in matrix.items())
+    simple = datum.simple_root
+    assert all(datum.pairing(simple(i), simple(j)) == a for (i, j), a in matrix.items())
     roots = sorted(rs.enumerate_positive_roots(datum))
     for a in roots:
         for b in roots:
