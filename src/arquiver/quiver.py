@@ -8,6 +8,8 @@ means the arrow runs min -> max).
 Orientation facts are read off the height function xi, the one walk over the
 arrows: i is a source when every neighbour sits at xi_i - 1, reflecting at a
 source lowers xi_i by 2, and a path j ~> i exists when xi_j - xi_i = d(i, j).
+Every vertex class (``classify_vertex``) is read off xi the same way; the
+opposite quiver negates xi, so a sink of Q is a source of Q^op.
 """
 
 from __future__ import annotations
@@ -66,53 +68,32 @@ class DynkinQuiver(NamedTuple):
                 mask |= 1 << bit
         return mask
 
-    def points_into(self, i: int) -> tuple[int, ...]:
-        """Neighbors j with an arrow j -> i."""
-        return tuple(src for src, dst in self.arrows if dst == i)
-
-    def points_out_of(self, i: int) -> tuple[int, ...]:
-        """Neighbors j with an arrow i -> j."""
-        return tuple(dst for src, dst in self.arrows if src == i)
-
-    def is_source(self, i: int) -> bool:
-        return not self.points_into(i)
-
-    def is_sink(self, i: int) -> bool:
-        return not self.points_out_of(i)
-
     def spec_string(self) -> str:
         return ",".join(f"{s}>{t}" for s, t in self.arrows)
 
 
-def classify_vertex(quiver: DynkinQuiver, i: int) -> VertexClass:
-    """Source, sink, left/right intermediate, or other.
+def classify_vertex(datum: CartanDatum, xi, i: int) -> VertexClass:
+    """Source, sink, left/right intermediate, or other, read off the heights xi.
 
-    A right intermediate receives its arrows from the far side of the
-    diagram (away from vertex 1) and emits toward vertex 1; a left
-    intermediate is the mirror image.  At the branch vertex n-2 of type D
-    this requires both spin arrows to point the same way; the four mixed
-    orientations classify as OTHER.
+    i is a source when every neighbour j sits at xi_i - 1 and a sink when
+    every one sits at xi_i + 1.  Otherwise i is a right intermediate when
+    (xi_j - xi_i) * (d(1, j) - d(1, i)) = 1 for every neighbour j: it receives
+    its arrows from the far side of the diagram and emits toward vertex 1.
+    A left intermediate is the mirror image, the product -1 throughout.  At
+    the branch vertex n-2 of type D this needs both spin arrows to point the
+    same way; the four mixed orientations classify as OTHER.
     """
-    datum = quiver.datum
     if i not in datum.vertices:
         raise QuiverError(f"no vertex {i}")
-    if quiver.is_source(i):
+    if _is_source(datum, xi, i):
         return VertexClass.SOURCE
-    if quiver.is_sink(i):
+    if _is_source(datum, [-h for h in xi], i):  # a source of Q^op, whose heights are -xi
         return VertexClass.SINK
-    n = datum.rank
-    incoming = set(quiver.points_into(i))
-    outgoing = set(quiver.points_out_of(i))
-    if datum.diagram_type == "D" and i == n - 2:
-        spin = {n - 1, n}
-        if incoming == spin and outgoing == {n - 3}:
-            return VertexClass.RIGHT_INTERMEDIATE
-        if incoming == {n - 3} and outgoing == spin:
-            return VertexClass.LEFT_INTERMEDIATE
-        return VertexClass.OTHER
-    if incoming == {i + 1} and outgoing == {i - 1}:
+    d1 = datum.distance_table[1]
+    turns = {(xi[j - 1] - xi[i - 1]) * (d1[j] - d1[i]) for j in datum.neighbors(i)}
+    if turns == {1}:
         return VertexClass.RIGHT_INTERMEDIATE
-    if incoming == {i - 1} and outgoing == {i + 1}:
+    if turns == {-1}:
         return VertexClass.LEFT_INTERMEDIATE
     return VertexClass.OTHER
 
@@ -136,7 +117,7 @@ def make_height_function(
     return tuple(xi[i] for i in datum.vertices)
 
 
-def _is_source(datum: CartanDatum, xi: list[int], i: int) -> bool:
+def _is_source(datum: CartanDatum, xi, i: int) -> bool:
     """i is a source exactly when every neighbour sits at xi_i - 1."""
     return all(xi[j - 1] == xi[i - 1] - 1 for j in datum.neighbors(i))
 

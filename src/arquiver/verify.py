@@ -83,7 +83,7 @@ def check_simple_root_coords(ar: ARQuiver) -> Optional[str]:
     star = rs.longest_element_star(datum)
     for k in datum.vertices:
         actual = ar.coord_of(datum.simple_root(k))
-        cls = classify_vertex(ar.quiver, k)
+        cls = classify_vertex(datum, ar.xi, k)
         if cls is VertexClass.SOURCE:
             expected = (k, ar.xi[k - 1])
         elif cls is VertexClass.SINK:
@@ -96,14 +96,11 @@ def check_simple_root_coords(ar: ARQuiver) -> Optional[str]:
         else:
             if k != n - 2:
                 return f"vertex {k} classified OTHER away from the branch vertex"
-            incoming = set(ar.quiver.points_into(k))
-            outgoing = set(ar.quiver.points_out_of(k))
-            spin = {n - 1, n}
-            if n - 3 in incoming:
-                (a,) = outgoing
+            # a mixed fork: one spin vertex a sits apart from n-3 in height
+            (a,) = (j for j in (n - 1, n) if ar.xi[j - 1] != ar.xi[n - 4])
+            if ar.xi[n - 4] > ar.xi[k - 1]:  # n-3 -> n-2 -> a
                 expected = (star[a], ar.xi[k - 1] - 2 * n + 5)
-            else:
-                (a,) = incoming & spin
+            else:  # a -> n-2 -> n-3
                 expected = (a, ar.xi[k - 1] - 1)
         if actual != expected:
             return f"alpha_{k} at {actual}, expected {expected} ({cls.value})"
@@ -221,9 +218,8 @@ def check_shallow_paths(ar: ARQuiver) -> Optional[str]:
     """Shallow maximal paths reach level 1 and share one -e_k."""
     datum = ar.datum
     n = ar.rank
-    spin_sinks = ar.quiver.is_sink(n - 1) and ar.quiver.is_sink(n)
-    spin_sources = ar.quiver.is_source(n - 1) and ar.quiver.is_source(n)
-    delta = 1 if (spin_sinks or spin_sources) else 0
+    # 1 when both spin vertices are sinks or both sources: xi_(n-1) = xi_n
+    delta = int(ar.xi[n - 2] == ar.xi[n - 1])
     for path in ar.sectional_paths():
         if not path.shallow:
             continue
@@ -315,7 +311,7 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
     }
     if {head, tail} != want:
         return f"kappa partial sums {head}, {tail} are not e_1 +- e_{tp}"
-    if ar.quiver.is_sink(1):
+    if classify_vertex(datum, ar.xi, 1) is VertexClass.SINK:
         segment = kappa_roots[: n - 2]
     else:
         segment = kappa_roots[1:]
@@ -338,7 +334,7 @@ def check_longest_root(ar: ARQuiver) -> Optional[str]:
     """e_1+e_2 at (n-2, xi_1-n+1 or +3); 1- and 2-swings adjacent."""
     n = ar.rank
     coord = ar.coord_of(rs.root_from_epsilon(ar.datum, rs.EpsilonForm(1, 2)))
-    formula = (n - 2, ar.xi[0] - n + (1 if ar.quiver.is_source(1) else 3))
+    formula = (n - 2, ar.xi[0] - n + (1 if ar.xi[1] < ar.xi[0] else 3))  # +1: 1 is a source
     if coord != formula:
         return f"e_1+e_2 at {coord}, formula gives {formula}"
     swings = {s.shared_index: s for s in ar.swings()}
@@ -670,6 +666,7 @@ def run_suite(
 ) -> VerifyReport:
     """Run the selected suites over every orientation for 4 <= n <= rank_max.
 
+    ``suites=None`` selects every suite and an empty selection is an error;
     ``parallelism`` > 1 sweeps the orientations in a process pool of at most
     one worker per orientation; only then is the pool machinery imported,
     so a serial sweep never loads ``concurrent.futures`` or
@@ -679,7 +676,9 @@ def run_suite(
         raise VerifyError("rank_max must be at least 4")
     if parallelism < 1:
         raise VerifyError("parallelism must be at least 1")
-    selected = set(SUITES) if not suites else set(suites)
+    selected = set(SUITES) if suites is None else set(suites)
+    if not selected:
+        raise VerifyError("no suite selected; pass None for every suite")
     unknown = selected - set(SUITES)
     if unknown:
         raise VerifyError(f"unknown suites {sorted(unknown)}")

@@ -24,6 +24,17 @@ def eta_zeta(quiver: DynkinQuiver, i: int) -> tuple[Root, Root]:
     return eta_from_heights(datum, xi, i), eta_from_heights(datum, [-h for h in xi], i)
 
 
+def arrow_ends(quiver: DynkinQuiver, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(the j with an arrow j -> i, the j with an arrow i -> j), scanned off quiver.arrows.
+
+    The former bodies kept as test references read orientations through this
+    scan, not through the height functions the code under test reads.
+    """
+    into = tuple(src for src, dst in quiver.arrows if dst == i)
+    out_of = tuple(dst for src, dst in quiver.arrows if src == i)
+    return into, out_of
+
+
 def _every_orientation(diagram, rank):
     datum = CartanDatum(diagram, rank)
     for quiver in all_orientations(datum):

@@ -17,28 +17,36 @@ from arquiver.quiver import (
 )
 from arquiver.root_system import CartanDatum
 
-from conftest import eta_zeta
+from conftest import arrow_ends, eta_zeta
+
+
+def _classify(quiver, i):
+    return classify_vertex(quiver.datum, make_height_function(quiver, 1, 0), i)
 
 
 def test_classify_example1(example1_quiver):
-    assert classify_vertex(example1_quiver, 3) is VertexClass.SOURCE
-    assert classify_vertex(example1_quiver, 1) is VertexClass.SINK
-    assert classify_vertex(example1_quiver, 4) is VertexClass.SINK
+    assert _classify(example1_quiver, 3) is VertexClass.SOURCE
+    assert _classify(example1_quiver, 1) is VertexClass.SINK
+    assert _classify(example1_quiver, 4) is VertexClass.SINK
     # branch vertex with mixed spin arrows
-    assert classify_vertex(example1_quiver, 2) is VertexClass.OTHER
+    assert _classify(example1_quiver, 2) is VertexClass.OTHER
+    xi = make_height_function(example1_quiver, 3, 0)
+    for i in (0, 5, -1):
+        with pytest.raises(QuiverError, match="no vertex"):
+            classify_vertex(example1_quiver.datum, xi, i)
 
 
 def test_classify_intermediates():
     d5 = CartanDatum("D", 5)
     quiver = parse_arrow_spec(d5, "3>2,2>1,4>3,3>5")
     # arrows 3>2 and 2>1: vertex 2 receives from the right, emits left
-    assert classify_vertex(quiver, 2) is VertexClass.RIGHT_INTERMEDIATE
+    assert _classify(quiver, 2) is VertexClass.RIGHT_INTERMEDIATE
     quiver = parse_arrow_spec(d5, "1>2,2>3,3>4,3>5")
-    assert classify_vertex(quiver, 2) is VertexClass.LEFT_INTERMEDIATE
+    assert _classify(quiver, 2) is VertexClass.LEFT_INTERMEDIATE
     # branch vertex tridents
-    assert classify_vertex(quiver, 3) is VertexClass.LEFT_INTERMEDIATE
+    assert _classify(quiver, 3) is VertexClass.LEFT_INTERMEDIATE
     quiver = parse_arrow_spec(d5, "1>2,3>2,4>3,5>3")
-    assert classify_vertex(quiver, 3) is VertexClass.RIGHT_INTERMEDIATE
+    assert _classify(quiver, 3) is VertexClass.RIGHT_INTERMEDIATE
 
 
 def test_valence_one_always_source_or_sink():
@@ -46,7 +54,7 @@ def test_valence_one_always_source_or_sink():
         leaves = [i for i in datum.vertices if len(datum.neighbors(i)) == 1]
         for quiver in all_orientations(datum):
             for i in leaves:
-                assert classify_vertex(quiver, i) in (
+                assert _classify(quiver, i) in (
                     VertexClass.SOURCE,
                     VertexClass.SINK,
                 )
@@ -160,7 +168,7 @@ def _reference_is_adapted(word, quiver):
     """Each letter must be a source of the quiver reflected at all earlier letters."""
     current = quiver
     for i in word:
-        if not current.is_source(i):
+        if arrow_ends(current, i)[0]:
             return False
         current = _reference_reflect_quiver(current, i)
     return True
@@ -172,7 +180,7 @@ def _reference_coxeter_word(quiver):
     remaining = set(quiver.datum.vertices)
     word = []
     while remaining:
-        source = min(i for i in remaining if current.is_source(i))
+        source = min(i for i in remaining if not arrow_ends(current, i)[0])
         word.append(source)
         remaining.discard(source)
         current = _reference_reflect_quiver(current, source)
@@ -197,8 +205,7 @@ def _reference_reachable(quiver, start, backwards):
     while frontier:
         nxt = []
         for u in frontier:
-            step = quiver.points_into(u) if backwards else quiver.points_out_of(u)
-            for v in step:
+            for v in arrow_ends(quiver, u)[0 if backwards else 1]:
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
@@ -216,16 +223,43 @@ def _reference_make_height_function(quiver, anchor_vertex, anchor_value):
     while frontier:
         nxt = []
         for u in frontier:
-            for v in quiver.points_out_of(u):
+            into, out_of = arrow_ends(quiver, u)
+            for v in out_of:
                 if v not in xi:
                     xi[v] = xi[u] - 1
                     nxt.append(v)
-            for v in quiver.points_into(u):
+            for v in into:
                 if v not in xi:
                     xi[v] = xi[u] + 1
                     nxt.append(v)
         frontier = nxt
     return tuple(xi[i] for i in datum.vertices)
+
+
+def _reference_classify_vertex(quiver, i):
+    """The former classify_vertex, scanning the arrows at i."""
+    datum = quiver.datum
+    if i not in datum.vertices:
+        raise QuiverError(f"no vertex {i}")
+    incoming = {src for src, dst in quiver.arrows if dst == i}
+    outgoing = {dst for src, dst in quiver.arrows if src == i}
+    if not incoming:
+        return VertexClass.SOURCE
+    if not outgoing:
+        return VertexClass.SINK
+    n = datum.rank
+    if datum.diagram_type == "D" and i == n - 2:
+        spin = {n - 1, n}
+        if incoming == spin and outgoing == {n - 3}:
+            return VertexClass.RIGHT_INTERMEDIATE
+        if incoming == {n - 3} and outgoing == spin:
+            return VertexClass.LEFT_INTERMEDIATE
+        return VertexClass.OTHER
+    if incoming == {i + 1} and outgoing == {i - 1}:
+        return VertexClass.RIGHT_INTERMEDIATE
+    if incoming == {i - 1} and outgoing == {i + 1}:
+        return VertexClass.LEFT_INTERMEDIATE
+    return VertexClass.OTHER
 
 
 PINNED_TYPES = [("A", n) for n in range(1, 8)] + [("D", n) for n in range(4, 10)]
@@ -249,6 +283,22 @@ def test_height_function_bodies_equal_the_arrow_walks(diagram, rank):
 def test_coxeter_word_equals_its_reference(diagram, rank):
     for quiver in all_orientations(CartanDatum(diagram, rank)):
         assert coxeter_word(quiver) == _reference_coxeter_word(quiver)
+
+
+@pytest.mark.parametrize("diagram, rank", [("A", n) for n in range(1, 10)]
+                         + [("D", n) for n in range(4, 11)])
+def test_classify_vertex_equals_the_arrow_scan(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    seen = set()
+    for quiver in all_orientations(datum):
+        for anchor in (0, -3):
+            xi = make_height_function(quiver, 1, anchor)
+            for i in datum.vertices:
+                expected = _reference_classify_vertex(quiver, i)
+                assert classify_vertex(datum, xi, i) is expected, (quiver.arrows, i)
+                seen.add(expected)
+    # A1 is one source and A2 has only leaves; a mixed fork needs type D
+    assert len(seen) == {1: 1, 2: 2}.get(rank, 4 if diagram == "A" else 5)
 
 
 @pytest.mark.parametrize("diagram, rank", PINNED_TYPES)

@@ -11,9 +11,12 @@ from arquiver import ar_quiver, orders, verify
 from arquiver import root_system as rs
 from arquiver.ar_quiver import ARQuiver, ARQuiverError, Swing
 from arquiver.cli import build_parser
-from arquiver.quiver import DynkinQuiver, all_orientations, make_height_function
+from arquiver.quiver import DynkinQuiver, VertexClass, all_orientations, make_height_function
 from arquiver.root_system import CartanDatum
 from arquiver.verify import run_suite
+
+from conftest import arrow_ends
+from test_quiver import _reference_classify_vertex
 
 
 def test_catalog_contents():
@@ -125,6 +128,10 @@ def test_run_suite_validates_arguments():
         run_suite(4, suites={"nonsense"})
     with pytest.raises(ValueError):
         run_suite(4, parallelism=0)
+    # only None selects every suite; an empty selection is no sweep at all
+    for empty in (set(), frozenset(), ()):
+        with pytest.raises(verify.VerifyError, match="no suite selected"):
+            run_suite(4, suites=empty)
 
 
 def test_report_json_schema():
@@ -359,7 +366,7 @@ def _reference_longest_root_coord(self):
     if self.datum.diagram_type != "D":
         raise ARQuiverError("the longest-root formula is for type D")
     n = self.rank
-    if self.quiver.is_source(1):
+    if not arrow_ends(self.quiver, 1)[0]:
         return (n - 2, self.xi[0] - n + 1)
     return (n - 2, self.xi[0] - n + 3)
 
@@ -519,7 +526,7 @@ def _reference_check_sigma_kappa(ar):
     }
     if {head, tail} != want:
         return f"kappa partial sums {head}, {tail} are not e_1 +- e_{tp}"
-    if ar.quiver.is_sink(1):
+    if not arrow_ends(ar.quiver, 1)[1]:
         segment = kappa_roots[: n - 2]
     else:
         segment = kappa_roots[1:]
@@ -657,8 +664,9 @@ def _reference_check_shallow_paths(ar):
     """Shallow maximal paths reach level 1 and share one -e_k."""
     datum = ar.datum
     n = ar.rank
-    spin_sinks = ar.quiver.is_sink(n - 1) and ar.quiver.is_sink(n)
-    spin_sources = ar.quiver.is_source(n - 1) and ar.quiver.is_source(n)
+    spin_ends = [arrow_ends(ar.quiver, i) for i in (n - 1, n)]
+    spin_sinks = not any(out_of for _, out_of in spin_ends)
+    spin_sources = not any(into for into, _ in spin_ends)
     delta = 1 if (spin_sinks or spin_sources) else 0
     seen_classes = set()
     for path in ar.sectional_paths():
@@ -694,7 +702,42 @@ def test_sizes_label_swings_and_shallow_brooms_as_their_shared_summands_do(rank)
                 assert shared == {-(len(path.coords) + 1)}
 
 
+def _reference_check_simple_root_coords(ar):
+    """The former check_simple_root_coords, reading vertex classes off the arrows."""
+    datum = ar.datum
+    n = ar.rank
+    star = rs.longest_element_star(datum)
+    for k in datum.vertices:
+        actual = ar.coord_of(datum.simple_root(k))
+        cls = _reference_classify_vertex(ar.quiver, k)
+        if cls is VertexClass.SOURCE:
+            expected = (k, ar.xi[k - 1])
+        elif cls is VertexClass.SINK:
+            ks = star[k]
+            expected = (ks, ar.xi[ks - 1] - 2 * ar.m[ks - 1])
+        elif cls is VertexClass.LEFT_INTERMEDIATE:
+            expected = (1, ar.xi[k - 1] - k + 1)
+        elif cls is VertexClass.RIGHT_INTERMEDIATE:
+            expected = (1, ar.xi[k - 1] - 2 * n + k + 3)
+        else:
+            if k != n - 2:
+                return f"vertex {k} classified OTHER away from the branch vertex"
+            into, out_of = arrow_ends(ar.quiver, k)
+            incoming, outgoing = set(into), set(out_of)
+            spin = {n - 1, n}
+            if n - 3 in incoming:
+                (a,) = outgoing
+                expected = (star[a], ar.xi[k - 1] - 2 * n + 5)
+            else:
+                (a,) = incoming & spin
+                expected = (a, ar.xi[k - 1] - 1)
+        if actual != expected:
+            return f"alpha_{k} at {actual}, expected {expected} ({cls.value})"
+    return None
+
+
 REWRITTEN = {
+    "simple_root_coords": _reference_check_simple_root_coords,
     "level_pair_sums": _reference_check_level_pair_sums,
     "triangle": _reference_check_triangle,
     "sigma_kappa": _reference_check_sigma_kappa,
