@@ -29,7 +29,7 @@ stated once, in the ``verify`` checks that test it.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import root_system as rs
@@ -99,7 +99,7 @@ class ARQuiver:
     @property
     def vertices(self) -> list[Coord]:
         """Coordinates in the stable export order (column, then level)."""
-        return sorted(self.root_at, key=lambda c: (c[1], c[0]))
+        return sorted(self.root_at, key=itemgetter(1, 0))
 
     def coord_of(self, root: Root) -> Coord:
         try:
@@ -170,21 +170,23 @@ class ARQuiver:
         n = self.rank
         is_d = self.datum.diagram_type == "D"
         top = n - 1 if is_d else n
+        by_s: dict[int, list[Coord]] = {}
+        by_n: dict[int, list[Coord]] = {}
+        for c in self.vertices:  # column, then level: each diagonal comes out in arrow order
+            level = min(c[0], top)
+            by_s.setdefault(c[1] - level, []).append(c)
+            by_n.setdefault(c[1] + level, []).append(c)
         paths: list[SectionalPath] = []
-        for kind, sign in (("S", -1), ("N", 1)):
-            diagonals: dict[int, list[Coord]] = {}
-            for i, p in self.root_at:
-                diagonals.setdefault(p + sign * min(i, top), []).append((i, p))
+        for kind, diagonals in (("S", by_s), ("N", by_n)):
             brooms = []
             for coords in diagonals.values():
-                levels = [i for i, _ in coords]
                 # a spin pair (n-1, u), (n, u) with no stem below it is no broom
-                if len(coords) < 2 or (is_d and min(levels) > n - 2):
+                if len(coords) < 2 or (is_d and min(coords)[0] > n - 2):
                     continue
-                coords.sort(key=lambda c: (c[1], c[0]))
-                shallow = is_d and max(levels) <= n - 2
+                shallow = is_d and max(coords)[0] <= n - 2
                 brooms.append(SectionalPath(kind=kind, coords=tuple(coords), shallow=shallow))
-            paths += sorted(brooms, key=lambda path: path.coords)
+            # the brooms of one kind are disjoint, so their first coords order them
+            paths += sorted(brooms, key=lambda path: path.coords[0])
         return tuple(paths)
 
     def swings(self) -> list[Swing]:
@@ -309,15 +311,15 @@ def build(quiver: DynkinQuiver, xi, validate: bool = True) -> ARQuiver:
 
 def check_vertex_range(ar: ARQuiver) -> Optional[str]:
     """Vertex set is Phi+ spread over columns xi_i - 2m_i .. xi_i."""
-    datum = ar.datum
-    roots = rs.enumerate_positive_roots(datum)
-    if set(ar.phi) != set(roots) or len(ar.root_at) != len(roots):
+    roots = rs.enumerate_positive_roots(ar.datum)
+    if ar.phi.keys() != roots or len(ar.root_at) != len(roots):
         return "vertex labels are not a bijection with the positive roots"
-    for i in datum.vertices:
-        expected = {
-            p for p in range(ar.xi[i - 1] - 2 * ar.m[i - 1], ar.xi[i - 1] + 1, 2)
-        }
-        actual = {p for (lvl, p) in ar.root_at if lvl == i}
+    columns: dict[int, set[int]] = {}
+    for i, p in ar.root_at:
+        columns.setdefault(i, set()).add(p)
+    for i in ar.datum.vertices:
+        expected = set(range(ar.xi[i - 1] - 2 * ar.m[i - 1], ar.xi[i - 1] + 1, 2))
+        actual = columns.get(i, set())
         if expected != actual:
             return f"level {i} columns {sorted(actual)} != {sorted(expected)}"
     return None
@@ -339,17 +341,22 @@ def check_nakayama(ar: ARQuiver) -> Optional[str]:
 def check_mesh_additivity(ar: ARQuiver) -> Optional[str]:
     """beta + tau(beta) equals the sum over arrow sources into beta."""
     root_at, arrows, neighbors = ar.root_at, ar.arrows, ar.datum.neighbor_table
+    codes = rs.root_table(ar.datum).codes  # a label outside Phi+ has none: its mesh fails
     for (i, p), root in root_at.items():
         prev = root_at.get((i, p - 2))
         if prev is None:
             continue
-        mesh = (0,) * ar.rank
-        for j in neighbors.get(i, ()):
-            src = (j, p - 1)
-            summand = root_at.get(src)
-            if summand is not None and (src, (i, p)) in arrows:
-                mesh = tuple(map(add, mesh, summand))
-        if mesh != tuple(map(add, root, prev)):
+        try:
+            mesh = 0
+            for j in neighbors.get(i, ()):
+                src = (j, p - 1)
+                summand = root_at.get(src)
+                if summand is not None and (src, (i, p)) in arrows:
+                    mesh += codes[summand]
+            holds = mesh == codes[root] + codes[prev]
+        except KeyError:
+            holds = False
+        if not holds:
             return f"mesh fails at ({i},{p})"
     return None
 

@@ -11,10 +11,10 @@ alpha_n = e_{n-1} + e_n in the usual orthonormal coordinates.
 
 ``root_table`` closes the simple roots under reflections once per datum and
 keeps what the closure computed: the sorted positive roots, their indices and
-each s_i as a row of signed indices.  ``ar_quiver.build`` knits by walking
-those indices, so ``reflect`` and ``apply_word`` run only in the closure and
-for callers outside the knitting; ``verify`` caches ``CartanDatum.pairing``
-per root pair for the arrow check.
+packed codes, and each s_i as a row of signed indices.  ``ar_quiver.build``
+knits by walking those indices, so ``reflect`` and ``apply_word`` run only in
+the closure and for callers outside the knitting; ``verify`` caches
+``CartanDatum.pairing`` per root pair for the arrow check.
 """
 
 from __future__ import annotations
@@ -127,10 +127,16 @@ class CartanDatum(_CartanFields):
         n = self.rank
         return n * (n + 1) // 2 if self.diagram_type == "A" else n * (n - 1)
 
+    @cached_property
+    def simple_root_table(self) -> dict[int, Root]:
+        """Vertex -> alpha_i as a coefficient vector."""
+        return {i: tuple(int(j == i) for j in self.vertices) for i in self.vertices}
+
     def simple_root(self, i: int) -> Root:
-        if i not in self.vertices:
-            raise RootSystemError(f"no vertex {i} in rank {self.rank}")
-        return tuple(1 if j == i else 0 for j in self.vertices)
+        try:
+            return self.simple_root_table[i]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise RootSystemError(f"no vertex {i} in rank {self.rank}") from None
 
     def pairing(self, a: Root, b: Root) -> int:
         """Symmetric bilinear form (a, b) induced by the Cartan matrix."""
@@ -180,15 +186,22 @@ def apply_word(datum: CartanDatum, word: WeylWord, root: Root | SignedRoot) -> S
     return (sign, tuple(out))
 
 
-class RootTable(NamedTuple):
-    """The positive roots of a datum, sorted, with s_i as index rows.
+CODE_BITS = 4  # bits per coefficient in a packed code
 
+
+class RootTable(NamedTuple):
+    """The positive roots of a datum, sorted, with codes and s_i as index rows.
+
+    codes[root] holds coefficient k in bits CODE_BITS*k and up.  A coefficient
+    is at most 2 and no caller adds more than three codes, so no digit reaches
+    16: sums never carry, and equal codes mean equal vectors.
     rows[i - 1][k] is the signed index of s_i(roots[k]): k' when the image is
     roots[k'] and ~k' when it is -roots[k'].
     """
 
     roots: tuple[Root, ...]
     index: MappingProxyType[Root, int]
+    codes: MappingProxyType[Root, int]
     rows: tuple[tuple[int, ...], ...]
 
 
@@ -200,7 +213,7 @@ def root_table(datum: CartanDatum) -> RootTable:
     that stays positive.  The result is checked against the classical
     count for the type.
     """
-    found = [datum.simple_root(i) for i in datum.vertices]  # grows as it is read
+    found = list(datum.simple_root_table.values())  # grows as it is read
     seen = {root: k for k, root in enumerate(found)}
     images = []  # images[k][i - 1]: s_i(found[k]) as a signed index into found
     for root in found:
@@ -227,7 +240,9 @@ def root_table(datum: CartanDatum) -> RootTable:
         for column in zip(*(images[k] for k in order))
     )
     roots = tuple(found[k] for k in order)
-    return RootTable(roots, MappingProxyType(dict(zip(roots, range(len(roots))))), rows)
+    codes = (sum(c << CODE_BITS * k for k, c in enumerate(root)) for root in roots)
+    return RootTable(roots, MappingProxyType(dict(zip(roots, range(len(roots))))),
+                     MappingProxyType(dict(zip(roots, codes))), rows)
 
 
 @lru_cache(maxsize=None)
@@ -240,8 +255,7 @@ def enumerate_positive_roots(datum: CartanDatum) -> frozenset[Root]:
 def root_sums(datum: CartanDatum) -> MappingProxyType[Root, tuple[tuple[Root, Root], ...]]:
     """Positive root gamma -> every unordered pair of positive roots summing to it."""
     roots = root_table(datum).roots
-    # 4 bits per coefficient: coefficients are at most 2, so codes add without carries
-    codes = [sum(c << 4 * k for k, c in enumerate(root)) for root in roots]
+    codes = list(root_table(datum).codes.values())  # in the order of roots
     by_code = dict(zip(codes, roots))
     table: dict[Root, list[tuple[Root, Root]]] = {root: [] for root in roots}
     for x, a in enumerate(codes):

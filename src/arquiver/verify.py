@@ -127,8 +127,9 @@ def check_range_lemma(ar: ARQuiver) -> Optional[str]:
     """(i, xi_j - d(i,j)) and (i, xi_j - 2m_j + d(i,j)) are vertices."""
     datum = ar.datum
     for i in datum.vertices:
+        distance = datum.distance_table[i]
         for j in datum.vertices:
-            d = datum.distance(i, j)
+            d = distance[j]
             for p in (ar.xi[j - 1] - d, ar.xi[j - 1] - 2 * ar.m[j - 1] + d):
                 if (i, p) not in ar.root_at:
                     return f"({i},{p}) missing for (i,j)=({i},{j})"
@@ -175,9 +176,11 @@ def check_level_pair_sums(ar: ARQuiver) -> Optional[str]:
 def check_triangle(ar: ARQuiver) -> Optional[str]:
     """Spin pairs with matching parity meet at (n-1-k, (s+l)/2)."""
     n = ar.rank
-    spin = [c for c in ar.root_at if c[0] in (n - 1, n)]
-    for ca in spin:
-        for cb in spin:
+    root_at, codes = ar.root_at, rs.root_table(ar.datum).codes
+    # packed codes add as the roots do; a label outside Phi+ has none and fails
+    spin = [(c, codes.get(root)) for c, root in root_at.items() if c[0] in (n - 1, n)]
+    for ca, a in spin:
+        for cb, b in spin:
             gap = cb[1] - ca[1]
             if gap <= 0 or gap % 2:
                 continue
@@ -185,7 +188,7 @@ def check_triangle(ar: ARQuiver) -> Optional[str]:
             if (ca[0] - cb[0]) % 2 != (k - 1) % 2:
                 continue
             apex = (n - 1 - k, ca[1] + k)
-            if ar.root_at.get(apex) != tuple(map(sum, zip(ar.root_at[ca], ar.root_at[cb]))):
+            if a is None or b is None or codes.get(root_at.get(apex)) != a + b:
                 return f"triangle at {ca},{cb}: apex {apex} does not hold the sum of the pair"
     return None
 
@@ -237,13 +240,19 @@ def check_shallow_paths(ar: ARQuiver) -> Optional[str]:
     return None
 
 
-def _summand_class_path(ar: ARQuiver, signed: int):
-    """The maximal broom holding every root with the given signed summand."""
+def _summand_class_path(ar: ARQuiver, signed: int, brooms=None):
+    """The maximal broom holding every root with the given signed summand;
+    a caller asking for many classes passes ``brooms = _broom_sets(ar)``."""
     carriers = {ar.coord_of(root) for root in rs.summand_class(ar.datum, signed)}
-    for path in ar.sectional_paths():
-        if carriers <= set(path.coords):
+    for path, coords in brooms or _broom_sets(ar):
+        if carriers <= coords:
             return path
     return None
+
+
+def _broom_sets(ar: ARQuiver):
+    """Each sectional path with the set of its coords."""
+    return [(path, set(path.coords)) for path in ar.sectional_paths()]
 
 
 def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
@@ -318,10 +327,11 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
     seg = eps_sum(segment)
     if seg != tuple(1 if i in (0, 1) else 0 for i in range(n)):
         return f"kappa segment sum {seg} is not e_1 + e_2"
-    for pos, (root, j) in enumerate(zip(kappa_roots, kappa_idx), start=1):
-        path = _summand_class_path(ar, j)
+    brooms = _broom_sets(ar)
+    for pos, j in enumerate(kappa_idx, start=1):
         if len(rs.summand_class(datum, j)) <= 1:
             continue
+        path = _summand_class_path(ar, j, brooms)
         if path is None:
             return f"kappa_{pos} class {j} lies on no single broom"
         want_kind = "S" if pos <= fold - 1 else "N"
@@ -349,24 +359,31 @@ def check_longest_root(ar: ARQuiver) -> Optional[str]:
 def check_nfree_region(ar: ARQuiver) -> Optional[str]:
     """Tall roots stay in the diagonal window below tall spin roots."""
     n = ar.rank
-    # the window's extremes: the columns of the spin-level roots of height >= 2
-    spin_tall = [p for (i, p), root in ar.root_at.items() if i in (n - 1, n) and rs.ht(root) >= 2]
+    # one pass: columns of spin roots of height >= 2 (the window), flat and tall coords
+    spin_tall, flat, tall = [], set(), {}
+    for coord, root in ar.root_at.items():
+        if coord[0] in (n - 1, n) and rs.ht(root) >= 2:
+            spin_tall.append(coord[1])
+        mul = rs.mul(root)
+        if mul >= 2:
+            tall[coord] = root
+        elif mul == 1 and coord[0] < n - 1:
+            flat.add(coord)
     if not spin_tall:
         return "no spin-level roots of height >= 2"
     hi, lo = max(spin_tall), min(spin_tall)
     if hi - lo != 2 * (n - 3):
         return f"window extremes ({hi},{lo}) differ by {hi - lo} != {2 * (n - 3)}"
-    mul = {coord: rs.mul(root) for root, coord in ar.phi.items()}
-    for root, (level, p) in ar.phi.items():
+    for (level, p), root in tall.items():
         # level l of the window spans columns lo - d .. hi - d, d = n-1-l
-        inside = 1 < level < n - 1 and lo - (n - 1 - level) <= p <= hi - (n - 1 - level)
-        if mul[level, p] >= 2 and not inside:
+        if not (1 < level < n - 1 and lo - (n - 1 - level) <= p <= hi - (n - 1 - level)):
             return f"tall root {root} at {(level, p)} escapes the window"
     for path in ar.sectional_paths():
-        tall = [c for c in path.coords if mul[c] >= 2]
-        flat = [c for c in path.coords if mul[c] == 1 and c[0] < n - 1]
-        for cf in flat:
-            for ct in tall:
+        tall_here = [c for c in path.coords if c in tall]
+        if not tall_here:
+            continue
+        for cf in [c for c in path.coords if c in flat]:
+            for ct in tall_here:
                 if cf[0] >= ct[0]:
                     return (
                         f"multiplicity-free {cf} not below non-free {ct} "

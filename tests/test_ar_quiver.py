@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arquiver import ar_quiver, verify
 from arquiver import root_system as rs
-from arquiver.ar_quiver import ARQuiver, ARQuiverError, Coord
+from arquiver.ar_quiver import ARQuiver, ARQuiverError, Coord, SectionalPath
 from arquiver.quiver import (
     DynkinQuiver,
     all_orientations,
@@ -225,6 +225,39 @@ def test_sectional_paths_are_the_arrow_components(diagram_type, rank):
         expected = [("S", c) for c in _arrow_components(ar, "S")]
         expected += [("N", c) for c in _arrow_components(ar, "N")]
         assert [(p.kind, p.coords) for p in ar.sectional_paths()] == expected
+
+
+def _reference_sectional_paths(self):
+    """The former body of ``ARQuiver._sectional_paths``: each diagonal sorted
+    on its own, its levels listed, and the brooms sorted by their whole coords."""
+    n = self.rank
+    is_d = self.datum.diagram_type == "D"
+    top = n - 1 if is_d else n
+    paths = []
+    for kind, sign in (("S", -1), ("N", 1)):
+        diagonals = {}
+        for i, p in self.root_at:
+            diagonals.setdefault(p + sign * min(i, top), []).append((i, p))
+        brooms = []
+        for coords in diagonals.values():
+            levels = [i for i, _ in coords]
+            if len(coords) < 2 or (is_d and min(levels) > n - 2):
+                continue
+            coords.sort(key=lambda c: (c[1], c[0]))
+            shallow = is_d and max(levels) <= n - 2
+            brooms.append(SectionalPath(kind=kind, coords=tuple(coords), shallow=shallow))
+        paths += sorted(brooms, key=lambda path: path.coords)
+    return tuple(paths)
+
+
+@pytest.mark.parametrize(
+    "diagram_type, rank", [("A", n) for n in range(1, 8)] + [("D", n) for n in range(4, 10)]
+)
+def test_sectional_paths_equal_their_former_body(diagram_type, rank):
+    datum = CartanDatum(diagram_type, rank)
+    for quiver in all_orientations(datum):
+        ar = ar_quiver.build(quiver, make_height_function(quiver, rank, 0))
+        assert ar._sectional_paths == _reference_sectional_paths(ar)
 
 
 def test_stemless_spin_pair_is_no_path():
@@ -515,6 +548,29 @@ def test_mesh_and_arrow_checks_name_a_stray_level(example1_ar):
     assert ar_quiver.check_mesh_additivity(stray) == "mesh fails at (0,-2)"
     assert ar_quiver.check_arrow_rule(stray) == "arrow (0, -3)->(1, -2) malformed"
     assert ar_quiver.check_arrow_rule(stray) == _reference_check_arrow_rule(stray)
+
+
+def test_a_label_outside_the_positive_roots_fails_mesh_and_triangle(example1_ar):
+    # alpha_1 + alpha_3 is no root (1 and 3 are not adjacent), so it has no
+    # packed code; (2,-3) is a mesh source into (1,-2) and the apex of (3,-4), (3,-2)
+    root_at = dict(example1_ar.root_at)
+    root_at[2, -3] = (1, 0, 1, 0)
+    stray = ARQuiver(example1_ar.quiver, example1_ar.xi, root_at, example1_ar.arrows, example1_ar.m)
+    assert ar_quiver.check_mesh_additivity(stray) == "mesh fails at (1,-2)"
+    assert verify.check_triangle(stray) == (
+        "triangle at (3, -4),(3, -2): apex (2, -3) does not hold the sum of the pair"
+    )
+    # the build checks report the labelling before the mesh
+    message = "vertex labels are not a bijection with the positive roots"
+    assert ar_quiver.check_vertex_range(stray) == message
+    assert ar_quiver.validate_build(stray) == message
+    # a stray label at a spin vertex fails the first triangle it sits in
+    root_at = dict(example1_ar.root_at)
+    root_at[3, -2] = (1, 0, 1, 0)
+    stray = ARQuiver(example1_ar.quiver, example1_ar.xi, root_at, example1_ar.arrows, example1_ar.m)
+    assert verify.check_triangle(stray) == (
+        "triangle at (3, -2),(3, 0): apex (2, -1) does not hold the sum of the pair"
+    )
 
 
 def _reference_check_arrow_rule(ar):

@@ -440,6 +440,60 @@ def test_root_table_rows_equal_reflect(diagram, rank):
             assert signed == rs.reflect(datum, i, root)
 
 
+def _reference_simple_root(datum, i):
+    """The former body of ``CartanDatum.simple_root``: a new tuple per call."""
+    if i not in datum.vertices:
+        raise RootSystemError(f"no vertex {i} in rank {datum.rank}")
+    return tuple(1 if j == i else 0 for j in datum.vertices)
+
+
+@pytest.mark.parametrize("diagram, rank", TABLE_TYPES)
+def test_simple_root_reads_the_cached_table(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    for i in datum.vertices:
+        assert datum.simple_root(i) == _reference_simple_root(datum, i)
+        assert datum.simple_root(i) is datum.simple_root(i)
+    for bad in (0, -1, rank + 1, 2.5, "1", None, [1]):
+        with pytest.raises(RootSystemError, match=re.escape(f"no vertex {bad} in rank {rank}")):
+            datum.simple_root(bad)
+        with pytest.raises(RootSystemError, match=re.escape(f"no vertex {bad} in rank {rank}")):
+            _reference_simple_root(datum, bad)
+
+
+def _reference_root_sums(datum):
+    """The former body of ``rs.root_sums``, packing its codes inline."""
+    roots = rs.root_table(datum).roots
+    codes = [sum(c << 4 * k for k, c in enumerate(root)) for root in roots]
+    by_code = dict(zip(codes, roots))
+    table = {root: [] for root in roots}
+    for x, a in enumerate(codes):
+        for b in codes[x + 1:]:
+            if a + b in by_code:
+                table[by_code[a + b]].append((roots[x], by_code[b]))
+    return {gamma: tuple(pairs) for gamma, pairs in table.items()}
+
+
+@pytest.mark.parametrize(
+    "diagram, rank", [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 11)]
+)
+def test_root_sums_equal_their_former_body(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    assert dict(rs.root_sums(datum)) == _reference_root_sums(datum)
+    assert list(rs.root_sums(datum)) == list(_reference_root_sums(datum))
+
+
+@pytest.mark.parametrize("diagram, rank", TABLE_TYPES + [("D", 12)])
+def test_packed_codes_add_without_carries(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    table = rs.root_table(datum)
+    # the mesh check adds up to three codes, root_sums and the triangle check two
+    assert 3 * max(max(root) for root in table.roots) < 1 << rs.CODE_BITS
+    assert list(table.codes) == list(table.roots)
+    digit = (1 << rs.CODE_BITS) - 1
+    for root, code in table.codes.items():
+        assert tuple(code >> rs.CODE_BITS * k & digit for k in range(rank)) == root
+
+
 @st.composite
 def signed_roots(draw):
     diagram = draw(st.sampled_from("AD"))

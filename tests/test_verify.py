@@ -3,6 +3,7 @@ import functools
 import json
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,18 @@ from arquiver import ar_quiver, orders, verify
 from arquiver import root_system as rs
 from arquiver.ar_quiver import ARQuiver, ARQuiverError, Swing
 from arquiver.cli import build_parser
-from arquiver.quiver import DynkinQuiver, VertexClass, all_orientations, make_height_function
+from arquiver.quiver import (
+    DynkinQuiver,
+    VertexClass,
+    all_orientations,
+    classify_vertex,
+    make_height_function,
+)
 from arquiver.root_system import CartanDatum
 from arquiver.verify import run_suite
 
 from conftest import arrow_ends
+from test_ar_quiver import _reference_check_mesh_additivity
 from test_quiver import _reference_classify_vertex
 
 
@@ -797,3 +805,221 @@ def test_structure_checks_never_raise_on_swapped_roots(rank):
             for check in structure:
                 message = check(faulted)
                 assert message is None or isinstance(message, str), check.__name__
+
+
+# the bodies before packed codes and one-pass tables, verbatim: each rescans
+# root_at or the sectional paths, or adds roots as tuples
+
+def _reference_rescanning_check_vertex_range(ar):
+    """Vertex set is Phi+ spread over columns xi_i - 2m_i .. xi_i."""
+    datum = ar.datum
+    roots = rs.enumerate_positive_roots(datum)
+    if set(ar.phi) != set(roots) or len(ar.root_at) != len(roots):
+        return "vertex labels are not a bijection with the positive roots"
+    for i in datum.vertices:
+        expected = {
+            p for p in range(ar.xi[i - 1] - 2 * ar.m[i - 1], ar.xi[i - 1] + 1, 2)
+        }
+        actual = {p for (lvl, p) in ar.root_at if lvl == i}
+        if expected != actual:
+            return f"level {i} columns {sorted(actual)} != {sorted(expected)}"
+    return None
+
+
+def _reference_rescanning_check_range_lemma(ar):
+    """(i, xi_j - d(i,j)) and (i, xi_j - 2m_j + d(i,j)) are vertices."""
+    datum = ar.datum
+    for i in datum.vertices:
+        for j in datum.vertices:
+            d = datum.distance(i, j)
+            for p in (ar.xi[j - 1] - d, ar.xi[j - 1] - 2 * ar.m[j - 1] + d):
+                if (i, p) not in ar.root_at:
+                    return f"({i},{p}) missing for (i,j)=({i},{j})"
+    return None
+
+
+def _reference_rescanning_check_triangle(ar):
+    """Spin pairs with matching parity meet at (n-1-k, (s+l)/2)."""
+    n = ar.rank
+    spin = [c for c in ar.root_at if c[0] in (n - 1, n)]
+    for ca in spin:
+        for cb in spin:
+            gap = cb[1] - ca[1]
+            if gap <= 0 or gap % 2:
+                continue
+            k = gap // 2
+            if (ca[0] - cb[0]) % 2 != (k - 1) % 2:
+                continue
+            apex = (n - 1 - k, ca[1] + k)
+            if ar.root_at.get(apex) != tuple(map(sum, zip(ar.root_at[ca], ar.root_at[cb]))):
+                return f"triangle at {ca},{cb}: apex {apex} does not hold the sum of the pair"
+    return None
+
+
+def _reference_rescanning_summand_class_path(ar, signed):
+    """The maximal broom holding every root with the given signed summand."""
+    carriers = {ar.coord_of(root) for root in rs.summand_class(ar.datum, signed)}
+    for path in ar.sectional_paths():
+        if carriers <= set(path.coords):
+            return path
+    return None
+
+
+def _reference_rescanning_check_sigma_kappa(ar):
+    """sigma swing indices are reverse-unimodal; kappa tents at t'."""
+    datum = ar.datum
+    n = ar.rank
+    # sigma: the level-(n-1) roots other than the simples, columns descending
+    simples = {datum.simple_root(n - 1), datum.simple_root(n)}
+    sigma = sorted(((p, root) for (i, p), root in ar.root_at.items()
+                    if i == n - 1 and root not in simples), reverse=True)
+    if len(sigma) != n - 2:
+        return f"|sigma| = {len(sigma)} != {n - 2}"
+    cols, sigma_roots = map(list, zip(*sigma))
+    if any(cols[k] - cols[k + 1] != 2 for k in range(len(cols) - 1)):
+        return f"sigma columns {cols} do not descend by 2"
+    sigma_idx = [rs.epsilon_form(datum, root).a for root in sigma_roots]
+    if sorted(sigma_idx) != list(range(1, n - 1)):
+        return f"sigma swing indices {sigma_idx} are not 1..{n - 2}"
+    valley = sigma_idx.index(1)
+    down, up = sigma_idx[: valley + 1], sigma_idx[valley:]
+    if down != sorted(down, reverse=True) or up != sorted(up):
+        return f"sigma indices {sigma_idx} are not reverse-unimodal"
+    swings = {s.shared_index: s for s in ar.swings()}
+    for pos, (p, idx) in enumerate(zip(cols, sigma_idx)):
+        if idx not in swings or (n - 1, p) not in swings[idx].coords:
+            return f"sigma_{pos + 1} not in its {idx}-swing"
+        s_len, n_len = len(swings[idx].s_part), len(swings[idx].n_part)
+        if pos < valley and not n_len < s_len:
+            return f"{idx}-swing left of the valley has N-part not shorter"
+        if pos > valley and not s_len < n_len:
+            return f"{idx}-swing right of the valley has S-part not shorter"
+
+    # kappa: the level-1 roots, columns descending
+    kappa = sorted(((p, root) for (i, p), root in ar.root_at.items() if i == 1), reverse=True)
+    if len(kappa) != n - 1:
+        return f"|kappa| = {len(kappa)} != {n - 1}"
+    cols, kappa_roots = map(list, zip(*kappa))
+    if any(cols[k] - cols[k + 1] != 2 for k in range(len(cols) - 1)):
+        return f"kappa columns {cols} do not descend by 2"
+    kappa_idx = [rs.epsilon_form(datum, root).b_signed for root in kappa_roots]
+    tp = ar.t_prime_index
+    expected_idx = set(range(-2, -(n - 2) - 1, -1)) | {tp, -tp}
+    if set(kappa_idx) != expected_idx or len(kappa_idx) != len(expected_idx):
+        return f"kappa summand indices {kappa_idx} != {sorted(expected_idx)}"
+    mags = [abs(j) for j in kappa_idx]
+    # the fold: the 1-based position l with |j_(l-1)| = |j_l| = t'
+    fold = next((l for l in range(2, len(mags) + 1) if mags[l - 2] == mags[l - 1] == tp), None)
+    if fold is None:
+        return f"kappa sequence has no adjacent +-{tp} pair"
+    left, right = mags[: fold - 1], mags[fold - 1:]
+    if left != sorted(left) or right != sorted(right, reverse=True):
+        return f"kappa magnitudes {mags} are not a tent around position {fold}"
+
+    def eps_sum(roots):
+        return rs.epsilon_coords(datum, tuple(map(sum, zip(*roots))))
+
+    e = eps_sum(kappa_roots)
+    if [c for c in e if c] != [2] or e[0] != 2:
+        return f"sum of kappa is not 2*e_1 (epsilon coords {e})"
+    head = eps_sum(kappa_roots[: fold - 1])
+    tail = tuple(a - b for a, b in zip(e, head))
+    want = {
+        tuple(1 if i in (0, tp - 1) else 0 for i in range(n)),
+        tuple(1 if i == 0 else (-1 if i == tp - 1 else 0) for i in range(n)),
+    }
+    if {head, tail} != want:
+        return f"kappa partial sums {head}, {tail} are not e_1 +- e_{tp}"
+    if classify_vertex(datum, ar.xi, 1) is VertexClass.SINK:
+        segment = kappa_roots[: n - 2]
+    else:
+        segment = kappa_roots[1:]
+    seg = eps_sum(segment)
+    if seg != tuple(1 if i in (0, 1) else 0 for i in range(n)):
+        return f"kappa segment sum {seg} is not e_1 + e_2"
+    for pos, (root, j) in enumerate(zip(kappa_roots, kappa_idx), start=1):
+        path = _reference_rescanning_summand_class_path(ar, j)
+        if len(rs.summand_class(datum, j)) <= 1:
+            continue
+        if path is None:
+            return f"kappa_{pos} class {j} lies on no single broom"
+        want_kind = "S" if pos <= fold - 1 else "N"
+        if path.kind != want_kind:
+            return f"kappa_{pos} class {j} is {path.kind}-sectional, wanted {want_kind}"
+    return None
+
+
+def _reference_rescanning_check_nfree_region(ar):
+    """Tall roots stay in the diagonal window below tall spin roots."""
+    n = ar.rank
+    # the window's extremes: the columns of the spin-level roots of height >= 2
+    spin_tall = [p for (i, p), root in ar.root_at.items() if i in (n - 1, n) and rs.ht(root) >= 2]
+    if not spin_tall:
+        return "no spin-level roots of height >= 2"
+    hi, lo = max(spin_tall), min(spin_tall)
+    if hi - lo != 2 * (n - 3):
+        return f"window extremes ({hi},{lo}) differ by {hi - lo} != {2 * (n - 3)}"
+    mul = {coord: rs.mul(root) for root, coord in ar.phi.items()}
+    for root, (level, p) in ar.phi.items():
+        # level l of the window spans columns lo - d .. hi - d, d = n-1-l
+        inside = 1 < level < n - 1 and lo - (n - 1 - level) <= p <= hi - (n - 1 - level)
+        if mul[level, p] >= 2 and not inside:
+            return f"tall root {root} at {(level, p)} escapes the window"
+    for path in ar.sectional_paths():
+        tall = [c for c in path.coords if mul[c] >= 2]
+        flat = [c for c in path.coords if mul[c] == 1 and c[0] < n - 1]
+        for cf in flat:
+            for ct in tall:
+                if cf[0] >= ct[0]:
+                    return (
+                        f"multiplicity-free {cf} not below non-free {ct} "
+                        f"on one sectional path"
+                    )
+    return None
+
+
+RESCANNING = {
+    "vertex_range": _reference_rescanning_check_vertex_range,
+    "mesh_additivity": _reference_check_mesh_additivity,
+    "range_lemma": _reference_rescanning_check_range_lemma,
+    "triangle": _reference_rescanning_check_triangle,
+    "sigma_kappa": _reference_rescanning_check_sigma_kappa,
+    "nfree_region": _reference_rescanning_check_nfree_region,
+}
+
+
+def _coord_faults(ar):
+    """Copies of ar with one vertex dropped, or moved two columns right."""
+    for (i, p), root in sorted(ar.root_at.items()):
+        root_at = dict(ar.root_at)
+        del root_at[i, p]
+        yield _copy(ar, root_at)
+        if (i, p + 2) not in root_at:
+            yield _copy(ar, {**root_at, (i, p + 2): root})
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6, 7])
+def test_one_pass_checks_pass_where_their_former_bodies_pass(rank):
+    for ar in _every_d_orientation(rank):
+        for check_id, reference in RESCANNING.items():
+            assert getattr(verify, f"check_{check_id}")(ar) is reference(ar) is None, check_id
+
+
+def _outcome_of(check, ar):
+    """A check's message, or the type and text of what it raised."""
+    try:
+        return check(ar)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_one_pass_checks_give_their_former_messages(rank):
+    flagged = dict.fromkeys(RESCANNING, 0)
+    for ar in _every_d_orientation(rank):
+        for faulted in chain(_two_root_swaps(ar), _coord_faults(ar)):
+            for check_id, reference in RESCANNING.items():
+                outcome = _outcome_of(getattr(verify, f"check_{check_id}"), faulted)
+                assert outcome == _outcome_of(reference, faulted), check_id
+                flagged[check_id] += outcome is not None
+    assert all(flagged.values()), flagged
