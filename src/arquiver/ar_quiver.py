@@ -16,10 +16,12 @@ l(i) = min(i, n-1) in type D (l(i) = i in type A), an S-broom is the set of
 vertices with one value of p - l(i) and an N-broom the set with one value of
 p + l(i), kept when it has two or more members and, in type D, one at a
 level <= n-2.  Two roots count as lying on a common sectional path when one
-maximal broom contains both.  A swing is read off the paths too: the
-S-broom whose tips are the fork (n-1, u), (n, u) plus the N-broom leaving
-that fork.  It is labelled by its size, as the paper describes Gamma_Q: the
-a-swing holds the 2n-a-1 roots with summand +e_a, so a = 2n - 1 - |swing|.
+maximal broom contains both.  A swing is read off the brooms' ends: an
+S-broom holds spin vertices only in its last column and an N-broom only in
+its first, so the swing is the S-broom whose last two coords are the fork
+(n-1, u), (n, u) plus the N-broom whose first two coords are that fork.  It
+is labelled by its size, as the paper describes Gamma_Q: the a-swing holds
+the 2n-a-1 roots with summand +e_a, so a = 2n - 1 - |swing|.
 
 The rest of the paper's description of Gamma_Q (spin-level pairs, triangles,
 the place of e_1+e_2, the sigma/kappa sequences, the non-free window) is
@@ -197,18 +199,17 @@ class ARQuiver:
 
     @cached_property
     def _swings(self) -> tuple[Swing, ...]:
+        # an S- and an N-diagonal share one vertex, or the two of a fork
+        # (n-1, u), (n, u): the S-broom's last two coords and the N-broom's first two
         n = self.rank
-        stems: dict[tuple[str, tuple[Coord, ...]], tuple[Coord, ...]] = {}
-        for path in self._sectional_paths:
-            fork = tuple(c for c in path.coords if c[0] >= n - 1)
-            if len(fork) == 2:
-                stems[path.kind, fork] = tuple(c for c in path.coords if c[0] <= n - 2)
+        n_from = {path.coords[:2]: path.coords for path in self._sectional_paths
+                  if path.kind == "N"}
         swings = []
-        for (kind, fork), s_part in stems.items():
-            n_part = stems.get(("N", fork))
-            if kind == "S" and n_part is not None:
-                label = 2 * n - 1 - len(s_part + fork + n_part)
-                swings.append(Swing(label, s_part, fork, n_part))
+        for path in self._sectional_paths:
+            n_coords = n_from.get(path.coords[-2:]) if path.kind == "S" else None
+            if n_coords is not None:
+                label = 2 * n + 1 - len(path.coords) - len(n_coords)  # the fork is on both
+                swings.append(Swing(label, path.coords[:-2], path.coords[-2:], n_coords[2:]))
         return tuple(sorted(swings, key=lambda s: s.shared_index))
 
     # --- export ---------------------------------------------------------------

@@ -81,16 +81,6 @@ class CartanDatum(_CartanFields):
         return {i: tuple(sorted(js)) for i, js in table.items()}
 
     @cached_property
-    def neighbor_index(self) -> dict[int, tuple[int, ...]]:
-        """Vertex -> its neighbours' 0-based coordinates; letter 0 or -1 finds no key."""
-        return {i: tuple(j - 1 for j in js) for i, js in self.neighbor_table.items()}
-
-    @cached_property
-    def edge_index(self) -> tuple[tuple[int, int], ...]:
-        """The diagram edges as pairs of 0-based coordinates."""
-        return tuple((i - 1, j - 1) for i, j in self.edges)
-
-    @cached_property
     def distance_table(self) -> dict[int, dict[int, int]]:
         """Vertex -> {vertex: graph distance}, by breadth-first search."""
         dist: dict[int, dict[int, int]] = {}
@@ -143,8 +133,8 @@ class CartanDatum(_CartanFields):
         if len(a) != self.rank or len(b) != self.rank:
             raise RootSystemError(f"cannot pair {a} with {b} in rank {self.rank}")
         total = 2 * sum(map(operator.mul, a, b))
-        for i, j in self.edge_index:
-            total -= a[i] * b[j] + a[j] * b[i]
+        for i, j in self.edges:
+            total -= a[i - 1] * b[j - 1] + a[j - 1] * b[i - 1]
         return total
 
 
@@ -170,13 +160,13 @@ def apply_word(datum: CartanDatum, word: WeylWord, root: Root | SignedRoot) -> S
     """
     sign, coeffs = _as_signed(datum, root)
     out = list(coeffs)
-    table = datum.neighbor_index
+    table = datum.neighbor_table
     try:
         for i in reversed(word):
             neighbors = table[i]  # before out[i - 1], which 0 or n + 1 would wrap or overrun
             value = -out[i - 1]
             for j in neighbors:
-                value += out[j]
+                value += out[j - 1]
             out[i - 1] = value
             if value < 0:
                 sign, out = -sign, [-c for c in out]

@@ -240,21 +240,6 @@ def check_shallow_paths(ar: ARQuiver) -> Optional[str]:
     return None
 
 
-def _summand_class_path(ar: ARQuiver, signed: int, brooms=None):
-    """The maximal broom holding every root with the given signed summand;
-    a caller asking for many classes passes ``brooms = _broom_sets(ar)``."""
-    carriers = {ar.coord_of(root) for root in rs.summand_class(ar.datum, signed)}
-    for path, coords in brooms or _broom_sets(ar):
-        if carriers <= coords:
-            return path
-    return None
-
-
-def _broom_sets(ar: ARQuiver):
-    """Each sectional path with the set of its coords."""
-    return [(path, set(path.coords)) for path in ar.sectional_paths()]
-
-
 def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
     """sigma swing indices are reverse-unimodal; kappa tents at t'."""
     datum = ar.datum
@@ -277,7 +262,8 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
         return f"sigma indices {sigma_idx} are not reverse-unimodal"
     swings = {s.shared_index: s for s in ar.swings()}
     for pos, (p, idx) in enumerate(zip(cols, sigma_idx)):
-        if idx not in swings or (n - 1, p) not in swings[idx].coords:
+        # the fork's first coord is the one level-(n-1) coord a swing holds
+        if idx not in swings or swings[idx].fork[0] != (n - 1, p):
             return f"sigma_{pos + 1} not in its {idx}-swing"
         s_len, n_len = len(swings[idx].s_part), len(swings[idx].n_part)
         if pos < valley and not n_len < s_len:
@@ -327,11 +313,18 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
     seg = eps_sum(segment)
     if seg != tuple(1 if i in (0, 1) else 0 for i in range(n)):
         return f"kappa segment sum {seg} is not e_1 + e_2"
-    brooms = _broom_sets(ar)
-    for pos, j in enumerate(kappa_idx, start=1):
-        if len(rs.summand_class(datum, j)) <= 1:
+    # kappa_l at (1, p) carries its own class, so a broom holding the whole class
+    # runs through (1, p): the S-broom starting there or the N-broom ending there
+    paths = ar.sectional_paths()
+    s_from = {path.coords[0]: path for path in paths if path.kind == "S"}
+    n_into = {path.coords[-1]: path for path in paths if path.kind == "N"}
+    for pos, (p, j) in enumerate(zip(cols, kappa_idx), start=1):
+        carriers = rs.summand_class(datum, j)
+        if len(carriers) <= 1:
             continue
-        path = _summand_class_path(ar, j, brooms)
+        coords = {ar.coord_of(root) for root in carriers}
+        path = next((path for path in (s_from.get((1, p)), n_into.get((1, p)))
+                     if path is not None and coords <= set(path.coords)), None)
         if path is None:
             return f"kappa_{pos} class {j} lies on no single broom"
         want_kind = "S" if pos <= fold - 1 else "N"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arquiver import ar_quiver, verify
 from arquiver import root_system as rs
-from arquiver.ar_quiver import ARQuiver, ARQuiverError, Coord, SectionalPath
+from arquiver.ar_quiver import ARQuiver, ARQuiverError, Coord, SectionalPath, Swing
 from arquiver.quiver import (
     DynkinQuiver,
     all_orientations,
@@ -271,6 +271,46 @@ def test_stemless_spin_pair_is_no_path():
     holding = [p.kind for p in ar.sectional_paths() if pair <= set(p.coords)]
     assert holding == ["N"]
     assert not any(set(p.coords) <= pair for p in ar.sectional_paths())
+
+
+def _reference_stem_swings(self):
+    """The former body of ``ARQuiver._swings``: each path's coords filtered by
+    level into its fork and its stem."""
+    n = self.rank
+    stems = {}
+    for path in self._sectional_paths:
+        fork = tuple(c for c in path.coords if c[0] >= n - 1)
+        if len(fork) == 2:
+            stems[path.kind, fork] = tuple(c for c in path.coords if c[0] <= n - 2)
+    swings = []
+    for (kind, fork), s_part in stems.items():
+        n_part = stems.get(("N", fork))
+        if kind == "S" and n_part is not None:
+            label = 2 * n - 1 - len(s_part + fork + n_part)
+            swings.append(Swing(label, s_part, fork, n_part))
+    return tuple(sorted(swings, key=lambda s: s.shared_index))
+
+
+def _moved_or_dropped(ar):
+    """Copies of ar with one vertex dropped, or moved by +-1, +-2 or +-3 columns."""
+    for (i, p), root in sorted(ar.root_at.items()):
+        root_at = dict(ar.root_at)
+        del root_at[i, p]
+        yield ARQuiver(ar.quiver, ar.xi, root_at, ar.arrows, ar.m)
+        for shift in (-3, -2, -1, 1, 2, 3):
+            if (i, p + shift) not in root_at:
+                moved = {**root_at, (i, p + shift): root}
+                yield ARQuiver(ar.quiver, ar.xi, moved, ar.arrows, ar.m)
+
+
+@pytest.mark.parametrize("rank", range(4, 10))
+def test_swings_equal_their_former_stem_scan(rank):
+    for quiver in all_orientations(CartanDatum("D", rank)):
+        ar = ar_quiver.build(quiver, make_height_function(quiver, rank, 0))
+        assert ar._swings == _reference_stem_swings(ar)
+        if rank <= 6:
+            for faulted in _moved_or_dropped(ar):
+                assert faulted._swings == _reference_stem_swings(faulted)
 
 
 def test_sigma_kappa_example1(example1_ar):

@@ -53,6 +53,6 @@ def test_value_semantics_the_named_tuples_keep():
     reflect(datum, 3, datum.simple_root(3))
     copy = pickle.loads(pickle.dumps(datum))
     assert copy == datum and vars(copy) == vars(datum)
-    tables = {"edges", "neighbor_table", "distance_table", "neighbor_index", "edge_index"}
+    tables = {"edges", "neighbor_table", "distance_table"}
     assert tables <= set(vars(copy))
     assert reflect(copy, 3, copy.simple_root(4)) == (1, (0, 0, 1, 1, 0))

@@ -542,7 +542,7 @@ def _reference_check_sigma_kappa(ar):
     if seg != tuple(1 if i in (0, 1) else 0 for i in range(n)):
         return f"kappa segment sum {seg} is not e_1 + e_2"
     for pos, (root, j) in enumerate(zip(kappa_roots, kappa_idx), start=1):
-        path = verify._summand_class_path(ar, j)
+        path = _reference_rescanning_summand_class_path(ar, j)
         if len(rs.summand_class(datum, j)) <= 1:
             continue
         if path is None:
