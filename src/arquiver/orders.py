@@ -10,7 +10,9 @@ of ``ARQuiver``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 from . import root_system as rs
@@ -37,13 +39,20 @@ class PairVerdict(NamedTuple):
 
 
 class ConvexOrder:
-    """A reduced word of w0 together with its root sequence."""
+    """A reduced word of w0 together with its root sequence.
+
+    ``nests`` maps a root gamma to its nest table in this order, filled by
+    ``minimal_wrt`` on first use: the positions (x, y), x < y, of gamma's sum
+    pairs with x < position(gamma) < y, sorted by x, held in one tuple as
+    their xs followed by the suffix minima of their ys.
+    """
 
     def __init__(self, datum: CartanDatum, word: WeylWord, roots: tuple[Root, ...]):
         self.datum = datum
         self.word = word
         self.roots = roots
         self.position = {root: z for z, root in enumerate(roots)}
+        self.nests: dict[Root, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -57,9 +66,11 @@ class ConvexOrder:
         if len(self.roots) != len(pos) or pos.keys() != sums.keys():
             raise OrderError("order is not an ordering of the positive roots")
         for total, pairs in sums.items():
+            mid = pos[total]
             for pair in pairs:
-                a, b = sorted(pair, key=pos.__getitem__)
-                if not pos[a] < pos[total] < pos[b]:
+                x, y = pos[pair[0]], pos[pair[1]]
+                if not (x < mid < y or y < mid < x):
+                    a, b = sorted(pair, key=pos.__getitem__)
                     raise OrderError(f"sum {total} not between its parts {a}, {b}")
 
 
@@ -103,6 +114,10 @@ def canonical_reading(ar: ARQuiver, strategy: str) -> ConvexOrder:
     back to a plain column-major reading.  Each reading is built and checked
     for convexity once per quiver and kept in ``ar.readings_cache``.
     """
+    try:
+        return ar.readings_cache[strategy]
+    except (KeyError, TypeError):  # not built yet, or not in its stored spelling
+        pass
     strategy = strategy.upper()
     if strategy not in STRATEGIES:
         raise OrderError(f"unknown strategy {strategy!r}")
@@ -205,10 +220,17 @@ def _pair_table(ar: ARQuiver, gamma: Root) -> dict[tuple[Root, Root], Optional[t
     pairs = [orient_pair(ar, alpha, beta) for alpha, beta in sums]
     pairs.sort(key=lambda ab: ar.coord_of(ab[0]))
     _, bit, below = ar._path_order
-    table = ar.pairs_cache[gamma] = {
-        (a, b): next(((c, d) for c, d in pairs if bit[a] & below[c] and bit[d] & below[b]), None)
-        for a, b in pairs
-    }
+    rows = [(c, d, below[c], bit[d]) for c, d in pairs]
+    table = {}
+    for a, b in pairs:
+        bit_a, below_b = bit[a], below[b]
+        witness = None
+        for c, d, below_c, bit_d in rows:
+            if bit_a & below_c and bit_d & below_b:
+                witness = (c, d)
+                break
+        table[a, b] = witness
+    ar.pairs_cache[gamma] = table
     return table
 
 
@@ -247,8 +269,14 @@ def classify_pair(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> PairVer
     strictly inside it in the path order (alpha < alpha' and beta' < beta).
     A pair gamma's table holds, in its order, is not checked again; the
     witness is read off the table."""
-    alpha, beta = pair if in_pair_table(ar, gamma, pair) else _check_pair(ar, gamma, pair)
-    witness = _pair_table(ar, gamma)[alpha, beta]
+    try:
+        witness = ar.pairs_cache[gamma][pair]
+        alpha, beta = pair
+    except (KeyError, TypeError):  # no table yet, an unoriented pair, or a list
+        alpha = None
+    if alpha is None:  # checked outside the handler, so its errors carry no lookup context
+        alpha, beta = _check_pair(ar, gamma, pair)
+        witness = _pair_table(ar, gamma)[alpha, beta]
     if witness is not None:
         return PairVerdict(gamma, alpha, beta, Verdict.NON_MINIMAL, witness=witness)
     tag = _minimality_tag(ar, gamma, (alpha, beta))
@@ -273,19 +301,42 @@ def _check_pair(ar: ARQuiver, gamma: Root, pair) -> tuple[Root, Root]:
 
 
 def minimal_wrt(order: ConvexOrder, pair: tuple[Root, Root], gamma: Root) -> bool:
-    """False iff some pair of gamma nests inside `pair` with gamma between its parts."""
+    """False iff some pair of gamma nests inside `pair` with gamma between its parts.
+
+    With lo < hi the positions of ``pair``, that is a sum pair at x < y with
+    lo < x < pos(gamma) < y < hi.  Gamma's nest table in ``order.nests``
+    holds the pairs straddling gamma by x, so the pairs with x > lo are a
+    suffix found by bisection, and its least y decides: one lookup per query
+    at any height of gamma, exact for any order, convex or not.
+    """
     pos = order.position
     lo, hi = pos[pair[0]], pos[pair[1]]
     if lo > hi:
         lo, hi = hi, lo
+    nest = order.nests.get(gamma)
+    if nest is None:
+        nest = order.nests[gamma] = _nest_table(order, gamma)
+    size = len(nest) // 2
+    k = bisect_right(nest, lo, 0, size)
+    return k == size or nest[size + k] >= hi
+
+
+def _nest_table(order: ConvexOrder, gamma: Root) -> tuple[int, ...]:
+    """Gamma's sum pairs straddling it in ``order``: their xs ascending, then the
+    suffix minima of their ys, in one tuple (one object per table keeps the
+    readings' tables small)."""
+    pos = order.position
     mid = pos[gamma]
+    straddling = []
     for a, b in rs.root_sums(order.datum)[gamma]:
         x, y = pos[a], pos[b]
         if x > y:
             x, y = y, x
-        if lo < x < mid < y < hi:
-            return False
-    return True
+        if x < mid < y:
+            straddling.append((x, y))
+    straddling.sort()
+    low = list(accumulate(reversed([y for _, y in straddling]), min))
+    return (*[x for x, _ in straddling], *reversed(low))
 
 
 def oracle_classify(ar: ARQuiver, gamma: Root, pair) -> PairVerdict:

@@ -591,38 +591,40 @@ def check_dorey_ii_in_double_zero() -> Optional[str]:
 class Check(NamedTuple):
     """One check of the harness; its id is its function's name without ``check_``."""
 
+    id: str  # interned once by _checks: a sweep's records share one string per check
     suite: str
     fn: Callable[..., Optional[str]]
     rank_max: Optional[int] = None  # the largest rank it is brute-forced at
 
-    @property
-    def id(self) -> str:  # interned: a sweep's records share one string per check
-        return sys.intern(self.fn.__name__.removeprefix("check_"))
+
+def _checks(suite: str, *fns: Callable[..., Optional[str]], rank_max=None) -> tuple[Check, ...]:
+    return tuple(
+        Check(sys.intern(fn.__name__.removeprefix("check_")), suite, fn, rank_max) for fn in fns
+    )
 
 
 # the build checks come first: a failing one stops its orientation
 ORIENTATION_CHECKS = (
-    *(Check("structure", fn) for fn in (
-        *BUILD_CHECKS,
+    *_checks(
+        "structure", *BUILD_CHECKS,
         check_simple_root_coords, check_arrow_pairing, check_range_lemma, check_m_values,
         check_level_pair_sums, check_triangle, check_swing_shapes, check_shallow_paths,
         check_sigma_kappa, check_longest_root, check_nfree_region,
-    )),
-    *(Check("orders", fn) for fn in (
-        check_canonical_orders, check_compatibility, check_pair_counts, check_nonfree_counts,
-    )),
-    Check("orders", check_readings_equal_class, rank_max=4),
-    Check("orders", check_oracle_agreement, rank_max=4),
-    *(Check("qaffine", fn) for fn in (
-        check_dorey_d1_coverage, check_star_transport,
+    ),
+    *_checks(
+        "orders", check_canonical_orders, check_compatibility, check_pair_counts,
+        check_nonfree_counts,
+    ),
+    *_checks("orders", check_readings_equal_class, check_oracle_agreement, rank_max=4),
+    *_checks(
+        "qaffine", check_dorey_d1_coverage, check_star_transport,
         check_surj_free_multiplicity, check_sectional_commuting,
-    )),
+    ),
 )
 
 GLOBAL_CHECKS = (
-    Check("orders", check_non_adapted_word),
-    Check("qaffine", check_double_zero_correspondence),
-    Check("qaffine", check_dorey_ii_in_double_zero),
+    *_checks("orders", check_non_adapted_word),
+    *_checks("qaffine", check_double_zero_correspondence, check_dorey_ii_in_double_zero),
 )
 
 SUITES = tuple(dict.fromkeys(check.suite for check in ORIENTATION_CHECKS + GLOBAL_CHECKS))

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from conftest import (
     _reference_classify_pair,
     _reference_minimal_wrt,
 )
+from test_qaffine import _raised
 
 
 def angle(datum, root):
@@ -469,3 +471,120 @@ def test_check_convexity_rejects_an_order_that_is_not_of_phi(example1_ar, flaw):
 def test_pairs_of_rejects_a_non_root(example1_ar, gamma):
     with pytest.raises(OrderError, match="is not a positive root"):
         orders.pairs_of(example1_ar, gamma)
+
+
+# --- the nest tables, the dominance loop and the convexity test against their former bodies
+
+def _shuffled_orders(rank, count):
+    """Seeded shuffles of Phi+ of D_rank: orders of the roots, almost never convex."""
+    datum = CartanDatum("D", rank)
+    roots = sorted(rs.enumerate_positive_roots(datum))
+    rng = random.Random(rank)
+    for _ in range(count):
+        rng.shuffle(roots)
+        yield orders.ConvexOrder(datum, (), tuple(roots))
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_minimal_wrt_equals_its_former_body_on_shuffled_orders(rank):
+    verdicts = set()
+    for order in _shuffled_orders(rank, 4):
+        roots = order.roots
+        # pairs outermost, so each gamma's nest table is read long after it was built
+        for alpha in roots:
+            for beta in roots:
+                for gamma in roots:
+                    expected = _reference_minimal_wrt(order, (alpha, beta), gamma)
+                    assert orders.minimal_wrt(order, (alpha, beta), gamma) == expected
+                    verdicts.add(expected)
+        assert set(order.nests) == set(roots)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_minimal_wrt_raises_as_its_former_body_on_unknown_roots(rank):
+    (order,) = _shuffled_orders(rank, 1)
+    a, b, gamma = order.roots[:3]
+    stranger = (2,) + (0,) * (rank - 1)
+    cases = [
+        ((stranger, b), gamma), ((a, stranger), gamma), ((a, b), stranger),
+        ((stranger, b), stranger), ((a, b), list(gamma)), ((list(a), b), gamma),
+    ]
+    for filled in (False, True):
+        if filled:  # the nest tables of every root are built
+            for root in order.roots:
+                orders.minimal_wrt(order, (a, b), root)
+        for pair, g in cases:
+            expected = _raised(_reference_minimal_wrt, order, pair, g)
+            assert expected is not None, (pair, g)
+            assert _raised(orders.minimal_wrt, order, pair, g) == expected, (pair, g, filled)
+
+
+def _reference_pair_table(ar, gamma):
+    """The former dominance scan: a generator over gamma's oriented pairs per pair."""
+    pairs = [orders.orient_pair(ar, alpha, beta) for alpha, beta in rs.root_sums(ar.datum)[gamma]]
+    pairs.sort(key=lambda ab: ar.coord_of(ab[0]))
+    _, bit, below = ar._path_order
+    return {
+        (a, b): next(((c, d) for c, d in pairs if bit[a] & below[c] and bit[d] & below[b]), None)
+        for a, b in pairs
+    }
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6, 7, 8])
+def test_pair_table_witnesses_equal_the_former_scan(rank):
+    witnessed = 0
+    for ar in _every_orientation("D", rank):
+        for gamma in sorted(ar.phi):
+            if rs.ht(gamma) < 2:
+                continue
+            expected = _reference_pair_table(ar, gamma)
+            assert list(orders._pair_table(ar, gamma).items()) == list(expected.items())
+            witnessed += sum(w is not None for w in expected.values())
+    assert witnessed > 0
+
+
+def _reference_check_convexity(order):
+    """The former check_convexity: it sorts every pair by position before comparing."""
+    pos, sums = order.position, rs.root_sums(order.datum)
+    if len(order.roots) != len(pos) or pos.keys() != sums.keys():
+        raise OrderError("order is not an ordering of the positive roots")
+    for total, pairs in sums.items():
+        for pair in pairs:
+            a, b = sorted(pair, key=pos.__getitem__)
+            if not pos[a] < pos[total] < pos[b]:
+                raise OrderError(f"sum {total} not between its parts {a}, {b}")
+
+
+def test_check_convexity_gives_its_former_messages(example1_ar, d4):
+    u1 = orders.canonical_reading(example1_ar, "U1")
+    theta = rs.parse_root(d4, "e1+e2")
+    faulted = [
+        orders.ConvexOrder(d4, u1.word, (theta, *(r for r in u1.roots if r != theta))),
+        orders.ConvexOrder(d4, u1.word[:-1], u1.roots[:-1]),
+        orders.ConvexOrder(d4, u1.word, u1.roots[:-1] + u1.roots[:1]),
+        *_shuffled_orders(4, 8),
+        *_shuffled_orders(5, 8),
+    ]
+    for order in faulted:
+        expected = _raised(_reference_check_convexity, order)
+        assert expected is not None and expected[0] is OrderError
+        assert _raised(order.check_convexity) == expected
+    for tag in orders.STRATEGIES:
+        order = orders.canonical_reading(example1_ar, tag)
+        assert _raised(_reference_check_convexity, order) is None
+        assert _raised(order.check_convexity) is None
+
+
+@pytest.mark.parametrize("strategy, error", [
+    ("X9", OrderError), (None, AttributeError), (["U1"], AttributeError), ("", OrderError),
+])
+def test_canonical_reading_rejects_what_it_rejected_before_and_after_the_cache(
+    example1_ar, strategy, error
+):
+    for filled in (False, True):
+        if filled:
+            for tag in orders.STRATEGIES:
+                orders.canonical_reading(example1_ar, tag)
+        with pytest.raises(error):
+            orders.canonical_reading(example1_ar, strategy)

@@ -312,6 +312,20 @@ def test_bad_pairs_raise_as_the_former_bodies_do(example1_quiver):
                 assert _raised(fn, ar, gamma, pair) == expected, (what, filled, fn.__name__)
 
 
+def test_bad_pairs_raise_without_the_table_lookup_as_context(example1_quiver):
+    ar = ar_quiver.build(example1_quiver, make_height_function(example1_quiver, 3, 0))
+    list(orders.all_pairs(ar))
+
+    def context(fn, gamma, pair):
+        with pytest.raises(Exception) as excinfo:
+            fn(ar, gamma, pair)
+        return repr(excinfo.value.__context__)
+
+    for what, gamma, pair in _bad_pairs(ar):
+        expected = context(_reference_classify_pair, gamma, pair)
+        assert context(orders.classify_pair, gamma, pair) == expected, what
+
+
 def test_a_filled_pair_table_orients_its_own_pairs_without_prec(monkeypatch, example1_quiver):
     ar = ar_quiver.build(example1_quiver, make_height_function(example1_quiver, 3, 0))
     pairs = list(orders.all_pairs(ar))

@@ -1,8 +1,10 @@
 import concurrent.futures
 import functools
 import json
+import random
 import subprocess
 import sys
+import time
 from itertools import chain
 from pathlib import Path
 
@@ -46,6 +48,35 @@ def test_catalog_contents():
         assert parser.parse_args(["verify", "--suite", suite]).suite == suite
     with pytest.raises(SystemExit):
         parser.parse_args(["verify", "--suite", "global"])
+
+
+def test_check_ids_are_computed_once_and_shared_by_the_records():
+    for check in verify.ORIENTATION_CHECKS + verify.GLOBAL_CHECKS:
+        assert check.id == check.fn.__name__.removeprefix("check_")
+        assert check.id is sys.intern(check.fn.__name__.removeprefix("check_"))
+    ids = {check.id: check.id for check in verify.ORIENTATION_CHECKS + verify.GLOBAL_CHECKS}
+    for record in run_suite(4, {"structure", "orders"}).records:
+        assert record.check_id is ids[record.check_id]
+
+
+def test_seeded_high_rank_orientations_pass_every_suite():
+    # three seeded orientations per rank, drawn as the roadmap's baseline draws them
+    suites = ("orders", "qaffine", "structure")
+    start = time.perf_counter()
+    for rank in (20, 30):
+        rng = random.Random(rank)
+        masks = [rng.randrange(2 ** (rank - 1)) for _ in range(3)]
+        records = [
+            record
+            for mask in masks
+            for record in verify._run_orientation_task((rank, mask, suites))
+        ]
+        assert [r for r in records if r.status != "pass"] == []
+        assert {r.suite for r in records} == set(suites)
+        assert len({r.orientation for r in records}) == 3
+        assert {r.rank for r in records} == {rank}
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"D20 and D30: {elapsed:.2f}s for six orientations, budget 5s"
 
 
 def test_run_suite_rank4_all_pass():
