@@ -54,12 +54,6 @@ class ConvexOrder:
         self.position = {root: z for z, root in enumerate(roots)}
         self.nests: dict[Root, tuple[int, ...]] = {}
 
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def index(self, root: Root) -> int:
-        return self.position[root]
-
     def check_convexity(self) -> None:
         """Raise unless this orders Phi+ with each root sum between its parts (Papi)."""
         pos, sums = self.position, rs.root_sums(self.datum)
@@ -134,6 +128,7 @@ def _reading_key(ar: ARQuiver, strategy: str):
     datum = ar.datum
     if datum.diagram_type != "D":
         return lambda c: (-c[1], c[0])
+    d1 = datum.distance_table[1]
 
     def spin_sign(coord: Coord) -> int:
         eps = rs.epsilon_form(datum, ar.root_at[coord])
@@ -141,7 +136,7 @@ def _reading_key(ar: ARQuiver, strategy: str):
 
     def key(coord: Coord):
         level, p = coord
-        d = datum.distance(1, level)
+        d = d1[level]
         if strategy == "U1":
             return (d - p, -d, -level)
         if strategy == "U2":
@@ -232,14 +227,6 @@ def _pair_table(ar: ARQuiver, gamma: Root) -> dict[tuple[Root, Root], Optional[t
         table[a, b] = witness
     ar.pairs_cache[gamma] = table
     return table
-
-
-def in_pair_table(ar: ARQuiver, gamma: Root, pair) -> bool:
-    """Whether ``pair``, in the order given, is in gamma's filled pair table."""
-    try:
-        return tuple(pair) in ar.pairs_cache.get(gamma, ())
-    except TypeError:  # a list is no key; the sum check turns it away
-        return False
 
 
 def all_pairs(ar: ARQuiver) -> Iterator[tuple[Root, tuple[Root, Root]]]:

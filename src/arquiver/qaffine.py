@@ -66,9 +66,6 @@ class SpectralParam(_SpectralFields):
     def __mul__(self, other: "SpectralParam") -> "SpectralParam":
         return SpectralParam(self.u + other.u, self.p + other.p)
 
-    def __truediv__(self, other: "SpectralParam") -> "SpectralParam":
-        return SpectralParam(self.u - other.u, self.p - other.p)
-
     def negate(self) -> "SpectralParam":
         return SpectralParam(self.u + 4, self.p)
 
@@ -355,8 +352,12 @@ def star_map(n: int, level: int, param: SpectralParam) -> tuple[int, SpectralPar
 
 def pair_to_triple(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> HomTriple:
     """Candidate hom data of a pair: (level, (-q)^column) of beta, alpha, gamma."""
+    try:
+        known = pair in ar.pairs_cache[gamma]
+    except (KeyError, TypeError):  # no table yet, or a list
+        known = False
     alpha, beta = pair
-    if not orders.in_pair_table(ar, gamma, pair):
+    if not known:  # checked outside the handler, so its errors carry no lookup context
         if tuple(a + b for a, b in zip(alpha, beta)) != tuple(gamma):
             raise QAffineError(f"{alpha} + {beta} != {gamma}")
         alpha, beta = orders.orient_pair(ar, alpha, beta)

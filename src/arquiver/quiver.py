@@ -90,7 +90,7 @@ def classify_vertex(datum: CartanDatum, xi, i: int) -> VertexClass:
     if _is_source(datum, [-h for h in xi], i):  # a source of Q^op, whose heights are -xi
         return VertexClass.SINK
     d1 = datum.distance_table[1]
-    turns = {(xi[j - 1] - xi[i - 1]) * (d1[j] - d1[i]) for j in datum.neighbors(i)}
+    turns = {(xi[j - 1] - xi[i - 1]) * (d1[j] - d1[i]) for j in datum.neighbor_table[i]}
     if turns == {1}:
         return VertexClass.RIGHT_INTERMEDIATE
     if turns == {-1}:
@@ -110,7 +110,7 @@ def make_height_function(
     stack = [anchor_vertex]
     while stack:
         u = stack.pop()
-        for v in datum.neighbors(u):
+        for v in datum.neighbor_table[u]:
             if v not in xi:
                 xi[v] = xi[u] - 1 if (u, v) in arrows else xi[u] + 1
                 stack.append(v)
@@ -119,7 +119,7 @@ def make_height_function(
 
 def _is_source(datum: CartanDatum, xi, i: int) -> bool:
     """i is a source exactly when every neighbour sits at xi_i - 1."""
-    return all(xi[j - 1] == xi[i - 1] - 1 for j in datum.neighbors(i))
+    return all(xi[j - 1] == xi[i - 1] - 1 for j in datum.neighbor_table[i])
 
 
 def is_adapted(word: WeylWord, quiver: DynkinQuiver) -> bool:
@@ -142,6 +142,7 @@ def coxeter_word(quiver: DynkinQuiver) -> WeylWord:
     adjacent vertices are), so the ready list grows by its remaining ones.
     """
     datum = quiver.datum
+    neighbors = datum.neighbor_table
     xi = list(make_height_function(quiver, 1, 0))
     remaining = set(datum.vertices)
     ready = [i for i in datum.vertices if _is_source(datum, xi, i)]
@@ -152,7 +153,7 @@ def coxeter_word(quiver: DynkinQuiver) -> WeylWord:
         remaining.discard(source)
         word.append(source)
         xi[source - 1] -= 2
-        ready += [j for j in datum.neighbors(source) if j in remaining and _is_source(datum, xi, j)]
+        ready += [j for j in neighbors[source] if j in remaining and _is_source(datum, xi, j)]
     return tuple(word)
 
 

@@ -99,14 +99,7 @@ class CartanDatum(_CartanFields):
         return dist
 
     def adjacent(self, i: int, j: int) -> bool:
-        return j in self.neighbors(i)
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.neighbor_table.get(i, ())
-
-    def distance(self, i: int, j: int) -> int:
-        """Graph distance between diagram vertices."""
-        return self.distance_table[i][j]
+        return j in self.neighbor_table.get(i, ())
 
     @property
     def coxeter_number(self) -> int:

@@ -42,12 +42,12 @@ def _every_orientation(diagram, rank):
 
 
 def _reference_minimal_wrt(order, pair, gamma):
-    """The former minimal_wrt, sorting positions through order.index."""
+    """The former minimal_wrt, sorting positions through order.position."""
     alpha, beta = pair
-    lo, hi = sorted((order.index(alpha), order.index(beta)))
-    mid = order.index(gamma)
+    lo, hi = sorted((order.position[alpha], order.position[beta]))
+    mid = order.position[gamma]
     for other in rs.root_sums(order.datum)[gamma]:
-        x, y = sorted(map(order.index, other))
+        x, y = sorted(map(order.position.__getitem__, other))
         if lo < x < mid < y < hi:
             return False
     return True

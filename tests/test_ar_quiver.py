@@ -514,7 +514,7 @@ def _reference_build(quiver, xi):
         m.append((xi[i - 1] - p) // 2)
     arrows = set()
     for (i, p) in root_at:
-        for j in datum.neighbors(i):
+        for j in datum.neighbor_table[i]:
             if (j, p + 1) in root_at:
                 arrows.add(((i, p), (j, p + 1)))
     return ARQuiver(quiver, xi, root_at, frozenset(arrows), tuple(m))
@@ -614,13 +614,14 @@ def test_a_label_outside_the_positive_roots_fails_mesh_and_triangle(example1_ar)
 
 
 def _reference_check_arrow_rule(ar):
-    """The former body of ``ar_quiver.check_arrow_rule``, through ``adjacent``/``neighbors``."""
+    """The former body of ``ar_quiver.check_arrow_rule``, through ``adjacent`` and a
+    neighbour lookup that finds none off the diagram."""
     for a, b in ar.arrows:
         if b[1] != a[1] + 1 or not ar.datum.adjacent(a[0], b[0]):
             return f"arrow {a}->{b} malformed"
     expected = set()
     for (i, p) in ar.root_at:
-        for j in ar.datum.neighbors(i):
+        for j in ar.datum.neighbor_table.get(i, ()):
             if (j, p + 1) in ar.root_at:
                 expected.add(((i, p), (j, p + 1)))
     if expected != ar.arrows:
@@ -634,7 +635,7 @@ def _arrow_faults(ar):
     """ar with one arrow dropped, or with one malformed or stray arrow added."""
     (i, p), _ = min(ar.arrows)
     far = next(j for j in ar.datum.vertices if abs(i - j) > 1 and not ar.datum.adjacent(i, j))
-    j = ar.datum.neighbors(i)[0]
+    j = ar.datum.neighbor_table[i][0]
     added = [((i, p), (i, p + 1)), ((i, p), (far, p + 1)), ((i, p), (0, p + 1)),
              ((i, p), (j, p + 3)), ((99, p), (i, p + 1)), ((i, p + 100), (j, p + 101))]
     for arrows in [ar.arrows - {arrow} for arrow in sorted(ar.arrows)] + [

@@ -191,6 +191,14 @@ def test_unparseable_parameters_exit_2(capsys, argv, message):
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "anchor, message", [("9=0", "no vertex 9"), ("foo", "cannot parse height anchor 'foo'")]
+)
+def test_bad_height_anchor_exits_2(capsys, anchor, message):
+    argv = ["build", *EX1[:-1], anchor]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_spectral_commands_load_no_fractions():
     code = (
         "import sys\n"

@@ -34,7 +34,7 @@ def angle(datum, root):
 def test_order_from_word_d4(d4):
     word = (1, 2, 3, 1, 2, 4, 1, 2, 3, 1, 2, 4)
     order = orders.order_from_word(d4, word)
-    assert len(order) == 12
+    assert len(order.roots) == 12
     assert set(order.roots) == rs.enumerate_positive_roots(d4)
 
 
@@ -77,7 +77,7 @@ def test_all_readings_are_adapted_linear_extensions(example1_ar):
             for other in below:
                 alpha = example1_ar.root_at[other]
                 beta = example1_ar.root_at[coord]
-                assert order.index(alpha) < order.index(beta)
+                assert order.position[alpha] < order.position[beta]
         if count > 5:
             break
 
@@ -323,8 +323,8 @@ def _scanned_pairs(ar, gamma):
 def _scanned_minimal(order, pair, gamma):
     """No root between the pair's first part and gamma has its partner between
     gamma and the second part."""
-    lo, hi = sorted(map(order.index, pair))
-    mid = order.index(gamma)
+    lo, hi = sorted(map(order.position.__getitem__, pair))
+    mid = order.position[gamma]
     for other in order.roots[lo + 1: mid]:
         partner = tuple(g - c for g, c in zip(gamma, other))
         z = order.position.get(partner)
@@ -450,7 +450,9 @@ def test_check_convexity_rejects_a_sum_outside_its_parts(example1_ar, d4):
         d4, u1.word, (theta, *(r for r in u1.roots if r != theta))
     )
     messages = {
-        "sum {} not between its parts {}, {}".format(theta, *sorted(pair, key=moved.index))
+        "sum {} not between its parts {}, {}".format(
+            theta, *sorted(pair, key=moved.position.__getitem__)
+        )
         for pair in orders.pairs_of(example1_ar, theta)
     }
     with pytest.raises(OrderError) as excinfo:

@@ -175,6 +175,10 @@ def test_denominator_d2_examples():
     mixed = denom_D2(3, 1, 3)
     for root in mixed.roots:
         assert mixed.zero_multiplicity(root.negate()) == mixed.zero_multiplicity(root)
+    with pytest.raises(QAffineError, match=r"^twisted type D needs n >= 3$"):
+        denom_D2(2, 1, 1)
+    with pytest.raises(QAffineError, match=r"^levels \(1,4\) out of range 1..3$"):
+        denom_D2(3, 1, 4)
 
 
 def test_double_zero_sets():
@@ -322,8 +326,11 @@ def test_bad_pairs_raise_without_the_table_lookup_as_context(example1_quiver):
         return repr(excinfo.value.__context__)
 
     for what, gamma, pair in _bad_pairs(ar):
-        expected = context(_reference_classify_pair, gamma, pair)
-        assert context(orders.classify_pair, gamma, pair) == expected, what
+        for fn, reference in (
+            (orders.classify_pair, _reference_classify_pair),
+            (pair_to_triple, _reference_pair_to_triple),
+        ):
+            assert context(fn, gamma, pair) == context(reference, gamma, pair), (what, fn.__name__)
 
 
 def test_a_filled_pair_table_orients_its_own_pairs_without_prec(monkeypatch, example1_quiver):
@@ -456,6 +463,11 @@ def test_double_zero_correspondence_catches_a_lost_double_zero(
 # Reference predicates that find each row through a position string, a max/min
 # test and an if/elif ladder for case (iii'); the row tables must agree with them.
 
+def _quotient(x: SpectralParam, z: SpectralParam) -> SpectralParam:
+    """x / z in the parameter group, as the reference rules below divide."""
+    return SpectralParam(x.u - z.u, x.p - z.p)
+
+
 def _ladder_dorey_D1(n: int, triple: HomTriple) -> DoreyVerdict:
     """Untwisted Dorey rule (an iff) for rank n >= 4."""
     i, j, k = triple.i, triple.j, triple.k
@@ -464,8 +476,8 @@ def _ladder_dorey_D1(n: int, triple: HomTriple) -> DoreyVerdict:
     for param in (triple.x, triple.y, triple.z):
         if not _is_mq_power(param):
             raise QAffineError(f"{param} is not a (-q)-power")
-    xz = triple.x / triple.z
-    yz = triple.y / triple.z
+    xz = _quotient(triple.x, triple.z)
+    yz = _quotient(triple.y, triple.z)
 
     # (i): all levels small, one is the sum of the other two
     levels = (i, j, k)
@@ -516,8 +528,8 @@ def _ladder_dorey_D2(n: int, triple: HomTriple) -> DoreyVerdict:
     i, j, k = triple.i, triple.j, triple.k
     if not all(1 <= lvl <= n for lvl in (i, j, k)):
         raise QAffineError(f"levels {(i, j, k)} out of range 1..{n}")
-    xz = triple.x / triple.z
-    yz = triple.y / triple.z
+    xz = _quotient(triple.x, triple.z)
+    yz = _quotient(triple.y, triple.z)
     half = Fraction(1, 2)
 
     levels = (i, j, k)
@@ -655,7 +667,7 @@ def _reference_dorey_D1(n: int, triple: HomTriple) -> DoreyVerdict:
     for param in (triple.x, triple.y, triple.z):
         if not _is_mq_power(param):
             raise QAffineError(f"{param} is not a (-q)-power")
-    ratios = (triple.x / triple.z, triple.y / triple.z)
+    ratios = (_quotient(triple.x, triple.z), _quotient(triple.y, triple.z))
 
     # (i): all levels small, one is the sum (so the largest) of the other two
     if max(i, j, k) <= n - 2:
@@ -693,7 +705,7 @@ def _reference_dorey_D2(n: int, triple: HomTriple) -> DoreyVerdict:
     i, j, k = triple.i, triple.j, triple.k
     if not all(1 <= lvl <= n for lvl in (i, j, k)):
         raise QAffineError(f"levels {(i, j, k)} out of range 1..{n}")
-    ratios = (triple.x / triple.z, triple.y / triple.z)
+    ratios = (_quotient(triple.x, triple.z), _quotient(triple.y, triple.z))
     half = Fraction(1, 2)
 
     if max(i, j, k) <= n - 1:

@@ -9,6 +9,7 @@ from arquiver.quiver import (
     QuiverError,
     VertexClass,
     all_orientations,
+    check_height_function,
     classify_vertex,
     coxeter_word,
     is_adapted,
@@ -51,7 +52,7 @@ def test_classify_intermediates():
 
 def test_valence_one_always_source_or_sink():
     for datum in (CartanDatum("D", 4), CartanDatum("A", 3)):
-        leaves = [i for i in datum.vertices if len(datum.neighbors(i)) == 1]
+        leaves = [i for i in datum.vertices if len(datum.neighbor_table[i]) == 1]
         for quiver in all_orientations(datum):
             for i in leaves:
                 assert _classify(quiver, i) in (
@@ -114,6 +115,17 @@ def test_make_height_function(example1_quiver):
     assert make_height_function(example1_quiver, 3, 0) == (-2, -1, 0, -2)
     shifted = make_height_function(example1_quiver, 3, 10)
     assert shifted == (8, 9, 10, 8)
+    with pytest.raises(QuiverError, match=r"^no vertex 9$"):
+        make_height_function(example1_quiver, 9, 0)
+
+
+def test_check_height_function_rejects_a_wrong_xi(example1_quiver):
+    check_height_function(example1_quiver, (-2, -1, 0, -2))
+    with pytest.raises(QuiverError, match=r"^height function has wrong length$"):
+        check_height_function(example1_quiver, (-2, -1, 0))
+    violated = r"^height function violates arrow 2>4: xi_4=0 != xi_2-1$"
+    with pytest.raises(QuiverError, match=violated):
+        check_height_function(example1_quiver, (-2, -1, 0, 0))
 
 
 def test_height_spin_gap_and_parity():

@@ -38,8 +38,8 @@ def test_rank_minimums():
 def test_diagram_shape_d():
     datum = CartanDatum("D", 5)
     assert datum.edges == ((1, 2), (2, 3), (3, 4), (3, 5))
-    assert datum.distance(1, 5) == 3
-    assert datum.distance(4, 5) == 2
+    assert datum.distance_table[1][5] == 3
+    assert datum.distance_table[4][5] == 2
     assert datum.coxeter_number == 8
     simple = datum.simple_root
     assert datum.pairing(simple(3), simple(5)) == -1
@@ -54,6 +54,10 @@ def test_epsilon_form_examples(d4):
     d5 = CartanDatum("D", 5)
     for k in (1, 2, 3):
         assert rs.epsilon_form(d5, d5.simple_root(k)) == EpsilonForm(k, -(k + 1))
+    for non_root in ((1, 0, 1, 0), (2, 0, 0, 0)):
+        message = f"{non_root} is not a positive root of type D_4"
+        with pytest.raises(RootSystemError, match=f"^{re.escape(message)}$"):
+            rs.epsilon_form(d4, non_root)
 
 
 def test_epsilon_form_bijection():
@@ -349,10 +353,10 @@ def test_pairing_matches_the_cartan_matrix(diagram, rank):
     datum = CartanDatum(diagram, rank)
     links, dist = _bfs_distances(datum)
     for i in datum.vertices:
-        assert datum.neighbors(i) == tuple(sorted(links[i]))
+        assert datum.neighbor_table[i] == tuple(sorted(links[i]))
         for j in datum.vertices:
             assert datum.adjacent(i, j) == (j in links[i])
-            assert datum.distance(i, j) == dist[i][j]
+            assert datum.distance_table[i][j] == dist[i][j]
     matrix = {
         (i, j): 2 if i == j else (-1 if j in links[i] else 0)
         for i in datum.vertices

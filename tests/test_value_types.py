@@ -48,7 +48,7 @@ def test_value_semantics_the_named_tuples_keep():
     assert sorted(params) == sorted(params, key=lambda x: (x.u, x.p))
     forms = [EpsilonForm(a, b) for a, b in [(2, -3), (1, 4), (2, 3), (1, -4), (1, 2)]]
     assert sorted(forms) == sorted(forms, key=lambda x: (x.a, x.b_signed))
-    datum.distance(1, 5)  # fills the cached tables
+    datum.distance_table  # fills the cached tables
     datum.pairing(datum.simple_root(1), datum.simple_root(2))
     reflect(datum, 3, datum.simple_root(3))
     copy = pickle.loads(pickle.dumps(datum))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from arquiver import ar_quiver, orders, verify
+from arquiver import ar_quiver, orders, qaffine, verify
 from arquiver import root_system as rs
 from arquiver.ar_quiver import ARQuiver, ARQuiverError, Swing
 from arquiver.cli import build_parser
@@ -334,7 +334,7 @@ def _reference_check_compatibility(ar):
         for coord in below:
             beta = ar.root_at[coord]
             for tag, order in readings.items():
-                if not order.index(beta) < order.index(alpha):
+                if not order.position[beta] < order.position[alpha]:
                     return f"{tag}: {beta} should precede {alpha}"
     return None
 
@@ -348,7 +348,7 @@ def test_check_compatibility_equals_its_former_body(rank):
         for k, (src, dst) in enumerate(sorted(ar.arrows)):
             tag = orders.STRATEGIES[k % len(orders.STRATEGIES)]
             order = ar.readings_cache[tag]
-            x, y = order.index(ar.root_at[src]), order.index(ar.root_at[dst])
+            x, y = order.position[ar.root_at[src]], order.position[ar.root_at[dst]]
             roots, word = list(order.roots), list(order.word)
             roots[x], roots[y] = roots[y], roots[x]
             word[x], word[y] = word[y], word[x]
@@ -862,7 +862,7 @@ def _reference_rescanning_check_range_lemma(ar):
     datum = ar.datum
     for i in datum.vertices:
         for j in datum.vertices:
-            d = datum.distance(i, j)
+            d = datum.distance_table[i][j]
             for p in (ar.xi[j - 1] - d, ar.xi[j - 1] - 2 * ar.m[j - 1] + d):
                 if (i, p) not in ar.root_at:
                     return f"({i},{p}) missing for (i,j)=({i},{j})"
@@ -1054,3 +1054,177 @@ def test_one_pass_checks_give_their_former_messages(rank):
                 assert outcome == _outcome_of(reference, faulted), check_id
                 flagged[check_id] += outcome is not None
     assert all(flagged.values()), flagged
+
+
+def _reference_check_m_values(ar):
+    """The former check_m_values, which tested the sum law m_(n-1) + m_n = 2n-4 on its own."""
+    n = ar.rank
+    for i in range(1, n - 1):
+        if ar.m[i - 1] != n - 2:
+            return f"m_{i} = {ar.m[i - 1]} != {n - 2}"
+    mn1, mn = ar.m[n - 2], ar.m[n - 1]
+    if mn1 + mn != 2 * n - 4 or min(mn1, mn) < n - 3:
+        return f"spin depths ({mn1},{mn}) break m_(n-1)+m_n = 2n-4"
+    xi_n1, xi_n = ar.xi[n - 2], ar.xi[n - 1]
+    if n % 2 and xi_n == xi_n1 + 2:
+        expected = (n - 3, n - 1)
+    elif n % 2 and xi_n1 == xi_n + 2:
+        expected = (n - 1, n - 3)
+    else:
+        expected = (n - 2, n - 2)
+    if (mn1, mn) != expected:
+        return f"spin depths ({mn1},{mn}) != {expected} for xi=({xi_n1},{xi_n})"
+    return None
+
+
+def _with_m(ar, level, shift):
+    """ar with m at one level moved by shift; root_at and xi stay as they are."""
+    m = list(ar.m)
+    m[level - 1] += shift
+    return ARQuiver(ar.quiver, ar.xi, ar.root_at, ar.arrows, tuple(m))
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6, 7])
+def test_m_values_flags_what_its_former_body_flags(rank):
+    # two-root swaps never change m, so the faults move one depth at a time
+    former_sum_messages = 0
+    for ar in _every_d_orientation(rank):
+        assert verify.check_m_values(ar) is _reference_check_m_values(ar) is None
+        for level in ar.datum.vertices:
+            for shift in (-2, -1, 1, 2):
+                faulted = _with_m(ar, level, shift)
+                message, former = verify.check_m_values(faulted), _reference_check_m_values(faulted)
+                assert message is not None and former is not None, (level, shift)
+                if former.endswith("break m_(n-1)+m_n = 2n-4"):
+                    former_sum_messages += 1
+                else:
+                    assert message == former, (level, shift)
+    assert former_sum_messages  # the deleted branch's inputs are among the faults
+
+
+# --- faults that make the checks return their messages ----------------------------------
+
+def _moved_deepest_root(ar):
+    """ar with level 1's deepest root moved below level 2's: m_1 falls and m_2 rises
+    by one, and the vertex set still spans the columns that xi and m give."""
+    root_at = dict(ar.root_at)
+    root_at[2, ar.xi[1] - 2 * ar.m[1] - 2] = root_at.pop((1, ar.xi[0] - 2 * ar.m[0]))
+    return ARQuiver(ar.quiver, ar.xi, root_at, ar.arrows, (ar.m[0] - 1, ar.m[1] + 1, *ar.m[2:]))
+
+
+def _all_minimal(monkeypatch):
+    """Make classify_pair call every pair minimal."""
+    real = orders.classify_pair
+
+    def all_minimal(ar, gamma, pair):
+        return real(ar, gamma, pair)._replace(verdict=orders.Verdict.MINIMAL, witness=None)
+
+    monkeypatch.setattr(orders, "classify_pair", all_minimal)
+
+
+def _one_word_short(monkeypatch):
+    """Make commutation_class leave out the word it starts from."""
+    real = orders.commutation_class
+    monkeypatch.setattr(orders, "commutation_class", lambda datum, word: real(datum, word) - {word})
+
+
+FAULTS = {
+    "nakayama": (
+        lambda mp, ar: _with_m(ar, 1, -1),
+        "level 1: xi_(i*) - 2m_(i*) = -4 != xi_i - h + 2 = -6",
+    ),
+    "m_values": (lambda mp, ar: _with_m(ar, 1, -1), "m_1 = 1 != 2"),
+    "m_values-spin": (
+        lambda mp, ar: _with_m(ar, 4, 1), "spin depths (2,3) != (2, 2) for xi=(0,-2)",
+    ),
+    "pair_counts": (
+        lambda mp, ar: _all_minimal(mp),
+        "(1, 2, 1, 1): (4 minimal, 0 non-minimal), expected (3,1)",
+    ),
+    "nonfree_counts": (
+        lambda mp, ar: _all_minimal(mp), "(1, 2, 1, 1) = <1,2>: 0 non-minimal != 1",
+    ),
+    "readings_equal_class": (
+        lambda mp, ar: _one_word_short(mp), "72 readings vs 71 words in the class",
+    ),
+    "oracle_agreement": (
+        lambda mp, ar: _all_minimal(mp),
+        "(1, 2, 1, 1) pair ((0, 1, 1, 0), (1, 1, 0, 1)): classifier minimal, oracle non-minimal",
+    ),
+    "non_adapted_word": (
+        lambda mp, ar: mp.setattr(verify, "NON_ADAPTED_WORD", (3, 2, 1, 4) * 3),
+        "word is adapted to 2>1,3>2,2>4",
+    ),
+    "non_adapted_word-unreduced": (
+        lambda mp, ar: mp.setattr(verify, "NON_ADAPTED_WORD", (1,) * 12),
+        "the 12-letter word is not reduced",
+    ),
+    "dorey_d1_coverage": (
+        lambda mp, ar: mp.setattr(qaffine, "dorey_D1", lambda n, t: qaffine.DoreyVerdict(False)),
+        "(0, 1, 0, 1) pair ((0, 1, 0, 0), (0, 0, 0, 1)) is not Dorey-admissible",
+    ),
+    "star_transport": (
+        lambda mp, ar: mp.setattr(
+            qaffine, "dorey_D2", lambda n, t: qaffine.DoreyVerdict(False, exhaustive=False)
+        ),
+        "star image of minimal pair ((0, 1, 0, 0), (0, 0, 0, 1)) of (0, 1, 0, 1) rejected",
+    ),
+    "dorey_ii_in_double_zero": (
+        lambda mp, ar: mp.setattr(qaffine, "double_zero_set_D1", lambda n: frozenset()),
+        "rank 4: admissible (2,2,2) misses (2,2,4)",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_each_check_returns_its_message_on_a_fault(monkeypatch, example1_ar, fault):
+    check_id = fault.partition("-")[0]
+    (check,) = (c for c in verify.ORIENTATION_CHECKS + verify.GLOBAL_CHECKS if c.id == check_id)
+    install, message = FAULTS[fault]
+    args = () if check in verify.GLOBAL_CHECKS else (example1_ar,)
+    assert check.fn(*args) is None
+    faulted = install(monkeypatch, example1_ar)  # a faulted copy, or None for a patched dependency
+    if faulted is not None:
+        args = (faulted,)
+    assert check.fn(*args) == message
+
+
+def test_a_failing_build_check_is_a_fail_in_the_structure_suite(monkeypatch, example1_ar):
+    moved = _moved_deepest_root(example1_ar)
+    assert ar_quiver.check_vertex_range(moved) is None
+    monkeypatch.setattr(ar_quiver, "build", lambda quiver, xi, validate=True: moved)
+    report = run_suite(4, suites={"structure"})
+    assert [(r.check_id, r.status, r.counterexample) for r in report.records] == [
+        ("nakayama", "fail", FAULTS["nakayama"][1]),
+        ("vertex_range", "pass", None),
+    ] * 8
+
+
+@pytest.mark.parametrize("suite, fault, failing", [
+    ("orders", "pair_counts", {"pair_counts", "nonfree_counts", "oracle_agreement"}),
+    ("qaffine", "dorey_d1_coverage", {"dorey_d1_coverage"}),
+])
+def test_a_faulted_check_is_a_fail_in_its_suite(monkeypatch, example1_ar, suite, fault, failing):
+    FAULTS[fault][0](monkeypatch, example1_ar)
+    report = run_suite(4, suites={suite})
+    assert {r.check_id for r in report.records if r.status == "fail"} == failing
+    assert {r.status for r in report.records} == {"pass", "fail"}
+    message = {r.counterexample for r in report.records
+               if r.orientation == "2>1,3>2,2>4" and r.check_id == fault}
+    assert message == {FAULTS[fault][1]}
+
+
+def test_a_failing_build_check_raises_in_build_and_fails_the_sweep(monkeypatch, example1_quiver):
+    message = "the build is wrong"
+    monkeypatch.setattr(ar_quiver, "BUILD_CHECKS", (lambda ar: message,))
+    with pytest.raises(ARQuiverError) as excinfo:
+        ar_quiver.build(example1_quiver, make_height_function(example1_quiver, 3, 0))
+    assert str(excinfo.value) == message
+    report = run_suite(4, suites={"orders"})
+    builds, (global_record,) = report.records[1:], report.records[:1]
+    assert [(r.check_id, r.status, r.counterexample) for r in builds] == [
+        ("build", "fail", message)
+    ] * 8
+    orientations = [q.spec_string() for q in all_orientations(CartanDatum("D", 4))]
+    assert sorted(r.orientation for r in builds) == sorted(orientations)
+    assert (global_record.check_id, global_record.status) == ("non_adapted_word", "pass")
