@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import root_system as rs
 from .quiver import DynkinQuiver, QuiverError, check_height_function, coxeter_word, eta_from_heights
-from .root_system import CartanDatum, Root
+from .root_system import CartanDatum, Root, WeylWord
 
 if TYPE_CHECKING:
     from .orders import ConvexOrder
@@ -90,6 +90,7 @@ class ARQuiver:
         # tables the orders module fills on first use
         self.pairs_cache: dict[Root, dict[tuple[Root, Root], Optional[tuple[Root, Root]]]] = {}
         self.oracle_cache: dict[tuple[Root, Root, Root], bool] = {}
+        self.reading_words: frozenset[WeylWord] = frozenset()  # filled with oracle_cache
         self.readings_cache: dict[str, ConvexOrder] = {}
 
     # --- basic queries -------------------------------------------------------

@@ -177,6 +177,13 @@ def all_readings(ar: ARQuiver) -> Iterator[ConvexOrder]:
 def commutation_class(datum: CartanDatum, word: WeylWord) -> frozenset[WeylWord]:
     """Closure of a word under swapping adjacent letters not linked in the diagram."""
     word = tuple(word)
+    for letter in word:
+        if letter not in datum.neighbor_table:
+            raise rs.RootSystemError(f"letter {letter!r} is not a vertex in 1..{datum.rank}")
+    # equal letters are linked too: swapping them changes nothing
+    linked = {(i, i) for i in datum.vertices}
+    linked.update(datum.edges)
+    linked.update((j, i) for i, j in datum.edges)
     seen = {word}
     frontier = [word]
     while frontier:
@@ -184,7 +191,7 @@ def commutation_class(datum: CartanDatum, word: WeylWord) -> frozenset[WeylWord]
         for w in frontier:
             for k in range(len(w) - 1):
                 a, b = w[k], w[k + 1]
-                if a != b and not datum.adjacent(a, b):
+                if (a, b) not in linked:
                     swapped = w[:k] + (b, a) + w[k + 2:]
                     if swapped not in seen:
                         seen.add(swapped)
@@ -334,16 +341,28 @@ def oracle_classify(ar: ARQuiver, gamma: Root, pair) -> PairVerdict:
     return PairVerdict(gamma, alpha, beta, Verdict.NON_MINIMAL)
 
 
+def reading_words(ar: ARQuiver) -> frozenset[WeylWord]:
+    """The words of every reading of Gamma_Q, from the walk that fills the oracle table."""
+    _oracle_table(ar)
+    return ar.reading_words
+
+
 def _oracle_table(ar: ARQuiver) -> dict[tuple[Root, Root, Root], bool]:
-    """(gamma, alpha, beta) -> whether at least one reading makes the pair minimal."""
-    if ar.oracle_cache:
+    """(gamma, alpha, beta) -> whether at least one reading makes the pair minimal.
+
+    One walk over every reading fills this table and ``ar.reading_words``; it
+    keeps no order, so each reading's nest tables go with it.
+    """
+    if ar.reading_words:  # every quiver has a reading, so an empty set is no walk yet
         return ar.oracle_cache
     keys = [(gamma, *pair) for gamma, pair in all_pairs(ar)]
     pending = keys
+    words = set()
     for order in all_readings(ar):
-        pending = [(g, a, b) for g, a, b in pending if not minimal_wrt(order, (a, b), g)]
-        if not pending:
-            break
+        words.add(order.word)
+        if pending:
+            pending = [(g, a, b) for g, a, b in pending if not minimal_wrt(order, (a, b), g)]
     unwitnessed = set(pending)
     ar.oracle_cache.update((key, key not in unwitnessed) for key in keys)
+    ar.reading_words = frozenset(words)
     return ar.oracle_cache

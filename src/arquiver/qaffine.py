@@ -26,7 +26,7 @@ exhaustive harness confirms).
 Each distinct value is computed once per process: `denom_D1`, `denom_D2`,
 `star_map`, `dorey_D1` and `dorey_D2` are `lru_cache`d pure functions,
 and `mq` reads an int exponent's parameter from the cache `_mq_int`.  A
-serial orders+qaffine sweep to rank 8 makes 385,528 `mq` calls on 35
+serial orders+qaffine sweep to rank 8 makes 228,372 `mq` calls on 35
 exponents, 40,960 `dorey_D1` calls on 1,110 triples, 34,808 `dorey_D2`
 calls on 970 and 104,424 `star_map` calls on 225 inputs.  A cache stores
 no exception, so a refused input raises on every call; `typed=True` keeps
@@ -158,6 +158,19 @@ class DenominatorPoly(NamedTuple):
 
     def zero_multiplicity(self, at: SpectralParam) -> int:
         return self.roots.count(at)
+
+    def zero_orders(self, phase: int = 2) -> dict[int, int]:
+        """p -> the order of the zero at zeta8^(phase * p) q^(p/2), for each such zero.
+
+        Phase 2 reads the zeros at (-q)^(p/2), phase 1 those at (-q^2)^(p/4);
+        zeros of any other form are left out, so a zero's order at one of
+        these is ``self.zero_orders(phase).get(p, 0)``.
+        """
+        counts: dict[int, int] = {}
+        for u, p in self.roots:
+            if u == phase * p % 8:
+                counts[p] = counts.get(p, 0) + 1
+        return counts
 
 
 @lru_cache(maxsize=None)

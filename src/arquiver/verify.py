@@ -455,8 +455,10 @@ def check_nonfree_counts(ar: ARQuiver) -> Optional[str]:
 
 def check_readings_equal_class(ar: ARQuiver) -> Optional[str]:
     """Readings of Gamma_Q = commutation class of one word."""
-    reading_words = {order.word for order in orders.all_readings(ar)}
+    # the seed first: an order that fails its convexity test says so before
+    # the walk that reads the words orients any pair
     seed = orders.canonical_reading(ar, "U1").word
+    reading_words = orders.reading_words(ar)
     cls = orders.commutation_class(ar.datum, seed)
     if reading_words != cls:
         return (
@@ -532,12 +534,29 @@ def check_star_transport(ar: ARQuiver) -> Optional[str]:
     return None
 
 
+class _ZeroOrders(dict):
+    """(k, l) -> ``qaffine.denom_D1(n, k, l).zero_orders()``, each read on first use.
+
+    A table serves one check call, so a ``denom_D1`` rebound between calls is
+    read afresh; a column gap g is then looked up as the exponent 2g.
+    """
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, levels: tuple[int, int]) -> dict[int, int]:
+        table = self[levels] = qaffine.denom_D1(self.n, *levels).zero_orders()
+        return table
+
+
 def check_surj_free_multiplicity(ar: ARQuiver) -> Optional[str]:
     """Zero multiplicity at (-q)^|column gap| is 1 for minimal pairs, 2 otherwise."""
+    zero_orders = _ZeroOrders(ar.rank)
     for gamma, pair in orders.all_pairs(ar):
         minimal = orders.classify_pair(ar, gamma, pair).verdict == orders.Verdict.MINIMAL
         (k, p), (l, r) = ar.coord_of(pair[0]), ar.coord_of(pair[1])
-        found = qaffine.denom_D1(ar.rank, k, l).zero_multiplicity(qaffine.mq(abs(p - r)))
+        found = zero_orders[k, l].get(2 * abs(p - r), 0)
         if found != (1 if minimal else 2):
             return f"zero multiplicity {found} for pair {pair} of {gamma}"
     return None
@@ -545,11 +564,12 @@ def check_surj_free_multiplicity(ar: ARQuiver) -> Optional[str]:
 
 def check_sectional_commuting(ar: ARQuiver) -> Optional[str]:
     """No denominator zero in either direction along a path."""
+    zero_orders = _ZeroOrders(ar.rank)
     for path in ar.sectional_paths():
         for x, (k, p) in enumerate(path.coords):
             for l, r in path.coords[x + 1:]:
-                poly = qaffine.denom_D1(ar.rank, k, l)
-                if any(poly.zero_multiplicity(qaffine.mq(gap)) for gap in (p - r, r - p)):
+                zeros = zero_orders[k, l]
+                if 2 * (p - r) in zeros or 2 * (r - p) in zeros:
                     return f"pair {(k, p)}, {(l, r)} on {path.kind}-path has a zero"
     return None
 
@@ -557,16 +577,16 @@ def check_sectional_commuting(ar: ARQuiver) -> Optional[str]:
 def check_double_zero_correspondence() -> Optional[str]:
     """Untwisted rank n+1 and twisted n double zeros both equal one table."""
     for n in range(3, 9):
-        for family, denom, rank, at in (
-            ("untwisted", qaffine.denom_D1, n + 1, qaffine.mq),
-            ("twisted", qaffine.denom_D2, n, lambda s: qaffine.SpectralParam(2 * s, 2 * s)),
+        for family, denom, rank, phase in (
+            ("untwisted", qaffine.denom_D1, n + 1, 2),
+            ("twisted", qaffine.denom_D2, n, 1),
         ):  # a double zero at (-q)^s, or at (-q^2)^(s/2), is listed as s
             found = set()
             for k in range(1, rank + 1):
                 for l in range(1, rank + 1):
-                    poly = denom(rank, k, l)
-                    found |= {(k, l, root.p // 2) for root in poly.roots
-                              if poly.zero_multiplicity(root) == 2 and at(root.p // 2) == root}
+                    zeros = denom(rank, k, l).zero_orders(phase)
+                    found |= {(k, l, p // 2) for p, order in zeros.items()
+                              if order == 2 and p % 2 == 0}
             if found != qaffine.double_zero_set_D1(n + 1):
                 return f"{family} double zeros disagree with the table at n = {n}"
     return None

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 
@@ -91,6 +92,65 @@ def test_readings_equal_commutation_class(example1_ar):
 def test_commutation_class_basics(d4):
     assert orders.commutation_class(d4, (1, 3)) == {(1, 3), (3, 1)}
     assert orders.commutation_class(d4, (2, 3)) == {(2, 3)}
+
+
+@pytest.mark.parametrize("word, letter", [((1, 9), 9), ((0, 1), 0), ((2, 5, 3), 5)])
+def test_commutation_class_rejects_letters_off_the_diagram(d4, word, letter):
+    message = f"letter {letter} is not a vertex in 1..4"
+    for words_of in (orders.commutation_class, rs.is_reduced):
+        with pytest.raises(rs.RootSystemError, match=f"^{re.escape(message)}$"):
+            words_of(d4, word)
+
+
+def _reference_commutation_class(datum, word):
+    """The former commutation_class, which asked the datum about each swap."""
+    word = tuple(word)
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for k in range(len(w) - 1):
+                a, b = w[k], w[k + 1]
+                if a != b and not datum.adjacent(a, b):
+                    swapped = w[:k] + (b, a) + w[k + 2:]
+                    if swapped not in seen:
+                        seen.add(swapped)
+                        nxt.append(swapped)
+        frontier = nxt
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("diagram, rank", [("A", 1), ("A", 4), ("D", 4), ("D", 5)])
+def test_commutation_class_equals_its_former_body(diagram, rank):
+    datum = CartanDatum(diagram, rank)
+    rng = random.Random(rank)
+    for _ in range(20):
+        word = tuple(rng.choice(datum.vertices) for _ in range(rng.randrange(9)))
+        assert orders.commutation_class(datum, word) == _reference_commutation_class(datum, word)
+
+
+def test_reading_words_are_the_words_of_every_reading(example1_ar):
+    words = orders.reading_words(example1_ar)
+    assert words == {order.word for order in orders.all_readings(example1_ar)}
+    assert len(words) == 72
+    assert orders.reading_words(example1_ar) is words
+
+
+def test_one_walk_serves_the_readings_and_the_oracle(monkeypatch):
+    # each rank-4 quiver's readings are enumerated once, by the oracle table's
+    # walk, which check_readings_equal_class reads as well
+    calls = []
+    real = orders.all_readings
+
+    def counted(ar):
+        calls.append(ar)
+        return real(ar)
+
+    monkeypatch.setattr(orders, "all_readings", counted)
+    report = verify.run_suite(4, {"orders"})
+    assert report.ok
+    assert len(calls) == 8 and len(set(map(id, calls))) == 8
 
 
 def test_pairs_of_longest_root(example1_ar, d4):

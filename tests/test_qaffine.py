@@ -459,6 +459,106 @@ def test_double_zero_correspondence_catches_a_lost_double_zero(
     assert verify.check_double_zero_correspondence() == message
 
 
+def _reference_check_double_zero_correspondence():
+    """The former check_double_zero_correspondence, which counted each zero with
+    zero_multiplicity and rebuilt its parameter to test its form."""
+    for n in range(3, 9):
+        for family, denom, rank, at in (
+            ("untwisted", qaffine.denom_D1, n + 1, qaffine.mq),
+            ("twisted", qaffine.denom_D2, n, lambda s: qaffine.SpectralParam(2 * s, 2 * s)),
+        ):  # a double zero at (-q)^s, or at (-q^2)^(s/2), is listed as s
+            found = set()
+            for k in range(1, rank + 1):
+                for l in range(1, rank + 1):
+                    poly = denom(rank, k, l)
+                    found |= {(k, l, root.p // 2) for root in poly.roots
+                              if poly.zero_multiplicity(root) == 2 and at(root.p // 2) == root}
+            if found != qaffine.double_zero_set_D1(n + 1):
+                return f"{family} double zeros disagree with the table at n = {n}"
+    return None
+
+
+def _double_zeros(family):
+    """(rank, k, l, zero) for every double zero of the family's ranks in the check."""
+    denom = getattr(qaffine, family)
+    ranks = range(4, 10) if family == "denom_D1" else range(3, 9)
+    for rank in ranks:
+        for k in range(1, rank + 1):
+            for l in range(1, rank + 1):
+                roots = denom(rank, k, l).roots
+                for zero in sorted(set(roots)):
+                    if roots.count(zero) == 2:
+                        yield rank, k, l, zero
+
+
+@pytest.mark.parametrize("family", ["denom_D1", "denom_D2"])
+def test_double_zero_correspondence_equals_its_former_body_on_lost_double_zeros(
+    monkeypatch, family
+):
+    assert verify.check_double_zero_correspondence() is None
+    assert _reference_check_double_zero_correspondence() is None
+    flagged = 0
+    for rank, k, l, zero in _double_zeros(family):
+        with monkeypatch.context() as patched:
+            _without_one(patched, family, rank, k, l, zero)
+            message = verify.check_double_zero_correspondence()
+            assert message == _reference_check_double_zero_correspondence(), (rank, k, l, zero)
+            flagged += message is not None
+    assert flagged > 20
+
+
+@pytest.mark.parametrize("zeros", [
+    (mq(3),), (mq(3) * SQRT_MINUS_ONE,), (mq(3).negate(),), (mq2(Fraction(3, 2)),),
+    (mq(Fraction(3, 2)),), (SpectralParam(1, 6),), (mq(Fraction(7, 2)),) * 2,
+])
+def test_double_zero_correspondence_equals_its_former_body_on_added_zeros(monkeypatch, zeros):
+    # (1, 2) at rank 4 has one zero at (-q)^3: a copy of it makes a double zero
+    # the table lacks; a zero of any other form makes none, nor does a double
+    # zero at a half-integer power of (-q)
+    for zero in zeros:
+        _with_zero(monkeypatch, (1, 2), zero)
+    message = verify.check_double_zero_correspondence()
+    assert message == _reference_check_double_zero_correspondence()
+    assert (message is None) == (zeros != (mq(3),))
+
+
+def _assert_zero_orders_read_as_multiplicities(poly, h):
+    untwisted, twisted = poly.zero_orders(), poly.zero_orders(1)
+    for gap in range(-2 * h, 2 * h + 1):
+        assert untwisted.get(2 * gap, 0) == poly.zero_multiplicity(mq(gap)), gap
+        assert twisted.get(2 * gap, 0) == poly.zero_multiplicity(SpectralParam(2 * gap, 2 * gap))
+    for p in range(-4 * h, 4 * h + 1):  # half-unit and quarter-unit exponents as well
+        assert untwisted.get(p, 0) == poly.zero_multiplicity(SpectralParam(2 * p, p)), p
+        assert twisted.get(p, 0) == poly.zero_multiplicity(SpectralParam(p, p)), p
+    # each counted zero is one of the poly's, so the two tables hold no zero of the other form
+    assert sum(untwisted.values()) == sum(
+        poly.zero_multiplicity(SpectralParam(2 * p, p)) for p in untwisted
+    )
+
+
+def test_zero_orders_equal_the_multiplicities_at_every_gap():
+    for n in range(4, 16):
+        h = 2 * n - 2
+        for k in range(1, n + 1):
+            for l in range(1, n + 1):
+                _assert_zero_orders_read_as_multiplicities(denom_D1(n, k, l), h)
+    for n in range(3, 15):
+        for k in range(1, n + 1):
+            for l in range(1, n + 1):
+                _assert_zero_orders_read_as_multiplicities(denom_D2(n, k, l), 2 * n)
+
+
+def test_zero_orders_count_only_zeros_of_their_form():
+    poly = denom_D1(6, 2, 3)
+    extra = (mq(3), mq(3), mq(3) * SQRT_MINUS_ONE, mq(4).negate(), mq2(2), mq(Fraction(1, 2)),
+             SpectralParam(1, 6), SpectralParam(3, -2))
+    injected = DenominatorPoly(tuple(sorted((*poly.roots, *extra))))
+    _assert_zero_orders_read_as_multiplicities(injected, 10)
+    assert injected.zero_orders()[6] == poly.zero_orders().get(6, 0) + 2
+    assert injected.zero_orders()[1] == 1  # (-q)^(1/2)
+    assert injected.zero_orders(1)[8] == poly.zero_orders(1).get(8, 0) + 1  # (-q^2)^2
+
+
 # --- the Dorey row tables against a branch-ladder reference ------------------------
 # Reference predicates that find each row through a position string, a max/min
 # test and an if/elif ladder for case (iii'); the row tables must agree with them.

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from itertools import chain
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from arquiver.verify import run_suite
 
 from conftest import arrow_ends
 from test_ar_quiver import _reference_check_mesh_additivity
+from test_qaffine import _with_zero
 from test_quiver import _reference_classify_vertex
 
 
@@ -775,6 +777,81 @@ def _reference_check_simple_root_coords(ar):
     return None
 
 
+# the orders and qaffine checks before one walk per quiver and exponent-keyed
+# zero orders: each walks the readings itself, or asks mq for every gap; the
+# oracle reads a table built as the former _oracle_table built it, early stop and all
+
+def _reference_check_surj_free_multiplicity(ar):
+    """Zero multiplicity at (-q)^|column gap| is 1 for minimal pairs, 2 otherwise."""
+    for gamma, pair in orders.all_pairs(ar):
+        minimal = orders.classify_pair(ar, gamma, pair).verdict == orders.Verdict.MINIMAL
+        (k, p), (l, r) = ar.coord_of(pair[0]), ar.coord_of(pair[1])
+        found = qaffine.denom_D1(ar.rank, k, l).zero_multiplicity(qaffine.mq(abs(p - r)))
+        if found != (1 if minimal else 2):
+            return f"zero multiplicity {found} for pair {pair} of {gamma}"
+    return None
+
+
+def _reference_check_sectional_commuting(ar):
+    """No denominator zero in either direction along a path."""
+    for path in ar.sectional_paths():
+        for x, (k, p) in enumerate(path.coords):
+            for l, r in path.coords[x + 1:]:
+                poly = qaffine.denom_D1(ar.rank, k, l)
+                if any(poly.zero_multiplicity(qaffine.mq(gap)) for gap in (p - r, r - p)):
+                    return f"pair {(k, p)}, {(l, r)} on {path.kind}-path has a zero"
+    return None
+
+
+def _reference_check_readings_equal_class(ar):
+    """Readings of Gamma_Q = commutation class of one word."""
+    reading_words = {order.word for order in orders.all_readings(ar)}
+    seed = orders.canonical_reading(ar, "U1").word
+    cls = orders.commutation_class(ar.datum, seed)
+    if reading_words != cls:
+        return (
+            f"{len(reading_words)} readings vs {len(cls)} words in the class"
+        )
+    return None
+
+
+def _reference_oracle_table(ar):
+    """The former ``orders._oracle_table``, which stopped once every pair was witnessed."""
+    keys = [(gamma, *pair) for gamma, pair in orders.all_pairs(ar)]
+    pending = keys
+    for order in orders.all_readings(ar):
+        pending = [(g, a, b) for g, a, b in pending
+                   if not orders.minimal_wrt(order, (a, b), g)]
+        if not pending:
+            break
+    unwitnessed = set(pending)
+    return {key: key not in unwitnessed for key in keys}
+
+
+_REFERENCE_ORACLE_TABLES = weakref.WeakKeyDictionary()
+
+
+def _reference_oracle_classify(ar, gamma, pair):
+    """The former ``orders.oracle_classify``, on the former table, built once per quiver."""
+    alpha, beta = orders._check_pair(ar, gamma, pair)
+    table = _REFERENCE_ORACLE_TABLES.get(ar)
+    if table is None:
+        table = _REFERENCE_ORACLE_TABLES[ar] = _reference_oracle_table(ar)
+    if table.get((gamma, alpha, beta), False):
+        return orders.PairVerdict(gamma, alpha, beta, orders.Verdict.MINIMAL)
+    return orders.PairVerdict(gamma, alpha, beta, orders.Verdict.NON_MINIMAL)
+
+
+def _reference_check_oracle_agreement(ar):
+    """Dominance classifier matches the all-readings oracle."""
+    for gamma, pair in orders.all_pairs(ar):
+        fast = orders.classify_pair(ar, gamma, pair).verdict
+        slow = _reference_oracle_classify(ar, gamma, pair).verdict
+        if fast != slow:
+            return f"{gamma} pair {pair}: classifier {fast.value}, oracle {slow.value}"
+    return None
+
+
 REWRITTEN = {
     "simple_root_coords": _reference_check_simple_root_coords,
     "level_pair_sums": _reference_check_level_pair_sums,
@@ -784,7 +861,32 @@ REWRITTEN = {
     "nfree_region": _reference_check_nfree_region,
     "swing_shapes": _reference_check_swing_shapes,
     "shallow_paths": _reference_check_shallow_paths,
+    "surj_free_multiplicity": _reference_check_surj_free_multiplicity,
+    "sectional_commuting": _reference_check_sectional_commuting,
+    "readings_equal_class": _reference_check_readings_equal_class,
+    "oracle_agreement": _reference_check_oracle_agreement,
 }
+
+
+def _rewritten_at(rank):
+    """REWRITTEN's entries whose checks the sweep runs at this rank."""
+    limits = {check.id: check.rank_max for check in verify.ORIENTATION_CHECKS}
+    return [(check_id, reference) for check_id, reference in REWRITTEN.items()
+            if rank <= (limits[check_id] or rank)]
+
+
+# zeros added to denom_D1 at one pair of levels: (-q)-powers at column gaps
+# of paths and pairs, and values of other forms that no gap lookup may read
+DENOMINATOR_FAULTS = [
+    ((1, 3), qaffine.mq(2)),
+    ((3, 4), qaffine.mq(0)),
+    ((1, 2), qaffine.mq(1)),
+    ((2, 2), qaffine.mq(2)),
+    ((1, 2), qaffine.mq2(1)),
+    ((1, 1), qaffine.mq(2) * qaffine.SQRT_MINUS_ONE),
+    ((2, 3), qaffine.mq(3).negate()),
+    ((2, 3), qaffine.SpectralParam(1, 2)),
+]
 
 
 def _two_root_swaps(ar):
@@ -797,34 +899,48 @@ def _two_root_swaps(ar):
             yield _copy(ar, root_at)
 
 
-def _reference_outcome(reference, ar):
-    """The former check's message, or the exception it raised."""
-    try:
-        return reference(ar)
-    except Exception as exc:
-        return exc
-
-
 @pytest.mark.parametrize("rank", [4, 5, 6, 7])
 def test_rewritten_checks_pass_where_their_former_bodies_pass(rank):
     for ar in _every_d_orientation(rank):
-        for check_id, reference in REWRITTEN.items():
+        for check_id, reference in _rewritten_at(rank):
             assert reference(ar) is None, check_id
             assert getattr(verify, f"check_{check_id}")(ar) is None, check_id
 
 
+# the orders and qaffine checks keep their former messages and the errors they raise
+SAME_OUTCOMES = {
+    "surj_free_multiplicity", "sectional_commuting", "readings_equal_class", "oracle_agreement",
+}
+
+
 @pytest.mark.parametrize("rank", [4, 5])
-def test_rewritten_checks_flag_what_their_former_bodies_flag(rank):
+def test_rewritten_checks_flag_what_their_former_bodies_flag(monkeypatch, rank):
     # a former body that raised or returned a message is a fault the new check
-    # must report; where the former body returned None, so must the new one
-    flagged = dict.fromkeys(REWRITTEN, 0)
+    # must report; where the former body returned None, so must the new one.
+    # Root swaps reach every check but sectional_commuting, which reads only
+    # coordinates; a zero added to a denominator reaches the two that read them.
+    # The structure checks never raise on a swap (the test below); an orders or
+    # qaffine check may, as its former body does.
+    rewritten = _rewritten_at(rank)
+    flagged = {check_id: 0 for check_id, _ in rewritten}
+
+    def compare(faulted):
+        for check_id, reference in rewritten:
+            message = _outcome_of(getattr(verify, f"check_{check_id}"), faulted)
+            former = _outcome_of(reference, faulted)
+            if check_id in SAME_OUTCOMES:
+                assert message == former, check_id
+            assert (message is None) == (former is None), (check_id, former)
+            flagged[check_id] += message is not None
+
     for ar in _every_d_orientation(rank):
         for faulted in _two_root_swaps(ar):
-            for check_id, reference in REWRITTEN.items():
-                message = getattr(verify, f"check_{check_id}")(faulted)
-                former = _reference_outcome(reference, faulted)
-                assert (message is None) == (former is None), (check_id, former)
-                flagged[check_id] += message is not None
+            compare(faulted)
+    for levels, zero in DENOMINATOR_FAULTS:
+        with monkeypatch.context() as patched:
+            _with_zero(patched, levels, zero)
+            for ar in _every_d_orientation(rank):
+                compare(ar)
     assert all(flagged.values()), flagged
 
 
