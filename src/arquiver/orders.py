@@ -29,6 +29,10 @@ class Verdict(Enum):
     NON_MINIMAL = "non-minimal"
 
 
+# the members as plain names: the per-pair paths build and compare them without a class lookup
+MINIMAL, NON_MINIMAL = Verdict.MINIMAL, Verdict.NON_MINIMAL
+
+
 class PairVerdict(NamedTuple):
     gamma: Root
     alpha: Root
@@ -220,7 +224,8 @@ def _pair_table(ar: ARQuiver, gamma: Root) -> dict[tuple[Root, Root], Optional[t
     if sums is None:
         raise OrderError(f"{gamma} is not a positive root")
     pairs = [orient_pair(ar, alpha, beta) for alpha, beta in sums]
-    pairs.sort(key=lambda ab: ar.coord_of(ab[0]))
+    phi = ar.phi  # orient_pair found every root in the path order, so in phi
+    pairs.sort(key=lambda ab: phi[ab[0]])
     _, bit, below = ar._path_order
     rows = [(c, d, below[c], bit[d]) for c, d in pairs]
     table = {}
@@ -240,7 +245,7 @@ def all_pairs(ar: ARQuiver) -> Iterator[tuple[Root, tuple[Root, Root]]]:
     """Every (gamma, pair) of Gamma_Q: gamma ascending, ht >= 2, pairs as in pairs_of."""
     for gamma in sorted(ar.phi):
         if rs.ht(gamma) >= 2:
-            for pair in pairs_of(ar, gamma):
+            for pair in _pair_table(ar, gamma):
                 yield gamma, pair
 
 
@@ -272,9 +277,9 @@ def classify_pair(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> PairVer
         alpha, beta = _check_pair(ar, gamma, pair)
         witness = _pair_table(ar, gamma)[alpha, beta]
     if witness is not None:
-        return PairVerdict(gamma, alpha, beta, Verdict.NON_MINIMAL, witness=witness)
+        return PairVerdict(gamma, alpha, beta, NON_MINIMAL, witness, None)
     tag = _minimality_tag(ar, gamma, (alpha, beta))
-    return PairVerdict(gamma, alpha, beta, Verdict.MINIMAL, order_tag=tag)
+    return PairVerdict(gamma, alpha, beta, MINIMAL, None, tag)
 
 
 def _minimality_tag(ar, gamma, pair) -> Optional[str]:
@@ -337,8 +342,8 @@ def oracle_classify(ar: ARQuiver, gamma: Root, pair) -> PairVerdict:
     """Ground truth by exhausting every reading of Gamma_Q (small ranks only)."""
     alpha, beta = _check_pair(ar, gamma, pair)
     if _oracle_table(ar).get((gamma, alpha, beta), False):
-        return PairVerdict(gamma, alpha, beta, Verdict.MINIMAL)
-    return PairVerdict(gamma, alpha, beta, Verdict.NON_MINIMAL)
+        return PairVerdict(gamma, alpha, beta, MINIMAL)
+    return PairVerdict(gamma, alpha, beta, NON_MINIMAL)
 
 
 def reading_words(ar: ARQuiver) -> frozenset[WeylWord]:

@@ -24,11 +24,12 @@ form is the one the fold correspondence actually satisfies, which the
 exhaustive harness confirms).
 
 Each distinct value is computed once per process: `denom_D1`, `denom_D2`,
-`star_map`, `dorey_D1` and `dorey_D2` are `lru_cache`d pure functions,
-and `mq` reads an int exponent's parameter from the cache `_mq_int`.  A
-serial orders+qaffine sweep to rank 8 makes 228,372 `mq` calls on 35
-exponents, 40,960 `dorey_D1` calls on 1,110 triples, 34,808 `dorey_D2`
-calls on 970 and 104,424 `star_map` calls on 225 inputs.  A cache stores
+`star_map`, `star_image`, `dorey_D1` and `dorey_D2` are `lru_cache`d pure
+functions, and `mq` reads an int exponent's parameter from the cache
+`_mq_int`.  A serial orders+qaffine sweep to rank 8 makes 228,372 `mq`
+calls on 35 exponents, 40,960 `dorey_D1` calls on 1,110 triples, 34,808
+`dorey_D2` and 34,808 `star_image` calls on 970, 2,910 `star_map` calls
+on 225 inputs and 459 `denom_D1` calls on 271.  A cache stores
 no exception, so a refused input raises on every call; `typed=True` keeps
 a float, a bool or a plain tuple out of a valid input's entry.  The
 arguments must be hashable.
@@ -361,6 +362,15 @@ def star_map(n: int, level: int, param: SpectralParam) -> tuple[int, SpectralPar
     return n, param * shift
 
 
+@lru_cache(maxsize=None, typed=True)
+def star_image(n: int, triple: HomTriple) -> HomTriple:
+    """The fold of untwisted rank-(n+1) hom data: ``star_map`` on each of its three parts."""
+    i, x = star_map(n, triple.i, triple.x)
+    j, y = star_map(n, triple.j, triple.y)
+    k, z = star_map(n, triple.k, triple.z)
+    return HomTriple(i, x, j, y, k, z)
+
+
 # --- the bridge from Gamma_Q ------------------------------------------------------
 
 def pair_to_triple(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> HomTriple:
@@ -370,11 +380,13 @@ def pair_to_triple(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> HomTri
     except (KeyError, TypeError):  # no table yet, or a list
         known = False
     alpha, beta = pair
-    if not known:  # checked outside the handler, so its errors carry no lookup context
+    if known:  # a table's pairs hold roots of this quiver; gamma is only the table's key
+        (bi, bp), (ai, ap) = ar.phi[beta], ar.phi[alpha]
+    else:  # checked outside the handler, so its errors carry no lookup context
         if tuple(a + b for a, b in zip(alpha, beta)) != tuple(gamma):
             raise QAffineError(f"{alpha} + {beta} != {gamma}")
         alpha, beta = orders.orient_pair(ar, alpha, beta)
-    bi, bp = ar.coord_of(beta)
-    ai, ap = ar.coord_of(alpha)
+        bi, bp = ar.coord_of(beta)
+        ai, ap = ar.coord_of(alpha)
     gi, gp = ar.coord_of(gamma)
     return HomTriple(bi, mq(bp), ai, mq(ap), gi, mq(gp))

@@ -98,9 +98,6 @@ class CartanDatum(_CartanFields):
             dist[source] = d
         return dist
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return j in self.neighbor_table.get(i, ())
-
     @property
     def coxeter_number(self) -> int:
         return self.rank + 1 if self.diagram_type == "A" else 2 * self.rank - 2

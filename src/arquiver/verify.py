@@ -27,6 +27,7 @@ from .ar_quiver import (
     check_nakayama,
     check_vertex_range,
 )
+from .orders import MINIMAL
 from .quiver import (
     DynkinQuiver,
     VertexClass,
@@ -509,7 +510,7 @@ def check_dorey_d1_coverage(ar: ARQuiver) -> Optional[str]:
         verdict = qaffine.dorey_D1(n, triple)
         if not verdict.admissible:
             return f"{gamma} pair {pair} is not Dorey-admissible"
-        minimal = orders.classify_pair(ar, gamma, pair).verdict == orders.Verdict.MINIMAL
+        minimal = orders.classify_pair(ar, gamma, pair).verdict is MINIMAL
         if minimal and verdict.case == "ii":
             return f"minimal pair {pair} of {gamma} matched case ii"
         if not minimal and verdict.case != "ii":
@@ -522,40 +523,42 @@ def check_star_transport(ar: ARQuiver) -> Optional[str]:
     n = ar.rank
     folded = n - 1
     for gamma, pair in orders.all_pairs(ar):
-        if orders.classify_pair(ar, gamma, pair).verdict != orders.Verdict.MINIMAL:
+        if orders.classify_pair(ar, gamma, pair).verdict is not MINIMAL:
             continue
-        t = qaffine.pair_to_triple(ar, gamma, pair)
-        si, sx = qaffine.star_map(folded, t.i, t.x)
-        sj, sy = qaffine.star_map(folded, t.j, t.y)
-        sk, sz = qaffine.star_map(folded, t.k, t.z)
-        image = qaffine.HomTriple(si, sx, sj, sy, sk, sz)
+        image = qaffine.star_image(folded, qaffine.pair_to_triple(ar, gamma, pair))
         if not qaffine.dorey_D2(folded, image).admissible:
             return f"star image of minimal pair {pair} of {gamma} rejected"
     return None
 
 
 class _ZeroOrders(dict):
-    """(k, l) -> ``qaffine.denom_D1(n, k, l).zero_orders()``, each read on first use.
+    """(k, l) -> ``denom(n, k, l).zero_orders()``, each read on first use; a column
+    gap g is then looked up as the exponent 2g."""
 
-    A table serves one check call, so a ``denom_D1`` rebound between calls is
-    read afresh; a column gap g is then looked up as the exponent 2g.
-    """
-
-    def __init__(self, n: int):
+    def __init__(self, denom: Callable[..., qaffine.DenominatorPoly], n: int):
         super().__init__()
-        self.n = n
+        self.denom, self.n = denom, n
 
     def __missing__(self, levels: tuple[int, int]) -> dict[int, int]:
-        table = self[levels] = qaffine.denom_D1(self.n, *levels).zero_orders()
+        table = self[levels] = self.denom(self.n, *levels).zero_orders()
         return table
+
+
+@lru_cache(maxsize=None)
+def _zero_orders(denom: Callable[..., qaffine.DenominatorPoly], n: int) -> _ZeroOrders:
+    """The one zero-order map of rank n for ``denom``.  The checks pass the
+    current ``qaffine.denom_D1``, so a rebound one is read afresh, and the cache
+    holds each function it has seen, so no later one can take its identity."""
+    return _ZeroOrders(denom, n)
 
 
 def check_surj_free_multiplicity(ar: ARQuiver) -> Optional[str]:
     """Zero multiplicity at (-q)^|column gap| is 1 for minimal pairs, 2 otherwise."""
-    zero_orders = _ZeroOrders(ar.rank)
+    zero_orders = _zero_orders(qaffine.denom_D1, ar.rank)
+    phi = ar.phi  # all_pairs yields roots of this quiver
     for gamma, pair in orders.all_pairs(ar):
-        minimal = orders.classify_pair(ar, gamma, pair).verdict == orders.Verdict.MINIMAL
-        (k, p), (l, r) = ar.coord_of(pair[0]), ar.coord_of(pair[1])
+        minimal = orders.classify_pair(ar, gamma, pair).verdict is MINIMAL
+        (k, p), (l, r) = phi[pair[0]], phi[pair[1]]
         found = zero_orders[k, l].get(2 * abs(p - r), 0)
         if found != (1 if minimal else 2):
             return f"zero multiplicity {found} for pair {pair} of {gamma}"
@@ -564,7 +567,7 @@ def check_surj_free_multiplicity(ar: ARQuiver) -> Optional[str]:
 
 def check_sectional_commuting(ar: ARQuiver) -> Optional[str]:
     """No denominator zero in either direction along a path."""
-    zero_orders = _ZeroOrders(ar.rank)
+    zero_orders = _zero_orders(qaffine.denom_D1, ar.rank)
     for path in ar.sectional_paths():
         for x, (k, p) in enumerate(path.coords):
             for l, r in path.coords[x + 1:]:

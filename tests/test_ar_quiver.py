@@ -614,10 +614,11 @@ def test_a_label_outside_the_positive_roots_fails_mesh_and_triangle(example1_ar)
 
 
 def _reference_check_arrow_rule(ar):
-    """The former body of ``ar_quiver.check_arrow_rule``, through ``adjacent`` and a
-    neighbour lookup that finds none off the diagram."""
+    """The former body of ``ar_quiver.check_arrow_rule``, through the adjacency test
+    ``j in neighbor_table.get(i, ())`` and a neighbour lookup that finds none off
+    the diagram."""
     for a, b in ar.arrows:
-        if b[1] != a[1] + 1 or not ar.datum.adjacent(a[0], b[0]):
+        if b[1] != a[1] + 1 or b[0] not in ar.datum.neighbor_table.get(a[0], ()):
             return f"arrow {a}->{b} malformed"
     expected = set()
     for (i, p) in ar.root_at:
@@ -634,7 +635,8 @@ def _reference_check_arrow_rule(ar):
 def _arrow_faults(ar):
     """ar with one arrow dropped, or with one malformed or stray arrow added."""
     (i, p), _ = min(ar.arrows)
-    far = next(j for j in ar.datum.vertices if abs(i - j) > 1 and not ar.datum.adjacent(i, j))
+    far = next(j for j in ar.datum.vertices
+               if abs(i - j) > 1 and j not in ar.datum.neighbor_table.get(i, ()))
     j = ar.datum.neighbor_table[i][0]
     added = [((i, p), (i, p + 1)), ((i, p), (far, p + 1)), ((i, p), (0, p + 1)),
              ((i, p), (j, p + 3)), ((99, p), (i, p + 1)), ((i, p + 100), (j, p + 101))]

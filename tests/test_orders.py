@@ -112,7 +112,7 @@ def _reference_commutation_class(datum, word):
         for w in frontier:
             for k in range(len(w) - 1):
                 a, b = w[k], w[k + 1]
-                if a != b and not datum.adjacent(a, b):
+                if a != b and b not in datum.neighbor_table.get(a, ()):
                     swapped = w[:k] + (b, a) + w[k + 2:]
                     if swapped not in seen:
                         seen.add(swapped)

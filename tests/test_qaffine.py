@@ -6,6 +6,7 @@ import pytest
 
 from arquiver import ar_quiver, orders, qaffine, verify
 from arquiver import root_system as rs
+from arquiver.ar_quiver import ARQuiver, ARQuiverError
 from arquiver.qaffine import (
     SQRT_MINUS_ONE,
     DenominatorPoly,
@@ -22,6 +23,7 @@ from arquiver.qaffine import (
     mq2,
     pair_to_triple,
     parse_param,
+    star_image,
     star_map,
     _UNITS,
     _ZETA_RE,
@@ -261,7 +263,7 @@ def _reference_pair_to_triple(ar, gamma, pair):
     return HomTriple(bi, mq(bp), ai, mq(ap), gi, mq(gp))
 
 
-@pytest.mark.parametrize("rank", [4, 5, 6])
+@pytest.mark.parametrize("rank", [4, 5, 6, 7])
 def test_pair_to_triple_equals_its_former_body(rank):
     for ar in _every_orientation("D", rank):
         sums = [(gamma, pair) for gamma, pairs in rs.root_sums(ar.datum).items() for pair in pairs]
@@ -270,6 +272,31 @@ def test_pair_to_triple_equals_its_former_body(rank):
             for either in (pair, pair[::-1]):
                 expected = _reference_pair_to_triple(ar, gamma, either)
                 assert pair_to_triple(ar, gamma, either) == expected
+
+
+def test_pair_to_triple_of_a_table_pair_raises_for_a_gamma_outside_the_quiver():
+    d5 = CartanDatum("D", 5)
+    quiver = DynkinQuiver.from_bitmask(d5, 5)
+    ar = ar_quiver.build(quiver, make_height_function(quiver, 5, 0))
+    gamma = max(ar.phi, key=rs.ht)
+    # gamma's vertex carries a label that is no root, so root_at lacks gamma; the
+    # path order is untouched, so gamma's pair table still fills
+    relabelled = {**ar.root_at, ar.coord_of(gamma): tuple(-x for x in gamma)}
+    hand = ARQuiver(ar.quiver, ar.xi, relabelled, ar.arrows, ar.m)
+    pairs = orders.pairs_of(hand, gamma)
+    assert len(pairs) == rs.ht(gamma) - 1 and gamma in hand.pairs_cache
+    expected = (ARQuiverError, f"{gamma} is not a positive root here")
+    for pair in pairs:
+        assert _raised(pair_to_triple, hand, gamma, pair) == expected
+        assert _raised(_reference_pair_to_triple, hand, gamma, pair) == expected
+
+
+def _reference_star_image(n, t):
+    """The fold as check_star_transport made it, one star_map call per part."""
+    si, sx = qaffine.star_map(n, t.i, t.x)
+    sj, sy = qaffine.star_map(n, t.j, t.y)
+    sk, sz = qaffine.star_map(n, t.k, t.z)
+    return qaffine.HomTriple(si, sx, sj, sy, sk, sz)
 
 
 def _raised(fn, *args):
@@ -924,8 +951,8 @@ QAFFINE_CHECKS = (
 
 
 def test_cached_answers_equal_the_bodies(monkeypatch):
-    caches = {"mq": qaffine._mq_int, "star_map": star_map, "dorey_D1": dorey_D1,
-              "dorey_D2": dorey_D2}
+    caches = {"mq": qaffine._mq_int, "star_map": star_map, "star_image": star_image,
+              "dorey_D1": dorey_D1, "dorey_D2": dorey_D2}
     fed = {name: [] for name in caches}
     for cache in caches.values():
         cache.cache_clear()
@@ -953,6 +980,8 @@ def test_cached_answers_equal_the_bodies(monkeypatch):
         assert mq(e) == qaffine._mq_int.__wrapped__(e) == mq(Fraction(e)), e
     for args in set(fed["star_map"]):
         assert star_map(*args) == star_map.__wrapped__(*args), args
+    for args in set(fed["star_image"]):
+        assert star_image(*args) == star_image.__wrapped__(*args) == _reference_star_image(*args)
     for args in set(fed["dorey_D1"]):
         assert dorey_D1(*args) == dorey_D1.__wrapped__(*args) == _reference_dorey_D1(*args)
     for args in set(fed["dorey_D2"]):
@@ -972,6 +1001,9 @@ def test_errors_are_never_cached_or_conflated():
         dorey_D1(4, tuple(triple))
     assert star_map(3, 1, mq(0)) == (1, SQRT_MINUS_ONE)
     assert type(star_map(3, 1.0, mq(0))[0]) is float  # the body's answer, not the int's
+    assert star_image(4, triple) == _reference_star_image(4, triple)
+    with pytest.raises(AttributeError):  # so is the fold's
+        star_image(4, tuple(triple))
 
     refused = [
         (dorey_D1, (4, HomTriple(2, mq(-2), 2, mq(2), 0, mq(0))),

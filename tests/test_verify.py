@@ -1305,6 +1305,39 @@ def test_each_check_returns_its_message_on_a_fault(monkeypatch, example1_ar, fau
     assert check.fn(*args) == message
 
 
+def _one_zero_moved(monkeypatch, rank, levels, source, target):
+    """Make denom_D1 at one rank list its zero at source for the given (sorted) levels at target."""
+    real = qaffine.denom_D1
+
+    def faulty(n, k, l):
+        poly = real(n, k, l)
+        if n == rank and (min(k, l), max(k, l)) == levels:
+            roots = list(poly.roots)
+            roots.remove(source)
+            return qaffine.DenominatorPoly(tuple(sorted((*roots, target))))
+        return poly
+
+    monkeypatch.setattr(qaffine, "denom_D1", faulty)
+
+
+def test_the_shared_zero_orders_follow_a_rebound_denom_D1(monkeypatch):
+    quiver = DynkinQuiver.from_bitmask(CartanDatum("D", 5), 5)
+    ar = ar_quiver.build(quiver, make_height_function(quiver, 5, 0))
+    checks = (verify.check_surj_free_multiplicity, verify.check_sectional_commuting)
+    references = (_reference_check_surj_free_multiplicity, _reference_check_sectional_commuting)
+    assert [check(ar) for check in checks] == [None, None]
+    # levels 1 and 3 hold a minimal pair at column gap 6 and a path pair at gap 2
+    _one_zero_moved(monkeypatch, 5, (1, 3), qaffine.mq(6), qaffine.mq(2))
+    messages = [check(ar) for check in checks]
+    assert messages == [reference(ar) for reference in references]
+    assert messages == [
+        "zero multiplicity 0 for pair ((1, 1, 0, 0, 0), (0, 0, 1, 0, 1)) of (1, 1, 1, 0, 1)",
+        "pair (1, -5), (3, -3) on S-path has a zero",
+    ]
+    monkeypatch.undo()
+    assert [check(ar) for check in checks] == [None, None]
+
+
 def test_a_failing_build_check_is_a_fail_in_the_structure_suite(monkeypatch, example1_ar):
     moved = _moved_deepest_root(example1_ar)
     assert ar_quiver.check_vertex_range(moved) is None
