@@ -380,13 +380,12 @@ def pair_to_triple(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> HomTri
     except (KeyError, TypeError):  # no table yet, or a list
         known = False
     alpha, beta = pair
-    if known:  # a table's pairs hold roots of this quiver; gamma is only the table's key
-        (bi, bp), (ai, ap) = ar.phi[beta], ar.phi[alpha]
-    else:  # checked outside the handler, so its errors carry no lookup context
+    if not known:  # checked outside the handler, so its errors carry no lookup context
         if tuple(a + b for a, b in zip(alpha, beta)) != tuple(gamma):
             raise QAffineError(f"{alpha} + {beta} != {gamma}")
         alpha, beta = orders.orient_pair(ar, alpha, beta)
-        bi, bp = ar.coord_of(beta)
-        ai, ap = ar.coord_of(alpha)
+    # a table's pairs, and any pair orient_pair ordered, hold roots of this
+    # quiver; gamma is only the table's key, so it alone goes through coord_of
+    (bi, bp), (ai, ap) = ar.phi[beta], ar.phi[alpha]
     gi, gp = ar.coord_of(gamma)
     return HomTriple(bi, mq(bp), ai, mq(ap), gi, mq(gp))
