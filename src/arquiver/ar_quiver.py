@@ -35,7 +35,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import root_system as rs
-from .quiver import DynkinQuiver, QuiverError, check_height_function, coxeter_word, eta_from_heights
+from .quiver import DynkinQuiver, QuiverError, check_height_function, eta_from_heights
 from .root_system import CartanDatum, Root, WeylWord
 
 if TYPE_CHECKING:
@@ -176,18 +176,19 @@ class ARQuiver:
         by_s: dict[int, list[Coord]] = {}
         by_n: dict[int, list[Coord]] = {}
         for c in self.vertices:  # column, then level: each diagonal comes out in arrow order
-            level = min(c[0], top)
-            by_s.setdefault(c[1] - level, []).append(c)
-            by_n.setdefault(c[1] + level, []).append(c)
+            i, p = c
+            level = i if i < top else top
+            by_s.setdefault(p - level, []).append(c)
+            by_n.setdefault(p + level, []).append(c)
         paths: list[SectionalPath] = []
-        for kind, diagonals in (("S", by_s), ("N", by_n)):
-            brooms = []
-            for coords in diagonals.values():
-                # a spin pair (n-1, u), (n, u) with no stem below it is no broom
-                if len(coords) < 2 or (is_d and min(coords)[0] > n - 2):
-                    continue
-                shallow = is_d and max(coords)[0] <= n - 2
-                brooms.append(SectionalPath(kind=kind, coords=tuple(coords), shallow=shallow))
+        # the folded level rises along an S-diagonal and falls along an N-diagonal,
+        # and only levels above n-2 share one, so a diagonal reaches below n-1 when
+        # its `low` end does and stays below n-1 when its `high` end does
+        for kind, diagonals, low, high in (("S", by_s, 0, -1), ("N", by_n, -1, 0)):
+            # a spin pair (n-1, u), (n, u) with no stem below it is no broom
+            brooms = [SectionalPath(kind, tuple(coords), is_d and coords[high][0] <= n - 2)
+                      for coords in diagonals.values()
+                      if len(coords) > 1 and not (is_d and coords[low][0] > n - 2)]
             # the brooms of one kind are disjoint, so their first coords order them
             paths += sorted(brooms, key=lambda path: path.coords[0])
         return tuple(paths)
@@ -271,21 +272,27 @@ class ARQuiver:
 def build(quiver: DynkinQuiver, xi, validate: bool = True) -> ARQuiver:
     """Knit Gamma_Q from the seeds (i, xi_i) -> eta_i, read off xi, by repeated tau steps.
 
-    Each tau step walks a root's index through the s_i rows of ``rs.root_table``.
+    tau's letters are read off xi as well, so no Coxeter word is peeled; each
+    tau step walks a root's index through the s_i rows of ``rs.root_table``.
     """
     datum = quiver.datum
     xi = tuple(xi)
     check_height_function(quiver, xi)
     table = rs.root_table(datum)
-    # tau = s_w1 ... s_wn acts on root indices, its last letter first
-    tau_rows = [table.rows[i - 1] for i in reversed(coxeter_word(quiver))]
+    # tau = s_w1 ... s_wn, its letters by descending height (each a source once the
+    # higher ones are reflected; equal heights are never adjacent, so ties commute),
+    # acts on root indices, its last letter first
+    tau_rows = [table.rows[i - 1] for i in sorted(datum.vertices, key=lambda i: xi[i - 1])]
     root_at: dict[Coord, Root] = {}
     m = []
+    levels: dict[int, list[Coord]] = {}  # each level's coords, columns descending from xi_i
     for i in datum.vertices:
         k = table.index[eta_from_heights(datum, xi, i)]
         p = xi[i - 1]
+        level = levels[i] = []
         for _ in range(datum.num_positive_roots):  # the most a tau-orbit can hold
-            root_at[(i, p)] = table.roots[k]
+            level.append(c := (i, p))
+            root_at[c] = table.roots[k]
             for row in tau_rows:
                 k = row[k] if k >= 0 else ~row[~k]
             if k < 0:
@@ -296,12 +303,13 @@ def build(quiver: DynkinQuiver, xi, validate: bool = True) -> ARQuiver:
                 f"tau-orbit of level {i} still positive after {datum.num_positive_roots} steps"
             )
         m.append((xi[i - 1] - p) // 2)
-    arrows = set()
-    for (i, p) in root_at:
-        for j in datum.neighbor_table[i]:
-            if (j, p + 1) in root_at:
-                arrows.add(((i, p), (j, p + 1)))
-    ar = ARQuiver(quiver, xi, root_at, frozenset(arrows), tuple(m))
+    # (i, p) -> (j, p + 1): level j is one column right of level i when it sits
+    # higher, else one column left, so its k-th coord meets i's k-th or (k+1)-th
+    arrows = frozenset(
+        arrow for i in datum.vertices for j in datum.neighbor_table[i]
+        for arrow in zip(levels[i][xi[j - 1] < xi[i - 1]:], levels[j])
+    )
+    ar = ARQuiver(quiver, xi, root_at, arrows, tuple(m))
     if validate:
         message = validate_build(ar)
         if message is not None:
@@ -365,17 +373,17 @@ def check_mesh_additivity(ar: ARQuiver) -> Optional[str]:
 
 def check_arrow_rule(ar: ARQuiver) -> Optional[str]:
     """Arrows are exactly (i,p)->(j,p+1) for adjacent levels."""
-    neighbors = ar.datum.neighbor_table
+    neighbors, root_at = ar.datum.neighbor_table, ar.root_at
+    expected = {((i, p), (j, p + 1)) for i, p in root_at
+                for j in neighbors.get(i, ()) if (j, p + 1) in root_at}
+    if expected == ar.arrows:  # the rule's arrows are well formed, so none is malformed
+        return None
     for a, b in ar.arrows:
         if b[1] != a[1] + 1 or b[0] not in neighbors.get(a[0], ()):
             return f"arrow {a}->{b} malformed"
-    expected = {((i, p), (j, p + 1)) for i, p in ar.root_at
-                for j in neighbors.get(i, ()) if (j, p + 1) in ar.root_at}
-    if expected != ar.arrows:
-        extra = ar.arrows - expected
-        missing = expected - ar.arrows
-        return f"arrow set off: extra {sorted(extra)}, missing {sorted(missing)}"
-    return None
+    extra = ar.arrows - expected
+    missing = expected - ar.arrows
+    return f"arrow set off: extra {sorted(extra)}, missing {sorted(missing)}"
 
 
 BUILD_CHECKS = (check_vertex_range, check_nakayama, check_mesh_additivity, check_arrow_rule)

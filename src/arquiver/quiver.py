@@ -8,8 +8,9 @@ means the arrow runs min -> max).
 Orientation facts are read off the height function xi, the one walk over the
 arrows: i is a source when every neighbour sits at xi_i - 1, reflecting at a
 source lowers xi_i by 2, and a path j ~> i exists when xi_j - xi_i = d(i, j).
-Every vertex class (``classify_vertex``) is read off xi the same way; the
-opposite quiver negates xi, so a sink of Q is a source of Q^op.
+Every vertex class (``classify_vertex``) is read off xi the same way, from
+each neighbour's rise xi_j - xi_i: -1 at every neighbour of a source, +1 at
+every neighbour of a sink.
 """
 
 from __future__ import annotations
@@ -85,12 +86,14 @@ def classify_vertex(datum: CartanDatum, xi, i: int) -> VertexClass:
     """
     if i not in datum.vertices:
         raise QuiverError(f"no vertex {i}")
-    if _is_source(datum, xi, i):
+    top, neighbors = xi[i - 1], datum.neighbor_table[i]
+    rises = [xi[j - 1] - top for j in neighbors]  # each xi_j - xi_i, read once
+    if rises.count(-1) == len(rises):
         return VertexClass.SOURCE
-    if _is_source(datum, [-h for h in xi], i):  # a source of Q^op, whose heights are -xi
+    if rises.count(1) == len(rises):
         return VertexClass.SINK
     d1 = datum.distance_table[1]
-    turns = {(xi[j - 1] - xi[i - 1]) * (d1[j] - d1[i]) for j in datum.neighbor_table[i]}
+    turns = {rise * (d1[j] - d1[i]) for rise, j in zip(rises, neighbors)}
     if turns == {1}:
         return VertexClass.RIGHT_INTERMEDIATE
     if turns == {-1}:

@@ -126,14 +126,14 @@ def check_arrow_pairing(ar: ARQuiver) -> Optional[str]:
 
 def check_range_lemma(ar: ARQuiver) -> Optional[str]:
     """(i, xi_j - d(i,j)) and (i, xi_j - 2m_j + d(i,j)) are vertices."""
-    datum = ar.datum
+    datum, root_at = ar.datum, ar.root_at
+    ends = [(j, top, top - 2 * m) for j, top, m in zip(datum.vertices, ar.xi, ar.m)]
     for i in datum.vertices:
         distance = datum.distance_table[i]
-        for j in datum.vertices:
+        for j, top, bottom in ends:
             d = distance[j]
-            for p in (ar.xi[j - 1] - d, ar.xi[j - 1] - 2 * ar.m[j - 1] + d):
-                if (i, p) not in ar.root_at:
-                    return f"({i},{p}) missing for (i,j)=({i},{j})"
+            if (i, p := top - d) not in root_at or (i, p := bottom + d) not in root_at:
+                return f"({i},{p}) missing for (i,j)=({i},{j})"
     return None
 
 
@@ -165,11 +165,11 @@ def check_level_pair_sums(ar: ARQuiver) -> Optional[str]:
     for p in sorted({q for (lvl, q) in ar.root_at if lvl == n - 1}):
         if (n, p) not in ar.root_at:
             continue
-        a = rs.epsilon_form(datum, ar.root_at[n - 1, p]).a
-        eps = {rs.epsilon_form(datum, ar.root_at[i, p]) for i in (n - 1, n)}
+        upper = rs.epsilon_form(datum, ar.root_at[n - 1, p])
+        eps = {upper, rs.epsilon_form(datum, ar.root_at[n, p])}
         # <a,t> and <a,-t> sum to 2e_a, so the sum needs no test of its own
-        if eps != {rs.EpsilonForm(a, t), rs.EpsilonForm(a, -t)}:
-            return f"column {p}: pair {sorted(map(str, eps))} != <{a},+-{t}>"
+        if eps != {(upper.a, t), (upper.a, -t)}:  # an EpsilonForm equals its plain tuple
+            return f"column {p}: pair {sorted(map(str, eps))} != <{upper.a},+-{t}>"
     return None
 
 
@@ -177,17 +177,17 @@ def check_triangle(ar: ARQuiver) -> Optional[str]:
     """Spin pairs with matching parity meet at (n-1-k, (s+l)/2)."""
     n = ar.rank
     root_at, codes = ar.root_at, rs.root_table(ar.datum).codes
-    # packed codes add as the roots do; a label outside Phi+ has none and fails
-    spin = [(c, codes.get(root)) for c, root in root_at.items() if c[0] in (n - 1, n)]
-    for ca, a in spin:
-        for cb, b in spin:
-            gap = cb[1] - ca[1]
-            if gap <= 0 or gap % 2:
+    # packed codes add as the roots do; a label outside Phi+ has none and fails.
+    # (i, p), (j, r) make a triangle when r - p = 2k > 0 and i - j, k - 1 share
+    # a parity, that is when p - 2i and r - 2j differ by 2 mod 4
+    spin = [(c, c[1], c[1] - 2 * c[0], codes.get(root))
+            for c, root in root_at.items() if c[0] in (n - 1, n)]
+    for ca, p, qa, a in spin:
+        for cb, r, qb, b in spin:
+            if r <= p or (qb - qa) % 4 != 2:
                 continue
-            k = gap // 2
-            if (ca[0] - cb[0]) % 2 != (k - 1) % 2:
-                continue
-            apex = (n - 1 - k, ca[1] + k)
+            k = (r - p) // 2
+            apex = (n - 1 - k, p + k)
             if a is None or b is None or codes.get(root_at.get(apex)) != a + b:
                 return f"triangle at {ca},{cb}: apex {apex} does not hold the sum of the pair"
     return None
@@ -202,14 +202,15 @@ def check_swing_shapes(ar: ARQuiver) -> Optional[str]:
     # share that +e_a fails the carrier test below
     if [s.shared_index for s in swings] != list(range(1, n - 1)):
         return f"swing indices {[s.shared_index for s in swings]} != 1..{n - 2}"
+    root_at = ar.root_at
     for swing in swings:
         a = swing.shared_index
-        carriers = set(rs.summand_class(datum, a))
-        members = {ar.root_at[c] for c in swing.coords}
+        carriers = rs.summand_class(datum, a)
+        members = {root_at[c] for c in swing.coords}
         # equal sets also fix the size, |carriers(+e_a)| = 2(n-a) + (a-1) = 2n-a-1,
         # and hold alpha_a, since alpha_a = e_a - e_(a+1) carries +e_a
         if members != carriers:
-            return f"{a}-swing misses carriers {carriers - members} or adds extras"
+            return f"{a}-swing misses carriers {set(carriers) - members} or adds extras"
         s_start = swing.s_part[0][0]
         n_end = swing.n_part[-1][0]
         if not ((s_start == a and n_end == 1) or (s_start == 1 and n_end == a)):
@@ -244,10 +245,16 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
     """sigma swing indices are reverse-unimodal; kappa tents at t'."""
     datum = ar.datum
     n = ar.rank
-    # sigma: the level-(n-1) roots other than the simples, columns descending
+    # sigma: the level-(n-1) roots other than the simples; kappa: the level-1
+    # roots; both read in one pass over the vertices, columns descending
     simples = {datum.simple_root(n - 1), datum.simple_root(n)}
-    sigma = sorted(((p, root) for (i, p), root in ar.root_at.items()
-                    if i == n - 1 and root not in simples), reverse=True)
+    sigma, kappa = [], []
+    for (i, p), root in ar.root_at.items():
+        if i == 1:
+            kappa.append((p, root))
+        elif i == n - 1 and root not in simples:
+            sigma.append((p, root))
+    sigma.sort(reverse=True)
     if len(sigma) != n - 2:
         return f"|sigma| = {len(sigma)} != {n - 2}"
     cols, sigma_roots = map(list, zip(*sigma))
@@ -271,8 +278,7 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
         if pos > valley and not s_len < n_len:
             return f"{idx}-swing right of the valley has S-part not shorter"
 
-    # kappa: the level-1 roots, columns descending
-    kappa = sorted(((p, root) for (i, p), root in ar.root_at.items() if i == 1), reverse=True)
+    kappa.sort(reverse=True)
     if len(kappa) != n - 1:
         return f"|kappa| = {len(kappa)} != {n - 1}"
     cols, kappa_roots = map(list, zip(*kappa))
@@ -297,7 +303,7 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
         return rs.epsilon_coords(datum, tuple(map(sum, zip(*roots))))
 
     e = eps_sum(kappa_roots)
-    if [c for c in e if c] != [2] or e[0] != 2:
+    if e != (2,) + (0,) * (n - 1):
         return f"sum of kappa is not 2*e_1 (epsilon coords {e})"
     head = eps_sum(kappa_roots[: fold - 1])
     tail = tuple(a - b for a, b in zip(e, head))
@@ -312,7 +318,7 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
     else:
         segment = kappa_roots[1:]
     seg = eps_sum(segment)
-    if seg != tuple(1 if i in (0, 1) else 0 for i in range(n)):
+    if seg != (1, 1) + (0,) * (n - 2):
         return f"kappa segment sum {seg} is not e_1 + e_2"
     # kappa_l at (1, p) carries its own class, so a broom holding the whole class
     # runs through (1, p): the S-broom starting there or the N-broom ending there
@@ -323,10 +329,11 @@ def check_sigma_kappa(ar: ARQuiver) -> Optional[str]:
         carriers = rs.summand_class(datum, j)
         if len(carriers) <= 1:
             continue
-        coords = {ar.coord_of(root) for root in carriers}
-        path = next((path for path in (s_from.get((1, p)), n_into.get((1, p)))
-                     if path is not None and coords <= set(path.coords)), None)
-        if path is None:
+        coords = set(map(ar.coord_of, carriers))
+        for path in (s_from.get((1, p)), n_into.get((1, p))):
+            if path is not None and coords.issubset(path.coords):
+                break
+        else:
             return f"kappa_{pos} class {j} lies on no single broom"
         want_kind = "S" if pos <= fold - 1 else "N"
         if path.kind != want_kind:
@@ -420,7 +427,7 @@ def check_pair_counts(ar: ARQuiver) -> Optional[str]:
     for gamma in sorted(ar.phi):
         if rs.ht(gamma) < 2:
             continue
-        pairs = orders.pairs_of(ar, gamma)
+        pairs = orders._pair_table(ar, gamma)  # walked in place, in pairs_of order
         if len(pairs) != rs.ht(gamma) - 1:
             return f"{gamma} has {len(pairs)} pairs, expected ht-1 = {rs.ht(gamma) - 1}"
         verdicts = [orders.classify_pair(ar, gamma, pair).verdict for pair in pairs]
@@ -447,7 +454,7 @@ def check_nonfree_counts(ar: ARQuiver) -> Optional[str]:
         b = eps.b_signed
         nonmin = sum(
             orders.classify_pair(ar, gamma, pair).verdict == orders.Verdict.NON_MINIMAL
-            for pair in orders.pairs_of(ar, gamma)
+            for pair in orders._pair_table(ar, gamma)
         )
         if b < 0 or b > n - 2 or nonmin != n - b - 1:
             return f"{gamma} = <{eps.a},{b}>: {nonmin} non-minimal != {n - b - 1}"

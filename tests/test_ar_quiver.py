@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arquiver import ar_quiver, verify
+from arquiver import quiver as quiver_module
 from arquiver import root_system as rs
 from arquiver.ar_quiver import ARQuiver, ARQuiverError, Coord, SectionalPath, Swing
 from arquiver.quiver import (
@@ -531,6 +532,31 @@ def test_build_equals_its_reference(diagram, rank):
         assert ar.root_at == expected.root_at
         assert ar.arrows == expected.arrows
         assert (ar.m, ar.xi) == (expected.m, expected.xi)
+
+
+def test_build_reads_tau_off_the_heights_it_is_given(monkeypatch):
+    # tau's letters come from xi alone: no Coxeter word is peeled and no second
+    # height function is walked, whether build or coxeter_word would look the name up
+    inputs = [(quiver, make_height_function(quiver, 1, 3))
+              for rank in (4, 5, 6) for quiver in all_orientations(CartanDatum("D", rank))]
+    calls = {"coxeter_word": 0, "make_height_function": 0}
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for module in (ar_quiver, quiver_module):
+        for name in calls:
+            original = getattr(quiver_module, name)
+            monkeypatch.setattr(module, name, counting(name, original), raising=False)
+    for quiver, xi in inputs:
+        ar_quiver.build(quiver, xi)
+    assert calls == {"coxeter_word": 0, "make_height_function": 0}
+    # the counters are live: coxeter_word still walks its own height function
+    coxeter_word(inputs[0][0])
+    assert calls == {"coxeter_word": 0, "make_height_function": 1}
 
 
 def _reference_check_mesh_additivity(ar):
