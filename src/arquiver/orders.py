@@ -5,7 +5,10 @@ convex order beta_1 < ... < beta_N with beta_z = s_{i_1}...s_{i_{z-1}}
 alpha_{i_z}.  Readings of Gamma_Q (linear extensions of the arrow-reversed
 reachability order) produce exactly the words of the commutation class of
 the orientation; ``all_readings`` enumerates them on the path-order bitsets
-of ``ARQuiver``.
+of ``ARQuiver``, keeping a mask of the vertices ready to read: reading a
+vertex readies each arrow source into it whose down-set is then read.
+Gamma's pair table orients each sum pair by the same bitsets, one AND each
+way, and leaves only a pair neither AND orients to ``orient_pair``.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class ConvexOrder:
         self.datum = datum
         self.word = word
         self.roots = roots
-        self.position = {root: z for z, root in enumerate(roots)}
+        self.position = dict(zip(roots, range(len(roots))))
         self.nests: dict[Root, tuple[int, ...]] = {}
 
     def check_convexity(self) -> None:
@@ -92,12 +95,6 @@ def order_from_word(datum: CartanDatum, word: WeylWord) -> ConvexOrder:
     return order
 
 
-def _order_from_reading(ar: ARQuiver, coords: list[Coord]) -> ConvexOrder:
-    word = tuple(c[0] for c in coords)
-    roots = tuple(ar.root_at[c] for c in coords)
-    return ConvexOrder(ar.datum, word, roots)
-
-
 STRATEGIES = ("U1", "U2", "L1", "L2")
 
 
@@ -122,7 +119,8 @@ def canonical_reading(ar: ARQuiver, strategy: str) -> ConvexOrder:
     order = ar.readings_cache.get(strategy)
     if order is None:
         coords = sorted(ar.root_at, key=_reading_key(ar, strategy))
-        order = _order_from_reading(ar, coords)
+        word = tuple(c[0] for c in coords)
+        order = ConvexOrder(ar.datum, word, tuple(ar.root_at[c] for c in coords))
         order.check_convexity()
         ar.readings_cache[strategy] = order
     return order
@@ -157,25 +155,51 @@ def all_readings(ar: ARQuiver) -> Iterator[ConvexOrder]:
 
     A reading lists a vertex only after everything reachable from it, so the
     outputs are exactly the linear extensions of the arrow-reversed order.
-    They are enumerated on the path-order bitsets: a vertex is ready once its
-    down-set lies inside the mask of the vertices already read.
+    They are enumerated on the path-order bitsets with a stack of frames
+    (read, ready, untried): a vertex is ready once its down-set lies inside
+    the mask of the vertices already read, and each step reads the lowest
+    untried ready bit.  The last vertex of a down-set to be read is a target
+    of an arrow from its owner, so reading vertex k readies exactly those
+    arrow sources into k whose down-set is now read.
     """
     coords, _, below = ar._path_order
-    vertices = [(c, 1 << k, below[ar.root_at[c]]) for k, c in enumerate(coords)]
+    root_at = ar.root_at
+    index = {c: k for k, c in enumerate(coords)}
+    roots = [root_at[c] for c in coords]
+    levels = [c[0] for c in coords]
+    downs = [below[root] for root in roots]
+    sources: list[list[tuple[int, int]]] = [[] for _ in coords]
+    for source, target in ar.arrows:
+        k = index[source]
+        sources[index[target]].append((1 << k, downs[k]))
     everything = (1 << len(coords)) - 1
-    sequence: list[Coord] = []
-
-    def extend(read: int) -> Iterator[ConvexOrder]:
+    ready = sum(1 << k for k, down in enumerate(downs) if not down)
+    datum, word, read_roots = ar.datum, [], []
+    stack = [(0, ready, ready)]
+    while stack:
+        read, ready, untried = stack[-1]
+        if not untried:
+            stack.pop()
+            if word:  # the root frame was reached by no letter
+                word.pop()
+                read_roots.pop()
+            continue
+        own = untried & -untried
+        stack[-1] = (read, ready, untried ^ own)
+        k = own.bit_length() - 1
+        read |= own
+        ready ^= own
+        for source, down in sources[k]:
+            if down & read == down:
+                ready |= source
+        word.append(levels[k])
+        read_roots.append(roots[k])
         if read == everything:
-            yield _order_from_reading(ar, sequence)
-            return
-        for c, own, down in vertices:
-            if not read & own and down & read == down:
-                sequence.append(c)
-                yield from extend(read | own)
-                sequence.pop()
-
-    yield from extend(0)
+            yield ConvexOrder(datum, tuple(word), tuple(read_roots))
+            word.pop()
+            read_roots.pop()
+        else:
+            stack.append((read, ready, ready))
 
 
 def commutation_class(datum: CartanDatum, word: WeylWord) -> frozenset[WeylWord]:
@@ -214,7 +238,8 @@ def pairs_of(ar: ARQuiver, gamma: Root) -> list[tuple[Root, Root]]:
 def _pair_table(ar: ARQuiver, gamma: Root) -> dict[tuple[Root, Root], Optional[tuple[Root, Root]]]:
     """gamma's oriented pairs, in pairs_of order, each mapped to its first dominating
     pair (c, d), a < c and d < b, or to None; built once into ``ar.pairs_cache`` from
-    the path-order bitsets.  The order is strict, so no pair dominates itself."""
+    the path-order bitsets, which orient each pair too.  The order is strict, so no
+    pair dominates itself."""
     table = ar.pairs_cache.get(gamma)
     if table is not None:
         return table
@@ -223,10 +248,21 @@ def _pair_table(ar: ARQuiver, gamma: Root) -> dict[tuple[Root, Root], Optional[t
     sums = rs.root_sums(ar.datum).get(gamma)
     if sums is None:
         raise OrderError(f"{gamma} is not a positive root")
-    pairs = [orient_pair(ar, alpha, beta) for alpha, beta in sums]
-    phi = ar.phi  # orient_pair found every root in the path order, so in phi
-    pairs.sort(key=lambda ab: phi[ab[0]])
     _, bit, below = ar._path_order
+    pairs = []
+    for alpha, beta in sums:
+        try:
+            if bit[alpha] & below[beta]:
+                pairs.append((alpha, beta))
+                continue
+            if bit[beta] & below[alpha]:
+                pairs.append((beta, alpha))
+                continue
+        except KeyError:  # a root missing here: orient_pair raises prec's error
+            pass
+        pairs.append(orient_pair(ar, alpha, beta))  # raises: neither AND oriented it
+    phi = ar.phi  # every root was found in the path order, so in phi
+    pairs.sort(key=lambda ab: phi[ab[0]])
     rows = [(c, d, below[c], bit[d]) for c, d in pairs]
     table = {}
     for a, b in pairs:
@@ -242,9 +278,13 @@ def _pair_table(ar: ARQuiver, gamma: Root) -> dict[tuple[Root, Root], Optional[t
 
 
 def all_pairs(ar: ARQuiver) -> Iterator[tuple[Root, tuple[Root, Root]]]:
-    """Every (gamma, pair) of Gamma_Q: gamma ascending, ht >= 2, pairs as in pairs_of."""
-    for gamma in sorted(ar.phi):
-        if rs.ht(gamma) >= 2:
+    """Every (gamma, pair) of Gamma_Q: gamma ascending, ht >= 2, pairs as in pairs_of.
+
+    ``root_sums`` holds the positive roots ascending, and a root has sums exactly
+    when its height is at least 2; a root missing from this quiver is skipped."""
+    phi = ar.phi
+    for gamma, sums in rs.root_sums(ar.datum).items():
+        if sums and gamma in phi:
             for pair in _pair_table(ar, gamma):
                 yield gamma, pair
 

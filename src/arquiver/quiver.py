@@ -130,11 +130,14 @@ def is_adapted(word: WeylWord, quiver: DynkinQuiver) -> bool:
     datum = quiver.datum
     if not set(word).issubset(datum.vertices):
         raise QuiverError(f"{word} has letters outside 1..{datum.rank}")
+    neighbors = datum.neighbor_table
     xi = list(make_height_function(quiver, 1, 0))
     for i in word:
-        if not _is_source(datum, xi, i):
-            return False
-        xi[i - 1] -= 2
+        below = xi[i - 1] - 1  # a source's neighbours all sit here
+        for j in neighbors[i]:
+            if xi[j - 1] != below:
+                return False
+        xi[i - 1] = below - 1
     return True
 
 

@@ -249,11 +249,6 @@ def ht(root: Root) -> int:
     return sum(root)
 
 
-def supp_ge(root: Root, k: int) -> frozenset[int]:
-    """Vertices whose simple-root coefficient is at least k."""
-    return frozenset(i + 1 for i, c in enumerate(root) if c >= k)
-
-
 def mul(root: Root) -> int:
     return max(root)
 

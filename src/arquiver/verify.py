@@ -424,8 +424,10 @@ def check_compatibility(ar: ARQuiver) -> Optional[str]:
 
 def check_pair_counts(ar: ARQuiver) -> Optional[str]:
     """ht-1 pairs; minimal = |Supp>=1|-1, non-minimal = |Supp>=2|."""
-    for gamma in sorted(ar.phi):
-        if rs.ht(gamma) < 2:
+    phi = ar.phi
+    # root_sums runs gamma ascending and gives sums to exactly the roots of ht >= 2
+    for gamma, sums in rs.root_sums(ar.datum).items():
+        if not sums or gamma not in phi:
             continue
         pairs = orders._pair_table(ar, gamma)  # walked in place, in pairs_of order
         if len(pairs) != rs.ht(gamma) - 1:
@@ -433,8 +435,10 @@ def check_pair_counts(ar: ARQuiver) -> Optional[str]:
         verdicts = [orders.classify_pair(ar, gamma, pair).verdict for pair in pairs]
         minimal = sum(v == orders.Verdict.MINIMAL for v in verdicts)
         nonmin = len(verdicts) - minimal
-        want_min = len(rs.supp_ge(gamma, 1)) - 1
-        want_non = len(rs.supp_ge(gamma, 2))
+        # a positive root's coefficients are non-negative, so each support is a count
+        support = len(gamma) - gamma.count(0)
+        want_min = support - 1
+        want_non = support - gamma.count(1)
         if (minimal, nonmin) != (want_min, want_non):
             return (
                 f"{gamma}: ({minimal} minimal, {nonmin} non-minimal), "
@@ -447,8 +451,9 @@ def check_nonfree_counts(ar: ARQuiver) -> Optional[str]:
     """e_a + e_b has exactly n-b-1 non-minimal pairs."""
     datum = ar.datum
     n = ar.rank
-    for gamma in sorted(ar.phi):
-        if rs.mul(gamma) < 2:
+    phi = ar.phi
+    for gamma in rs.root_sums(datum):  # ascending
+        if gamma not in phi or rs.mul(gamma) < 2:
             continue
         eps = rs.epsilon_form(datum, gamma)
         b = eps.b_signed

@@ -23,6 +23,7 @@ from conftest import (
     _every_orientation,
     _reference_classify_pair,
     _reference_minimal_wrt,
+    _reference_pairs_of,
 )
 from test_qaffine import _raised
 
@@ -604,6 +605,79 @@ def test_pair_table_witnesses_equal_the_former_scan(rank):
             assert list(orders._pair_table(ar, gamma).items()) == list(expected.items())
             witnessed += sum(w is not None for w in expected.values())
     assert witnessed > 0
+
+
+# --- the pair table's own orientation and the walk of all_pairs against their former bodies
+
+def _without_arrow(ar, arrow):
+    return ARQuiver(ar.quiver, ar.xi, dict(ar.root_at), ar.arrows - {arrow}, ar.m)
+
+
+def _without_vertex(ar, coord):
+    root_at = {c: root for c, root in ar.root_at.items() if c != coord}
+    arrows = frozenset(arrow for arrow in ar.arrows if coord not in arrow)
+    return ARQuiver(ar.quiver, ar.xi, root_at, arrows, ar.m)
+
+
+def _drained(items):
+    """Everything an iterable yields, then the exception it ends with (or None)."""
+    out = []
+    try:
+        for item in items:
+            out.append(item)
+    except Exception as exc:  # the exception itself is what is compared
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+@pytest.mark.parametrize("flaw", ["arrow", "root"])
+def test_pair_table_raises_as_the_former_pairs_of_on_a_broken_quiver(example1_ar, flaw):
+    if flaw == "arrow":  # a dropped arrow leaves some sum pair incomparable
+        broken = [_without_arrow(example1_ar, arrow) for arrow in sorted(example1_ar.arrows)]
+    else:  # a root missing from root_at fails prec's lookup
+        broken = [_without_vertex(example1_ar, coord) for coord in sorted(example1_ar.root_at)]
+    raised = set()
+    for ar in broken:
+        for gamma, sums in rs.root_sums(ar.datum).items():
+            if not sums:
+                continue
+            expected = _raised(_reference_pairs_of, ar, gamma)
+            assert _raised(orders._pair_table, ar, gamma) == expected, gamma
+            if expected is None:
+                assert list(orders._pair_table(ar, gamma)) == _reference_pairs_of(ar, gamma)
+            else:
+                raised.add(expected[0])
+    # a missing root also cuts paths, so that flaw raises both
+    assert (OrderError if flaw == "arrow" else ar_quiver.ARQuiverError) in raised
+
+
+def _reference_all_pairs(ar):
+    """The former all_pairs: gamma over sorted(ar.phi), kept from height 2."""
+    for gamma in sorted(ar.phi):
+        if rs.ht(gamma) >= 2:
+            for pair in orders._pair_table(ar, gamma):
+                yield gamma, pair
+
+
+@pytest.mark.parametrize("diagram, rank", [("A", n) for n in range(1, 6)] + [("D", n) for n in (4, 5, 6)])
+def test_all_pairs_equals_its_former_body(diagram, rank):
+    for ar in _every_orientation(diagram, rank):
+        expected = _drained(_reference_all_pairs(ar))
+        assert _drained(orders.all_pairs(ar)) == expected
+        assert expected[1] is None
+
+
+def test_all_pairs_skips_a_missing_root_and_raises_where_its_former_body_did(example1_ar):
+    raised = 0
+    for coord, root in sorted(example1_ar.root_at.items()):
+        if rs.ht(root) < 2:
+            continue
+        expected = _drained(_reference_all_pairs(_without_vertex(example1_ar, coord)))
+        got = _drained(orders.all_pairs(_without_vertex(example1_ar, coord)))
+        assert got == expected, coord
+        assert root not in {gamma for gamma, _ in got[0]}
+        raised += got[1] is not None
+    assert raised > 0  # every root but the highest is a summand of another
 
 
 def _reference_check_convexity(order):

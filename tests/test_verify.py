@@ -96,6 +96,16 @@ def test_run_suite_rank4_all_pass():
         assert {r.check_id for r in records} & limited == recorded
 
 
+@pytest.mark.parametrize("mask", [0, 15])
+def test_all_readings_checks_pass_on_d5(mask):
+    # above the sweep's rank_max of 4: the checks are called directly
+    quiver = DynkinQuiver.from_bitmask(CartanDatum("D", 5), mask)
+    ar = ar_quiver.build(quiver, make_height_function(quiver, 5, 0))
+    assert verify.check_readings_equal_class(ar) is None
+    assert verify.check_oracle_agreement(ar) is None
+    assert len(orders.reading_words(ar)) == 18720  # the size of the commutation class
+
+
 def test_run_suite_is_deterministic_and_parallel_safe():
     first = run_suite(4, suites={"structure"})
     second = run_suite(4, suites={"structure"})
