@@ -7,8 +7,7 @@ reachability order) produce exactly the words of the commutation class of
 the orientation; ``all_readings`` enumerates them on the path-order bitsets
 of ``ARQuiver``, keeping a mask of the vertices ready to read: reading a
 vertex readies each arrow source into it whose down-set is then read.
-Gamma's pair table orients each sum pair by the same bitsets, one AND each
-way, and leaves only a pair neither AND orients to ``orient_pair``.
+``orient_pair`` orients a sum pair by the same bitsets, one AND each way.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 from . import root_system as rs
-from .ar_quiver import ARQuiver, Coord
+from .ar_quiver import ARQuiver, ARQuiverError, Coord
 from .root_system import CartanDatum, Root, WeylWord
 
 
@@ -238,8 +237,7 @@ def pairs_of(ar: ARQuiver, gamma: Root) -> list[tuple[Root, Root]]:
 def _pair_table(ar: ARQuiver, gamma: Root) -> dict[tuple[Root, Root], Optional[tuple[Root, Root]]]:
     """gamma's oriented pairs, in pairs_of order, each mapped to its first dominating
     pair (c, d), a < c and d < b, or to None; built once into ``ar.pairs_cache`` from
-    the path-order bitsets, which orient each pair too.  The order is strict, so no
-    pair dominates itself."""
+    the path-order bitsets.  The order is strict, so no pair dominates itself."""
     table = ar.pairs_cache.get(gamma)
     if table is not None:
         return table
@@ -248,21 +246,10 @@ def _pair_table(ar: ARQuiver, gamma: Root) -> dict[tuple[Root, Root], Optional[t
     sums = rs.root_sums(ar.datum).get(gamma)
     if sums is None:
         raise OrderError(f"{gamma} is not a positive root")
-    _, bit, below = ar._path_order
-    pairs = []
-    for alpha, beta in sums:
-        try:
-            if bit[alpha] & below[beta]:
-                pairs.append((alpha, beta))
-                continue
-            if bit[beta] & below[alpha]:
-                pairs.append((beta, alpha))
-                continue
-        except KeyError:  # a root missing here: orient_pair raises prec's error
-            pass
-        pairs.append(orient_pair(ar, alpha, beta))  # raises: neither AND oriented it
-    phi = ar.phi  # every root was found in the path order, so in phi
+    pairs = [orient_pair(ar, alpha, beta) for alpha, beta in sums]
+    phi = ar.phi  # orient_pair found every root in the path order, so in phi
     pairs.sort(key=lambda ab: phi[ab[0]])
+    _, bit, below = ar._path_order
     rows = [(c, d, below[c], bit[d]) for c, d in pairs]
     table = {}
     for a, b in pairs:
@@ -277,16 +264,22 @@ def _pair_table(ar: ARQuiver, gamma: Root) -> dict[tuple[Root, Root], Optional[t
     return table
 
 
-def all_pairs(ar: ARQuiver) -> Iterator[tuple[Root, tuple[Root, Root]]]:
-    """Every (gamma, pair) of Gamma_Q: gamma ascending, ht >= 2, pairs as in pairs_of.
+def roots_with_sums(ar: ARQuiver) -> Iterator[Root]:
+    """The roots of Gamma_Q with ht >= 2, ascending.
 
     ``root_sums`` holds the positive roots ascending, and a root has sums exactly
     when its height is at least 2; a root missing from this quiver is skipped."""
     phi = ar.phi
     for gamma, sums in rs.root_sums(ar.datum).items():
         if sums and gamma in phi:
-            for pair in _pair_table(ar, gamma):
-                yield gamma, pair
+            yield gamma
+
+
+def all_pairs(ar: ARQuiver) -> Iterator[tuple[Root, tuple[Root, Root]]]:
+    """Every (gamma, pair) of Gamma_Q: gamma ascending, ht >= 2, pairs as in pairs_of."""
+    for gamma in roots_with_sums(ar):
+        for pair in _pair_table(ar, gamma):
+            yield gamma, pair
 
 
 def orient_pair(ar: ARQuiver, alpha: Root, beta: Root) -> tuple[Root, Root]:
@@ -294,12 +287,17 @@ def orient_pair(ar: ARQuiver, alpha: Root, beta: Root) -> tuple[Root, Root]:
 
     Two roots whose sum is a root pair to -1, which forces a nonzero Ext^1
     between their indecomposables and hence a path in Gamma_Q; so an
-    incomparable pair is an error, not a case to break ties for.
+    incomparable pair is an error, not a case to break ties for.  The test is
+    ``ARQuiver.prec`` each way, read off the path-order bitsets in one go.
     """
-    if ar.prec(alpha, beta):
-        return (alpha, beta)
-    if ar.prec(beta, alpha):
-        return (beta, alpha)
+    _, bit, below = ar._path_order
+    try:
+        if bit[alpha] & below[beta]:
+            return (alpha, beta)
+        if bit[beta] & below[alpha]:
+            return (beta, alpha)
+    except KeyError as exc:
+        raise ARQuiverError(f"{exc.args[0]} is not a positive root here") from None
     raise OrderError(f"{alpha} and {beta} are incomparable in the path order")
 
 

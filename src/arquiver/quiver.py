@@ -122,7 +122,11 @@ def make_height_function(
 
 def _is_source(datum: CartanDatum, xi, i: int) -> bool:
     """i is a source exactly when every neighbour sits at xi_i - 1."""
-    return all(xi[j - 1] == xi[i - 1] - 1 for j in datum.neighbor_table[i])
+    below = xi[i - 1] - 1
+    for j in datum.neighbor_table[i]:
+        if xi[j - 1] != below:
+            return False
+    return True
 
 
 def is_adapted(word: WeylWord, quiver: DynkinQuiver) -> bool:
@@ -130,14 +134,11 @@ def is_adapted(word: WeylWord, quiver: DynkinQuiver) -> bool:
     datum = quiver.datum
     if not set(word).issubset(datum.vertices):
         raise QuiverError(f"{word} has letters outside 1..{datum.rank}")
-    neighbors = datum.neighbor_table
     xi = list(make_height_function(quiver, 1, 0))
     for i in word:
-        below = xi[i - 1] - 1  # a source's neighbours all sit here
-        for j in neighbors[i]:
-            if xi[j - 1] != below:
-                return False
-        xi[i - 1] = below - 1
+        if not _is_source(datum, xi, i):
+            return False
+        xi[i - 1] -= 2
     return True
 
 

@@ -424,11 +424,7 @@ def check_compatibility(ar: ARQuiver) -> Optional[str]:
 
 def check_pair_counts(ar: ARQuiver) -> Optional[str]:
     """ht-1 pairs; minimal = |Supp>=1|-1, non-minimal = |Supp>=2|."""
-    phi = ar.phi
-    # root_sums runs gamma ascending and gives sums to exactly the roots of ht >= 2
-    for gamma, sums in rs.root_sums(ar.datum).items():
-        if not sums or gamma not in phi:
-            continue
+    for gamma in orders.roots_with_sums(ar):
         pairs = orders._pair_table(ar, gamma)  # walked in place, in pairs_of order
         if len(pairs) != rs.ht(gamma) - 1:
             return f"{gamma} has {len(pairs)} pairs, expected ht-1 = {rs.ht(gamma) - 1}"
@@ -451,9 +447,8 @@ def check_nonfree_counts(ar: ARQuiver) -> Optional[str]:
     """e_a + e_b has exactly n-b-1 non-minimal pairs."""
     datum = ar.datum
     n = ar.rank
-    phi = ar.phi
-    for gamma in rs.root_sums(datum):  # ascending
-        if gamma not in phi or rs.mul(gamma) < 2:
+    for gamma in orders.roots_with_sums(ar):  # a root of mul >= 2 has ht >= 2
+        if rs.mul(gamma) < 2:
             continue
         eps = rs.epsilon_form(datum, gamma)
         b = eps.b_signed

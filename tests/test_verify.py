@@ -106,6 +106,37 @@ def test_all_readings_checks_pass_on_d5(mask):
     assert len(orders.reading_words(ar)) == 18720  # the size of the commutation class
 
 
+def _supp_ge(root, k):
+    """The former root_system.supp_ge: vertices whose coefficient is at least k."""
+    return frozenset(i for i, c in enumerate(root, 1) if c >= k)
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6])
+def test_pair_counts_want_the_former_support_sizes(monkeypatch, rank):
+    # the verdicts are faked to the counts the former supp_ge gave, moved by
+    # shift: the check passes on every root exactly when its own support
+    # arithmetic gives the same counts, and fails at the first root otherwise
+    quiver = DynkinQuiver.from_bitmask(CartanDatum("D", rank), 0)
+    ar = ar_quiver.build(quiver, make_height_function(quiver, rank, 0))
+
+    def faked(shift):
+        def classify_pair(ar, gamma, pair):
+            minimal = len(_supp_ge(gamma, 1)) - 1 + shift
+            first = list(orders._pair_table(ar, gamma))[:minimal]
+            return orders.PairVerdict(gamma, *pair, orders.MINIMAL if pair in first else orders.NON_MINIMAL,
+                                      None, None)
+        return classify_pair
+
+    monkeypatch.setattr(orders, "classify_pair", faked(0))
+    assert verify.check_pair_counts(ar) is None
+    monkeypatch.setattr(orders, "classify_pair", faked(-1))
+    gamma = min(root for root in ar.phi if rs.ht(root) >= 2)
+    want = (len(_supp_ge(gamma, 1)) - 1, len(_supp_ge(gamma, 2)))
+    assert verify.check_pair_counts(ar) == (
+        f"{gamma}: ({want[0] - 1} minimal, {want[1] + 1} non-minimal), expected ({want[0]},{want[1]})"
+    )
+
+
 def test_run_suite_is_deterministic_and_parallel_safe():
     first = run_suite(4, suites={"structure"})
     second = run_suite(4, suites={"structure"})
