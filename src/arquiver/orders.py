@@ -7,7 +7,6 @@ reachability order) produce exactly the words of the commutation class of
 the orientation; ``all_readings`` enumerates them on the path-order bitsets
 of ``ARQuiver``, keeping a mask of the vertices ready to read: reading a
 vertex readies each arrow source into it whose down-set is then read.
-``orient_pair`` orients a sum pair by the same bitsets, one AND each way.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 from . import root_system as rs
-from .ar_quiver import ARQuiver, ARQuiverError, Coord
+from .ar_quiver import ARQuiver, Coord
 from .root_system import CartanDatum, Root, WeylWord
 
 
@@ -287,17 +286,12 @@ def orient_pair(ar: ARQuiver, alpha: Root, beta: Root) -> tuple[Root, Root]:
 
     Two roots whose sum is a root pair to -1, which forces a nonzero Ext^1
     between their indecomposables and hence a path in Gamma_Q; so an
-    incomparable pair is an error, not a case to break ties for.  The test is
-    ``ARQuiver.prec`` each way, read off the path-order bitsets in one go.
+    incomparable pair is an error, not a case to break ties for.
     """
-    _, bit, below = ar._path_order
-    try:
-        if bit[alpha] & below[beta]:
-            return (alpha, beta)
-        if bit[beta] & below[alpha]:
-            return (beta, alpha)
-    except KeyError as exc:
-        raise ARQuiverError(f"{exc.args[0]} is not a positive root here") from None
+    if ar.prec(alpha, beta):
+        return (alpha, beta)
+    if ar.prec(beta, alpha):
+        return (beta, alpha)
     raise OrderError(f"{alpha} and {beta} are incomparable in the path order")
 
 
