@@ -401,8 +401,14 @@ def validate_build(ar: ARQuiver) -> Optional[str]:
     return None
 
 
-def from_json_dict(payload: dict) -> ARQuiver:
+def from_json(text: str) -> ARQuiver:
     """Rebuild from the export schema and check it reproduces the same quiver."""
+    import json
+
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ARQuiverError(f"not JSON: {exc}") from None
     try:
         diagram = payload["diagram"]
         datum = CartanDatum(diagram["type"], diagram["rank"])
@@ -420,13 +426,3 @@ def from_json_dict(payload: dict) -> ARQuiver:
     except (LookupError, TypeError, ValueError) as exc:
         raise ARQuiverError(f"malformed quiver payload: {type(exc).__name__}: {exc}") from None
     return ar
-
-
-def from_json(text: str) -> ARQuiver:
-    import json
-
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise ARQuiverError(f"not JSON: {exc}") from None
-    return from_json_dict(payload)

@@ -29,7 +29,7 @@ functions, and `mq` reads an int exponent's parameter from the cache
 `_mq_int`.  A serial orders+qaffine sweep to rank 8 makes 228,372 `mq`
 calls on 35 exponents, 40,960 `dorey_D1` calls on 1,110 triples, 34,808
 `dorey_D2` and 34,808 `star_image` calls on 970, 2,910 `star_map` calls
-on 225 inputs and 459 `denom_D1` calls on 271.  A cache stores
+on 225 inputs and 271 `denom_D1` calls, one per input.  A cache stores
 no exception, so a refused input raises on every call; `typed=True` keeps
 a float, a bool or a plain tuple out of a valid input's entry.  The
 arguments must be hashable.

@@ -1,9 +1,9 @@
 """Dynkin quivers: orientations, height functions, and vertex classification.
 
 An orientation is stored as a tuple of directed arrows (src, dst) covering
-every diagram edge exactly once, plus a bitmask encoding against the
-canonical edge order (edges sorted by (min endpoint, max endpoint); bit 0
-means the arrow runs min -> max).
+every diagram edge exactly once; ``from_bitmask`` reads one off a bitmask
+against the canonical edge order (edges sorted by (min endpoint, max
+endpoint); bit 0 means the arrow runs min -> max).
 
 Orientation facts are read off the height function xi, the one walk over the
 arrows: i is a source when every neighbour sits at xi_i - 1, reflecting at a
@@ -60,14 +60,6 @@ class DynkinQuiver(NamedTuple):
         for bit, (lo, hi) in enumerate(datum.edges):
             arrows.append((hi, lo) if mask >> bit & 1 else (lo, hi))
         return cls(datum, tuple(arrows))
-
-    @property
-    def bitmask(self) -> int:
-        mask = 0
-        for bit, ((lo, hi), (src, _)) in enumerate(zip(self.datum.edges, self.arrows)):
-            if src == hi:
-                mask |= 1 << bit
-        return mask
 
     def spec_string(self) -> str:
         return ",".join(f"{s}>{t}" for s, t in self.arrows)

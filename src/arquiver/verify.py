@@ -94,9 +94,7 @@ def check_simple_root_coords(ar: ARQuiver) -> Optional[str]:
             expected = (1, ar.xi[k - 1] - k + 1)
         elif cls is VertexClass.RIGHT_INTERMEDIATE:
             expected = (1, ar.xi[k - 1] - 2 * n + k + 3)
-        else:
-            if k != n - 2:
-                return f"vertex {k} classified OTHER away from the branch vertex"
+        else:  # OTHER is n-2: a path vertex is a source, a sink or turns one way
             # a mixed fork: one spin vertex a sits apart from n-3 in height
             (a,) = (j for j in (n - 1, n) if ar.xi[j - 1] != ar.xi[n - 4])
             if ar.xi[n - 4] > ar.xi[k - 1]:  # n-3 -> n-2 -> a
@@ -538,35 +536,31 @@ def check_star_transport(ar: ARQuiver) -> Optional[str]:
     return None
 
 
-class _ZeroOrders(dict):
-    """(k, l) -> ``denom(n, k, l).zero_orders()``, each read on first use; a column
-    gap g is then looked up as the exponent 2g."""
-
-    def __init__(self, denom: Callable[..., qaffine.DenominatorPoly], n: int):
-        super().__init__()
-        self.denom, self.n = denom, n
-
-    def __missing__(self, levels: tuple[int, int]) -> dict[int, int]:
-        table = self[levels] = self.denom(self.n, *levels).zero_orders()
-        return table
-
-
 @lru_cache(maxsize=None)
-def _zero_orders(denom: Callable[..., qaffine.DenominatorPoly], n: int) -> _ZeroOrders:
-    """The one zero-order map of rank n for ``denom``.  The checks pass the
-    current ``qaffine.denom_D1``, so a rebound one is read afresh, and the cache
-    holds each function it has seen, so no later one can take its identity."""
-    return _ZeroOrders(denom, n)
+def _zero_orders(
+    denom: Callable[..., qaffine.DenominatorPoly], n: int, *, phase: int
+) -> dict[tuple[int, int], dict[int, int]]:
+    """(k, l) -> {s: order} for every level pair of rank n: the zeros of
+    ``denom(n, k, l)`` at (-q)^s (phase 2) or at (-q^2)^(s/2) (phase 1), s an
+    integer.  The checks pass the current ``qaffine.denom_D1``/``denom_D2``, so a
+    rebound one is read afresh, and the cache holds each function it has seen,
+    so no later one can take its identity."""
+    levels = range(1, n + 1)
+    return {
+        (k, l): {p // 2: order for p, order in denom(n, k, l).zero_orders(phase).items()
+                 if p % 2 == 0}
+        for k in levels for l in levels
+    }
 
 
 def check_surj_free_multiplicity(ar: ARQuiver) -> Optional[str]:
     """Zero multiplicity at (-q)^|column gap| is 1 for minimal pairs, 2 otherwise."""
-    zero_orders = _zero_orders(qaffine.denom_D1, ar.rank)
+    zero_orders = _zero_orders(qaffine.denom_D1, ar.rank, phase=2)
     phi = ar.phi  # all_pairs yields roots of this quiver
     for gamma, pair in orders.all_pairs(ar):
         minimal = orders.classify_pair(ar, gamma, pair).verdict is MINIMAL
         (k, p), (l, r) = phi[pair[0]], phi[pair[1]]
-        found = zero_orders[k, l].get(2 * abs(p - r), 0)
+        found = zero_orders[k, l].get(abs(p - r), 0)
         if found != (1 if minimal else 2):
             return f"zero multiplicity {found} for pair {pair} of {gamma}"
     return None
@@ -574,12 +568,12 @@ def check_surj_free_multiplicity(ar: ARQuiver) -> Optional[str]:
 
 def check_sectional_commuting(ar: ARQuiver) -> Optional[str]:
     """No denominator zero in either direction along a path."""
-    zero_orders = _zero_orders(qaffine.denom_D1, ar.rank)
+    zero_orders = _zero_orders(qaffine.denom_D1, ar.rank, phase=2)
     for path in ar.sectional_paths():
         for x, (k, p) in enumerate(path.coords):
             for l, r in path.coords[x + 1:]:
                 zeros = zero_orders[k, l]
-                if 2 * (p - r) in zeros or 2 * (r - p) in zeros:
+                if p - r in zeros or r - p in zeros:
                     return f"pair {(k, p)}, {(l, r)} on {path.kind}-path has a zero"
     return None
 
@@ -591,12 +585,8 @@ def check_double_zero_correspondence() -> Optional[str]:
             ("untwisted", qaffine.denom_D1, n + 1, 2),
             ("twisted", qaffine.denom_D2, n, 1),
         ):  # a double zero at (-q)^s, or at (-q^2)^(s/2), is listed as s
-            found = set()
-            for k in range(1, rank + 1):
-                for l in range(1, rank + 1):
-                    zeros = denom(rank, k, l).zero_orders(phase)
-                    found |= {(k, l, p // 2) for p, order in zeros.items()
-                              if order == 2 and p % 2 == 0}
+            found = {(k, l, s) for (k, l), zeros in _zero_orders(denom, rank, phase=phase).items()
+                     for s, order in zeros.items() if order == 2}
             if found != qaffine.double_zero_set_D1(n + 1):
                 return f"{family} double zeros disagree with the table at n = {n}"
     return None

@@ -1,3 +1,4 @@
+import json
 import re
 from collections import deque
 
@@ -761,7 +762,7 @@ def test_malformed_payload_raises_ar_quiver_error(example1_ar, tamper):
     payload = example1_ar.to_json_dict()
     tamper(payload)
     with pytest.raises(ARQuiverError, match="malformed quiver payload"):
-        ar_quiver.from_json_dict(payload)
+        ar_quiver.from_json(json.dumps(payload))
 
 
 @pytest.mark.parametrize("text", ["[]", '"abc"', "{", ""])

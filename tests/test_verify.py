@@ -27,7 +27,7 @@ from arquiver.verify import run_suite
 
 from conftest import arrow_ends
 from test_ar_quiver import _reference_check_mesh_additivity
-from test_qaffine import _with_zero
+from test_qaffine import _with_zero, _without_one
 from test_quiver import _reference_classify_vertex
 
 
@@ -1377,6 +1377,28 @@ def test_the_shared_zero_orders_follow_a_rebound_denom_D1(monkeypatch):
     ]
     monkeypatch.undo()
     assert [check(ar) for check in checks] == [None, None]
+
+
+def test_double_zero_correspondence_follows_a_rebound_denom_D2(monkeypatch):
+    assert verify.check_double_zero_correspondence() is None
+    table = verify._zero_orders(qaffine.denom_D2, 3, phase=1)
+    assert table[2, 2][4] == 2  # the double zero of d_{2,2} at (-q^2)^2, listed as s = 4
+    _without_one(monkeypatch, "denom_D2", 3, 2, 2, qaffine.mq2(2))
+    message = verify.check_double_zero_correspondence()
+    assert message == "twisted double zeros disagree with the table at n = 3"
+    assert verify._zero_orders(qaffine.denom_D2, 3, phase=1)[2, 2][4] == 1
+    monkeypatch.undo()
+    assert verify.check_double_zero_correspondence() is None
+    assert verify._zero_orders(qaffine.denom_D2, 3, phase=1) is table
+
+
+def test_a_sweep_builds_one_zero_order_table_per_denominator_rank_and_phase():
+    verify._zero_orders.cache_clear()
+    run_suite(6, {"orders", "qaffine"})
+    # denom_D1 at ranks 4-9 (4-6 shared by the orientation checks), denom_D2 at 3-8
+    assert verify._zero_orders.cache_info().misses == 12
+    run_suite(6, {"orders", "qaffine"})
+    assert verify._zero_orders.cache_info().misses == 12
 
 
 def test_a_failing_build_check_is_a_fail_in_the_structure_suite(monkeypatch, example1_ar):
