@@ -35,7 +35,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import root_system as rs
-from .quiver import DynkinQuiver, QuiverError, check_height_function, eta_from_heights
+from .quiver import DynkinQuiver, check_height_function, eta_from_heights
 from .root_system import CartanDatum, Root, WeylWord
 
 if TYPE_CHECKING:
@@ -44,7 +44,7 @@ if TYPE_CHECKING:
 Coord = tuple[int, int]
 
 
-class ARQuiverError(ValueError):
+class ARQuiverError(rs.ArquiverError):
     pass
 
 
@@ -421,7 +421,7 @@ def from_json(text: str) -> ARQuiver:
             raise ARQuiverError("arrow table does not match the rebuilt quiver")
         if rebuilt["m"] != list(payload["m"]):
             raise ARQuiverError("m values do not match the rebuilt quiver")
-    except (QuiverError, rs.RootSystemError, ARQuiverError):
+    except rs.ArquiverError:
         raise  # these already name the fault in the diagram or height function
     except (LookupError, TypeError, ValueError) as exc:
         raise ARQuiverError(f"malformed quiver payload: {type(exc).__name__}: {exc}") from None

@@ -10,16 +10,11 @@ from functools import partial
 
 from . import __version__, ar_quiver, orders, qaffine, verify
 from . import root_system as rs
-from .quiver import (
-    QuiverError,
-    make_height_function,
-    parse_arrow_spec,
-    parse_xi_anchor,
-)
-from .root_system import CartanDatum, RootSystemError
+from .quiver import make_height_function, parse_arrow_spec, parse_xi_anchor
+from .root_system import ArquiverError, CartanDatum
 
 
-class CliError(ValueError):
+class CliError(ArquiverError):
     pass
 
 
@@ -360,8 +355,7 @@ def main(argv=None) -> int:
         except BrokenPipeError:  # stderr is the same closed pipe, as under 2>&1
             os.dup2(devnull, sys.stderr.fileno())
         return 2
-    except (CliError, QuiverError, RootSystemError, qaffine.QAffineError,
-            orders.OrderError, ar_quiver.ARQuiverError, verify.VerifyError) as exc:
+    except ArquiverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

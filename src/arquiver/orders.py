@@ -21,7 +21,7 @@ from .ar_quiver import ARQuiver, Coord
 from .root_system import CartanDatum, Root, WeylWord
 
 
-class OrderError(ValueError):
+class OrderError(rs.ArquiverError):
     pass
 
 

@@ -44,10 +44,10 @@ from typing import NamedTuple, Optional
 
 from . import orders
 from .ar_quiver import ARQuiver
-from .root_system import Root
+from .root_system import ArquiverError, CartanDatum, Root, longest_element_star
 
 
-class QAffineError(ValueError):
+class QAffineError(ArquiverError):
     pass
 
 
@@ -291,8 +291,7 @@ def dorey_D1(n: int, triple: HomTriple) -> DoreyVerdict:
 
     # (iii): the two large levels are spin; beside i and j, k is read through *
     if min(i, j, k) <= n - 2:
-        # the involution i -> i* of D_n swaps the spin levels exactly when n is odd
-        star_k = 2 * n - 1 - k if n % 2 and k >= n - 1 else k
+        star_k = longest_element_star(CartanDatum("D", n))[k]
         for low, a, b, expected in (
             (k, i, j, (k + 1 - n, n - k - 1)),
             (i, j, star_k, (i + 1 - n, 2 * i)),

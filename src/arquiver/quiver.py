@@ -19,10 +19,10 @@ import enum
 import re
 from typing import Iterator, NamedTuple
 
-from .root_system import CartanDatum, Root, WeylWord
+from .root_system import ArquiverError, CartanDatum, Root, WeylWord
 
 
-class QuiverError(ValueError):
+class QuiverError(ArquiverError):
     pass
 
 

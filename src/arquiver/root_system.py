@@ -31,7 +31,11 @@ SignedRoot = tuple[int, Root]
 WeylWord = tuple[int, ...]
 
 
-class RootSystemError(ValueError):
+class ArquiverError(ValueError):
+    """Bad input, in any module: ``arq`` exits 2 on it."""
+
+
+class RootSystemError(ArquiverError):
     pass
 
 
@@ -40,10 +44,15 @@ class _CartanFields(NamedTuple):
     rank: int
 
 
+_DATA: dict[tuple[str, int, type], CartanDatum] = {}  # keyed by (type, rank, type of rank)
+
+
 class CartanDatum(_CartanFields):
     """Diagram type ('A' or 'D') plus rank; all diagram data derives from it.
 
-    The cached tables live in __dict__ (no __slots__); __setattr__ refuses the rest.
+    There is one instance per (type, rank) and process, so its cached tables,
+    which live in __dict__ (no __slots__), are built once for every caller;
+    __setattr__ refuses the rest, and a pickle carries only the two fields.
     """
 
     def __new__(cls, diagram_type: str, rank: int):
@@ -52,7 +61,14 @@ class CartanDatum(_CartanFields):
         minimum = 4 if diagram_type == "D" else 1
         if rank < minimum:
             raise RootSystemError(f"type {diagram_type} needs rank >= {minimum}, got {rank}")
-        return tuple.__new__(cls, (diagram_type, rank))
+        key = (diagram_type, rank, type(rank))  # True or 5.0 must not stand for 1 or 5
+        datum = _DATA.get(key)
+        if datum is None:
+            datum = _DATA[key] = tuple.__new__(cls, key[:2])
+        return datum
+
+    def __reduce__(self):
+        return CartanDatum, tuple(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CartanDatum is immutable; cannot set {name!r}")
@@ -258,13 +274,9 @@ def longest_element_star(datum: CartanDatum) -> dict[int, int]:
     n = datum.rank
     if datum.diagram_type == "A":
         return {i: n + 1 - i for i in datum.vertices}
-    star = {i: i for i in range(1, n - 1)}
-    if n % 2 == 0:
-        star[n - 1] = n - 1
-        star[n] = n
-    else:
-        star[n - 1] = n
-        star[n] = n - 1
+    star = {i: i for i in datum.vertices}
+    if n % 2:  # w0 = -1 in even rank; in odd rank it swaps the spin nodes
+        star[n - 1], star[n] = n, n - 1
     return star
 
 

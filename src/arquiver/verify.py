@@ -39,7 +39,7 @@ from .quiver import (
 from .root_system import CartanDatum
 
 
-class VerifyError(ValueError):
+class VerifyError(rs.ArquiverError):
     pass
 
 
@@ -662,15 +662,9 @@ def _run_check(check: Check, rank, orientation, *args) -> CheckRecord:
     return CheckRecord(check.id, check.suite, rank, orientation, status, message, elapsed)
 
 
-@lru_cache(maxsize=None)
-def _datum_D(rank: int) -> CartanDatum:
-    """One datum per rank and process, so its cached diagram tables are built once."""
-    return CartanDatum("D", rank)
-
-
 def _run_orientation_task(args) -> list[CheckRecord]:
     rank, mask, suites = args
-    quiver = DynkinQuiver.from_bitmask(_datum_D(rank), mask)
+    quiver = DynkinQuiver.from_bitmask(CartanDatum("D", rank), mask)
     xi = make_height_function(quiver, rank, 0)
     spec = quiver.spec_string()
     records = []

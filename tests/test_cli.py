@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arquiver import ar_quiver, verify
+from arquiver import ar_quiver, cli, orders, qaffine, quiver, root_system, verify
 from arquiver.cli import main
 from arquiver.qaffine import mq, mq2, parse_param
 
@@ -308,6 +308,45 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error:") and out == ""
     assert old_report.read_bytes() == kept
     assert not new_report.exists()
+
+
+BAD_INPUT = {
+    root_system: root_system.RootSystemError, quiver: quiver.QuiverError,
+    ar_quiver: ar_quiver.ARQuiverError, orders: orders.OrderError,
+    qaffine: qaffine.QAffineError, verify: verify.VerifyError, cli: cli.CliError,
+}
+
+
+def test_every_modules_bad_input_error_derives_from_the_one_base():
+    base = root_system.ArquiverError
+    assert issubclass(base, ValueError)
+    for module, error in BAD_INPUT.items():
+        assert isinstance(error("bad"), base)
+        defined = {
+            value for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, Exception)
+            and value.__module__ == module.__name__
+        }
+        assert defined == ({base, error} if module is root_system else {error}), module
+
+
+@pytest.mark.parametrize("error", BAD_INPUT.values(), ids=lambda error: error.__name__)
+def test_main_exits_2_on_each_modules_bad_input(monkeypatch, capsys, error):
+    def refuse(args):
+        raise error(f"{error.__name__} refuses")
+
+    monkeypatch.setattr(cli, "cmd_roots", refuse)
+    code, out, err = run(capsys, ["roots", "--type", "D", "--rank", "4"])
+    assert (code, out, err) == (2, "", f"error: {error.__name__} refuses\n")
+
+
+def test_main_lets_a_plain_value_error_escape(monkeypatch):
+    def fault(args):
+        raise ValueError("a fault, not bad input")
+
+    monkeypatch.setattr(cli, "cmd_roots", fault)
+    with pytest.raises(ValueError, match="a fault, not bad input"):
+        main(["roots", "--type", "D", "--rank", "4"])
 
 
 def test_out_file(tmp_path, capsys):

@@ -188,6 +188,39 @@ def test_double_zero_sets():
     assert not any(k == 1 or l == 1 for (k, l, _) in double_zero_set_D1(6))
 
 
+def _inverse_quantum_cartan(n):
+    """u -> c~(u) of D_n for 1 <= u < h = 2n - 2, as n x n lists indexed from 0.
+
+    c~(1) = I, c~(2) = A and c~(u) = A c~(u-1) - c~(u-2), A the adjacency
+    matrix of the diagram 1 - 2 - ... - (n-2) < {n-1, n}: the coefficients of
+    C(z)^{-1} for the quantum Cartan matrix C(z) = (z + 1/z) I - A.
+    """
+    edges = {(i, i + 1) for i in range(n - 2)} | {(n - 3, n - 1)}
+    A = [[int((i, j) in edges or (j, i) in edges) for j in range(n)] for i in range(n)]
+    c = {1: [[int(i == j) for j in range(n)] for i in range(n)], 2: A}
+    for u in range(3, 2 * n - 2):
+        c[u] = [[sum(A[i][m] * c[u - 1][m][j] for m in range(n)) - c[u - 2][i][j]
+                 for j in range(n)] for i in range(n)]
+    return c
+
+
+@pytest.mark.parametrize("n", range(4, 16))
+def test_denom_d1_zero_orders_are_the_inverse_quantum_cartan_matrix(n):
+    """The zero of d_{k,l} at (-q)^u has order c~_{k,l}(u-1) for 2 <= u <= h, and
+    d_{k,l} has no other zero; the double zeros are the entries c~ = 2."""
+    c = _inverse_quantum_cartan(n)
+    h = 2 * n - 2
+    for k, l in product(range(1, n + 1), repeat=2):
+        poly = denom_D1(n, k, l)
+        expected = {2 * u: c[u - 1][k - 1][l - 1] for u in range(2, h + 1)}
+        assert poly.zero_orders(2) == {p: m for p, m in expected.items() if m}, (k, l)
+        assert sum(expected.values()) == len(poly.roots), (k, l)
+    assert double_zero_set_D1(n) == {
+        (k, l, s) for s in range(2, h + 1) for k in range(1, n + 1) for l in range(1, n + 1)
+        if c[s - 1][k - 1][l - 1] == 2
+    }
+
+
 def test_dorey_d1_examples():
     yes = dorey_D1(4, HomTriple(3, mq(-4), 3, mq(-2), 2, mq(-3)))
     assert yes.admissible and yes.case == "iii"

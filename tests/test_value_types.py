@@ -56,3 +56,12 @@ def test_value_semantics_the_named_tuples_keep():
     tables = {"edges", "neighbor_table", "distance_table"}
     assert tables <= set(vars(copy))
     assert reflect(copy, 3, copy.simple_root(4)) == (1, (0, 0, 1, 1, 0))
+
+
+def test_one_datum_per_type_and_rank():
+    datum = CartanDatum("D", 5)
+    assert CartanDatum("D", 5) is datum
+    assert CartanDatum("D", 5).distance_table is datum.distance_table
+    assert pickle.loads(pickle.dumps(datum)) is datum
+    assert CartanDatum("D", 6) is not datum and CartanDatum("A", 5) is not datum
+    assert type(CartanDatum("D", 5.0).rank) is float and type(datum.rank) is int
