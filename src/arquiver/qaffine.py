@@ -23,16 +23,14 @@ the untwisted rank-(n+1) tables with exponents halved into (-q^2)-powers
 form is the one the fold correspondence actually satisfies, which the
 exhaustive harness confirms).
 
-Each distinct value is computed once per process: `denom_D1`, `denom_D2`,
-`star_map`, `star_image`, `dorey_D1` and `dorey_D2` are `lru_cache`d pure
-functions, and `mq` reads an int exponent's parameter from the cache
-`_mq_int`.  A serial orders+qaffine sweep to rank 8 makes 228,372 `mq`
+Each distinct value is computed once per process: `mq`, `denom_D1`,
+`denom_D2`, `star_image`, `dorey_D1` and `dorey_D2` are `lru_cache`d pure
+functions.  A serial orders+qaffine sweep to rank 8 makes 385,402 `mq`
 calls on 35 exponents, 40,960 `dorey_D1` calls on 1,110 triples, 34,808
-`dorey_D2` and 34,808 `star_image` calls on 970, 2,910 `star_map` calls
-on 225 inputs and 271 `denom_D1` calls, one per input.  A cache stores
-no exception, so a refused input raises on every call; `typed=True` keeps
-a float, a bool or a plain tuple out of a valid input's entry.  The
-arguments must be hashable.
+`dorey_D2` and 34,808 `star_image` calls on 970 and 271 `denom_D1`
+calls, one per input.  A cache stores no exception, so a refused input
+raises on every call; `typed=True` keeps a float, a bool or a plain tuple
+out of a valid input's entry.  The arguments must be hashable.
 """
 
 from __future__ import annotations
@@ -63,6 +61,10 @@ class SpectralParam(_SpectralFields):
 
     def __new__(cls, u: int, p: int):
         return tuple.__new__(cls, (u % 8, p))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # _replace calls _make: both reduce u mod 8 as a call does
 
     def __mul__(self, other: "SpectralParam") -> "SpectralParam":
         return SpectralParam(self.u + other.u, self.p + other.p)
@@ -133,15 +135,9 @@ ONE = SpectralParam(0, 0)
 SQRT_MINUS_ONE = SpectralParam(2, 0)
 
 
-@lru_cache(maxsize=None)
-def _mq_int(m: int) -> SpectralParam:
-    return SpectralParam(4 * m, 2 * m)
-
-
+@lru_cache(maxsize=None, typed=True)
 def mq(exponent) -> SpectralParam:
     """(-q)^exponent, for an integer or half-integer exponent."""
-    if type(exponent) is int:  # a bool, a Fraction and every bad input take the exact path
-        return _mq_int(exponent)
     h = _units("(-q)", *_ratio(exponent), 2)
     return SpectralParam(2 * h, h)
 
@@ -159,19 +155,6 @@ class DenominatorPoly(NamedTuple):
 
     def zero_multiplicity(self, at: SpectralParam) -> int:
         return self.roots.count(at)
-
-    def zero_orders(self, phase: int = 2) -> dict[int, int]:
-        """p -> the order of the zero at zeta8^(phase * p) q^(p/2), for each such zero.
-
-        Phase 2 reads the zeros at (-q)^(p/2), phase 1 those at (-q^2)^(p/4);
-        zeros of any other form are left out, so a zero's order at one of
-        these is ``self.zero_orders(phase).get(p, 0)``.
-        """
-        counts: dict[int, int] = {}
-        for u, p in self.roots:
-            if u == phase * p % 8:
-                counts[p] = counts.get(p, 0) + 1
-        return counts
 
 
 @lru_cache(maxsize=None)
@@ -233,9 +216,8 @@ def double_zero_set_D1(n: int) -> frozenset[tuple[int, int, int]]:
         for l in range(2, n - 1):
             if k + l <= n - 1:
                 continue
-            for s in range(2 * n - k - l, k + l + 1):
-                if (s - k - l) % 2 == 0:
-                    out.add((k, l, s))
+            for s in range(2 * n - k - l, k + l + 1, 2):
+                out.add((k, l, s))
     return frozenset(out)
 
 
@@ -344,7 +326,6 @@ def dorey_D2(n: int, triple: HomTriple) -> DoreyVerdict:
 
 # --- the fold correspondence ----------------------------------------------------
 
-@lru_cache(maxsize=None, typed=True)
 def star_map(n: int, level: int, param: SpectralParam) -> tuple[int, SpectralParam]:
     """Send untwisted rank-(n+1) data (level, (-q)-power) to twisted data.
 

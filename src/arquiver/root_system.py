@@ -44,7 +44,7 @@ class _CartanFields(NamedTuple):
     rank: int
 
 
-_DATA: dict[tuple[str, int, type], CartanDatum] = {}  # keyed by (type, rank, type of rank)
+_DATA: dict[tuple[str, int], CartanDatum] = {}
 
 
 class CartanDatum(_CartanFields):
@@ -58,14 +58,20 @@ class CartanDatum(_CartanFields):
     def __new__(cls, diagram_type: str, rank: int):
         if diagram_type not in ("A", "D"):
             raise RootSystemError(f"unsupported diagram type {diagram_type!r}")
+        if type(rank) is not int:  # True or 5.0 must not stand for 1 or 5
+            raise RootSystemError(f"a rank must be an int, not {rank!r}")
         minimum = 4 if diagram_type == "D" else 1
         if rank < minimum:
             raise RootSystemError(f"type {diagram_type} needs rank >= {minimum}, got {rank}")
-        key = (diagram_type, rank, type(rank))  # True or 5.0 must not stand for 1 or 5
+        key = (diagram_type, rank)
         datum = _DATA.get(key)
         if datum is None:
-            datum = _DATA[key] = tuple.__new__(cls, key[:2])
+            datum = _DATA[key] = tuple.__new__(cls, key)
         return datum
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # _replace calls _make: both validate and share as a call does
 
     def __reduce__(self):
         return CartanDatum, tuple(self)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import Counter
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
@@ -538,29 +539,25 @@ def check_star_transport(ar: ARQuiver) -> Optional[str]:
 
 @lru_cache(maxsize=None)
 def _zero_orders(
-    denom: Callable[..., qaffine.DenominatorPoly], n: int, *, phase: int
-) -> dict[tuple[int, int], dict[int, int]]:
-    """(k, l) -> {s: order} for every level pair of rank n: the zeros of
-    ``denom(n, k, l)`` at (-q)^s (phase 2) or at (-q^2)^(s/2) (phase 1), s an
-    integer.  The checks pass the current ``qaffine.denom_D1``/``denom_D2``, so a
-    rebound one is read afresh, and the cache holds each function it has seen,
-    so no later one can take its identity."""
+    denom: Callable[..., qaffine.DenominatorPoly], n: int
+) -> dict[tuple[int, int], Counter[qaffine.SpectralParam]]:
+    """(k, l) -> {zero: order} for every level pair of rank n: the zeros of
+    ``denom(n, k, l)`` counted, the table form of ``zero_multiplicity``.  The
+    checks pass the current ``qaffine.denom_D1``/``denom_D2``, so a rebound one
+    is read afresh, and the cache holds each function it has seen, so no later
+    one can take its identity."""
     levels = range(1, n + 1)
-    return {
-        (k, l): {p // 2: order for p, order in denom(n, k, l).zero_orders(phase).items()
-                 if p % 2 == 0}
-        for k in levels for l in levels
-    }
+    return {(k, l): Counter(denom(n, k, l).roots) for k in levels for l in levels}
 
 
 def check_surj_free_multiplicity(ar: ARQuiver) -> Optional[str]:
     """Zero multiplicity at (-q)^|column gap| is 1 for minimal pairs, 2 otherwise."""
-    zero_orders = _zero_orders(qaffine.denom_D1, ar.rank, phase=2)
+    zero_orders = _zero_orders(qaffine.denom_D1, ar.rank)
     phi = ar.phi  # all_pairs yields roots of this quiver
     for gamma, pair in orders.all_pairs(ar):
         minimal = orders.classify_pair(ar, gamma, pair).verdict is MINIMAL
         (k, p), (l, r) = phi[pair[0]], phi[pair[1]]
-        found = zero_orders[k, l].get(abs(p - r), 0)
+        found = zero_orders[k, l][qaffine.mq(abs(p - r))]
         if found != (1 if minimal else 2):
             return f"zero multiplicity {found} for pair {pair} of {gamma}"
     return None
@@ -568,12 +565,12 @@ def check_surj_free_multiplicity(ar: ARQuiver) -> Optional[str]:
 
 def check_sectional_commuting(ar: ARQuiver) -> Optional[str]:
     """No denominator zero in either direction along a path."""
-    zero_orders = _zero_orders(qaffine.denom_D1, ar.rank, phase=2)
+    zero_orders = _zero_orders(qaffine.denom_D1, ar.rank)
     for path in ar.sectional_paths():
         for x, (k, p) in enumerate(path.coords):
             for l, r in path.coords[x + 1:]:
                 zeros = zero_orders[k, l]
-                if p - r in zeros or r - p in zeros:
+                if qaffine.mq(p - r) in zeros or qaffine.mq(r - p) in zeros:
                     return f"pair {(k, p)}, {(l, r)} on {path.kind}-path has a zero"
     return None
 
@@ -581,12 +578,13 @@ def check_sectional_commuting(ar: ARQuiver) -> Optional[str]:
 def check_double_zero_correspondence() -> Optional[str]:
     """Untwisted rank n+1 and twisted n double zeros both equal one table."""
     for n in range(3, 9):
-        for family, denom, rank, phase in (
-            ("untwisted", qaffine.denom_D1, n + 1, 2),
-            ("twisted", qaffine.denom_D2, n, 1),
+        for family, denom, rank, form in (
+            ("untwisted", qaffine.denom_D1, n + 1, qaffine.mq),
+            ("twisted", qaffine.denom_D2, n, lambda s: qaffine.SpectralParam(2 * s, 2 * s)),
         ):  # a double zero at (-q)^s, or at (-q^2)^(s/2), is listed as s
-            found = {(k, l, s) for (k, l), zeros in _zero_orders(denom, rank, phase=phase).items()
-                     for s, order in zeros.items() if order == 2}
+            found = {(k, l, zero.p // 2) for (k, l), zeros in _zero_orders(denom, rank).items()
+                     for zero, order in zeros.items()
+                     if order == 2 and zero == form(zero.p // 2)}
             if found != qaffine.double_zero_set_D1(n + 1):
                 return f"{family} double zeros disagree with the table at n = {n}"
     return None

@@ -210,11 +210,10 @@ def test_denom_d1_zero_orders_are_the_inverse_quantum_cartan_matrix(n):
     d_{k,l} has no other zero; the double zeros are the entries c~ = 2."""
     c = _inverse_quantum_cartan(n)
     h = 2 * n - 2
+    zero_orders = verify._zero_orders(denom_D1, n)
     for k, l in product(range(1, n + 1), repeat=2):
-        poly = denom_D1(n, k, l)
-        expected = {2 * u: c[u - 1][k - 1][l - 1] for u in range(2, h + 1)}
-        assert poly.zero_orders(2) == {p: m for p, m in expected.items() if m}, (k, l)
-        assert sum(expected.values()) == len(poly.roots), (k, l)
+        expected = {mq(u): c[u - 1][k - 1][l - 1] for u in range(2, h + 1)}
+        assert zero_orders[k, l] == {zero: m for zero, m in expected.items() if m}, (k, l)
     assert double_zero_set_D1(n) == {
         (k, l, s) for s in range(2, h + 1) for k in range(1, n + 1) for l in range(1, n + 1)
         if c[s - 1][k - 1][l - 1] == 2
@@ -592,41 +591,47 @@ def test_double_zero_correspondence_equals_its_former_body_on_added_zeros(monkey
     assert (message is None) == (zeros != (mq(3),))
 
 
-def _assert_zero_orders_read_as_multiplicities(poly, h):
-    untwisted, twisted = poly.zero_orders(), poly.zero_orders(1)
-    for gap in range(-2 * h, 2 * h + 1):
-        assert untwisted.get(2 * gap, 0) == poly.zero_multiplicity(mq(gap)), gap
-        assert twisted.get(2 * gap, 0) == poly.zero_multiplicity(SpectralParam(2 * gap, 2 * gap))
-    for p in range(-4 * h, 4 * h + 1):  # half-unit and quarter-unit exponents as well
-        assert untwisted.get(p, 0) == poly.zero_multiplicity(SpectralParam(2 * p, p)), p
-        assert twisted.get(p, 0) == poly.zero_multiplicity(SpectralParam(p, p)), p
-    # each counted zero is one of the poly's, so the two tables hold no zero of the other form
-    assert sum(untwisted.values()) == sum(
-        poly.zero_multiplicity(SpectralParam(2 * p, p)) for p in untwisted
-    )
+def _assert_zero_orders_read_as_multiplicities(zeros, poly, h):
+    for p in range(-2 * h, 2 * h + 1):  # each zero's p is at most 2h; every phase
+        for u in range(8):
+            zero = SpectralParam(u, p)
+            assert zeros[zero] == poly.zero_multiplicity(zero), zero
+    assert sum(zeros.values()) == len(poly.roots)  # and no zero is dropped
 
 
 def test_zero_orders_equal_the_multiplicities_at_every_gap():
-    for n in range(4, 16):
-        h = 2 * n - 2
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                _assert_zero_orders_read_as_multiplicities(denom_D1(n, k, l), h)
-    for n in range(3, 15):
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                _assert_zero_orders_read_as_multiplicities(denom_D2(n, k, l), 2 * n)
+    for denom, ranks in ((denom_D1, range(4, 16)), (denom_D2, range(3, 15))):
+        for n in ranks:
+            for (k, l), zeros in verify._zero_orders(denom, n).items():
+                _assert_zero_orders_read_as_multiplicities(zeros, denom(n, k, l), 2 * n)
 
 
-def test_zero_orders_count_only_zeros_of_their_form():
-    poly = denom_D1(6, 2, 3)
-    extra = (mq(3), mq(3), mq(3) * SQRT_MINUS_ONE, mq(4).negate(), mq2(2), mq(Fraction(1, 2)),
-             SpectralParam(1, 6), SpectralParam(3, -2))
-    injected = DenominatorPoly(tuple(sorted((*poly.roots, *extra))))
-    _assert_zero_orders_read_as_multiplicities(injected, 10)
-    assert injected.zero_orders()[6] == poly.zero_orders().get(6, 0) + 2
-    assert injected.zero_orders()[1] == 1  # (-q)^(1/2)
-    assert injected.zero_orders(1)[8] == poly.zero_orders(1).get(8, 0) + 1  # (-q^2)^2
+@pytest.mark.usefixtures("clear_zero_orders")
+def test_the_multiplicity_checks_read_only_zeros_at_integer_powers_of_minus_q(monkeypatch):
+    quiver = DynkinQuiver.from_bitmask(CartanDatum("D", 5), 5)
+    ar = ar_quiver.build(quiver, make_height_function(quiver, 5, 0))
+    checks = (verify.check_surj_free_multiplicity, verify.check_sectional_commuting)
+    # levels 1 and 3 hold a minimal pair at column gap 6 and a path pair at gap 2;
+    # a zero of another form sits at no column gap, one at (-q)^s changes a verdict
+    for zero, messages in [
+        (mq(Fraction(1, 2)), [None, None]),
+        (SQRT_MINUS_ONE * mq(6), [None, None]),
+        (SQRT_MINUS_ONE * mq(2), [None, None]),
+        (mq(6), [
+            "zero multiplicity 2 for pair ((1, 1, 0, 0, 0), (0, 0, 1, 0, 1)) of (1, 1, 1, 0, 1)",
+            None,
+        ]),
+        (mq(2), [None, "pair (1, -5), (3, -3) on S-path has a zero"]),
+    ]:
+        with monkeypatch.context() as patched:
+            _with_zero(patched, (1, 3), zero)
+            assert [check(ar) for check in checks] == messages, zero
+
+
+def test_zero_orders_read_a_sqrt_minus_one_phased_twisted_zero():
+    zero = parse_param("-i*(-q^2)^{5/2}")
+    assert verify._zero_orders(qaffine.denom_D2, 4)[1, 4][zero] == 1
+    assert denom_D2(4, 1, 4).zero_multiplicity(zero) == 1
 
 
 # --- the Dorey row tables against a branch-ladder reference ------------------------
@@ -994,8 +999,7 @@ QAFFINE_CHECKS = (
 
 
 def test_cached_answers_equal_the_bodies(monkeypatch):
-    caches = {"mq": qaffine._mq_int, "star_map": star_map, "star_image": star_image,
-              "dorey_D1": dorey_D1, "dorey_D2": dorey_D2}
+    caches = {"mq": mq, "star_image": star_image, "dorey_D1": dorey_D1, "dorey_D2": dorey_D2}
     fed = {name: [] for name in caches}
     for cache in caches.values():
         cache.cache_clear()
@@ -1020,9 +1024,7 @@ def test_cached_answers_equal_the_bodies(monkeypatch):
         assert info.hits > info.misses, name
     assert all(type(e) is int for (e,) in fed["mq"])
     for (e,) in set(fed["mq"]):
-        assert mq(e) == qaffine._mq_int.__wrapped__(e) == mq(Fraction(e)), e
-    for args in set(fed["star_map"]):
-        assert star_map(*args) == star_map.__wrapped__(*args), args
+        assert mq(e) == mq.__wrapped__(e) == mq(Fraction(e)), e
     for args in set(fed["star_image"]):
         assert star_image(*args) == star_image.__wrapped__(*args) == _reference_star_image(*args)
     for args in set(fed["dorey_D1"]):
@@ -1037,6 +1039,8 @@ def test_errors_are_never_cached_or_conflated():
         with pytest.raises(QAffineError, match="must be an int or a Fraction"):
             mq(exponent)
     assert mq(True) == mq(1) and mq(Fraction(2)) == mq(2)
+    with pytest.raises(TypeError):  # a cache key must be hashable
+        mq([1])
 
     triple = HomTriple(1, mq(-1), 1, mq(1), 2, mq(0))
     assert dorey_D1(4, triple).admissible

@@ -9,7 +9,7 @@ from arquiver.ar_quiver import SectionalPath, Swing
 from arquiver.orders import PairVerdict, Verdict
 from arquiver.qaffine import ONE, DenominatorPoly, DoreyVerdict, HomTriple, SpectralParam
 from arquiver.quiver import DynkinQuiver
-from arquiver.root_system import CartanDatum, EpsilonForm, reflect
+from arquiver.root_system import CartanDatum, EpsilonForm, RootSystemError, reflect
 from arquiver.verify import CheckRecord
 
 D4 = CartanDatum("D", 4)
@@ -64,4 +64,18 @@ def test_one_datum_per_type_and_rank():
     assert CartanDatum("D", 5).distance_table is datum.distance_table
     assert pickle.loads(pickle.dumps(datum)) is datum
     assert CartanDatum("D", 6) is not datum and CartanDatum("A", 5) is not datum
-    assert type(CartanDatum("D", 5.0).rank) is float and type(datum.rank) is int
+    for rank in (5.0, True):  # neither may stand for an int rank, nor make a datum of its own
+        with pytest.raises(RootSystemError, match="a rank must be an int"):
+            CartanDatum("D" if rank == 5 else "A", rank)
+
+
+def test_make_and_replace_build_through_the_constructor():
+    with pytest.raises(RootSystemError, match="unsupported diagram type"):
+        CartanDatum._make(("X", 0))
+    with pytest.raises(RootSystemError, match="needs rank >= 4"):
+        CartanDatum("D", 5)._replace(rank=3)
+    assert CartanDatum._make(("D", 5)) is CartanDatum("D", 5)
+    assert CartanDatum("D", 5)._replace(rank=6) is CartanDatum("D", 6)
+    assert SpectralParam._make((9, 0)) == SpectralParam(9, 0) == (1, 0)
+    assert str(SpectralParam._make((9, 0))) == str(SpectralParam(1, 0))
+    assert SpectralParam(1, 0)._replace(u=12) == (4, 0)

@@ -1381,18 +1381,18 @@ def test_the_shared_zero_orders_follow_a_rebound_denom_D1(monkeypatch):
 
 def test_double_zero_correspondence_follows_a_rebound_denom_D2(monkeypatch):
     assert verify.check_double_zero_correspondence() is None
-    table = verify._zero_orders(qaffine.denom_D2, 3, phase=1)
-    assert table[2, 2][4] == 2  # the double zero of d_{2,2} at (-q^2)^2, listed as s = 4
+    table = verify._zero_orders(qaffine.denom_D2, 3)
+    assert table[2, 2][qaffine.mq2(2)] == 2  # the double zero of d_{2,2} at (-q^2)^2
     _without_one(monkeypatch, "denom_D2", 3, 2, 2, qaffine.mq2(2))
     message = verify.check_double_zero_correspondence()
     assert message == "twisted double zeros disagree with the table at n = 3"
-    assert verify._zero_orders(qaffine.denom_D2, 3, phase=1)[2, 2][4] == 1
+    assert verify._zero_orders(qaffine.denom_D2, 3)[2, 2][qaffine.mq2(2)] == 1
     monkeypatch.undo()
     assert verify.check_double_zero_correspondence() is None
-    assert verify._zero_orders(qaffine.denom_D2, 3, phase=1) is table
+    assert verify._zero_orders(qaffine.denom_D2, 3) is table
 
 
-def test_a_sweep_builds_one_zero_order_table_per_denominator_rank_and_phase():
+def test_a_sweep_builds_one_zero_order_table_per_denominator_and_rank():
     verify._zero_orders.cache_clear()
     run_suite(6, {"orders", "qaffine"})
     # denom_D1 at ranks 4-9 (4-6 shared by the orientation checks), denom_D2 at 3-8
