@@ -89,9 +89,9 @@ class ARQuiver:
         self.m = m
         # tables the orders module fills on first use
         self.pairs_cache: dict[Root, dict[tuple[Root, Root], Optional[tuple[Root, Root]]]] = {}
-        self.oracle_cache: dict[tuple[Root, Root, Root], bool] = {}
-        self.reading_words: frozenset[WeylWord] = frozenset()  # filled with oracle_cache
         self.readings_cache: dict[str, ConvexOrder] = {}
+        # the reading words and the (gamma, alpha, beta) no reading makes minimal
+        self.oracle: Optional[tuple[frozenset[WeylWord], frozenset[tuple[Root, Root, Root]]]] = None
 
     # --- basic queries -------------------------------------------------------
 

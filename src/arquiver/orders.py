@@ -298,20 +298,28 @@ def orient_pair(ar: ARQuiver, alpha: Root, beta: Root) -> tuple[Root, Root]:
 def classify_pair(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> PairVerdict:
     """Dominance test: a pair is non-minimal iff another pair of gamma nests
     strictly inside it in the path order (alpha < alpha' and beta' < beta).
-    A pair gamma's table holds, in its order, is not checked again; the
-    witness is read off the table."""
-    try:
-        witness = ar.pairs_cache[gamma][pair]
-        alpha, beta = pair
-    except (KeyError, TypeError):  # no table yet, an unoriented pair, or a list
-        alpha = None
-    if alpha is None:  # checked outside the handler, so its errors carry no lookup context
-        alpha, beta = _check_pair(ar, gamma, pair)
-        witness = _pair_table(ar, gamma)[alpha, beta]
+    The pair is accepted and its witness read off gamma's table by
+    ``_oriented_pair``."""
+    alpha, beta, witness = _oriented_pair(ar, gamma, pair)
     if witness is not None:
         return PairVerdict(gamma, alpha, beta, NON_MINIMAL, witness, None)
     tag = _minimality_tag(ar, gamma, (alpha, beta))
     return PairVerdict(gamma, alpha, beta, MINIMAL, None, tag)
+
+
+def _oriented_pair(ar: ARQuiver, gamma: Root, pair) -> tuple[Root, Root, Optional[tuple[Root, Root]]]:
+    """A caller's pair of gamma as (alpha, beta, witness), oriented, with its
+    dominating pair or None.  A pair gamma's table holds, in its order, is one
+    lookup; any other pair is sum-checked, oriented and then looked up."""
+    try:
+        witness = ar.pairs_cache[gamma][pair]
+        alpha, beta = pair
+        return alpha, beta, witness
+    except (KeyError, TypeError):  # no table yet, an unoriented pair, or a list
+        pass
+    # checked after the handler, so its errors carry no lookup context
+    alpha, beta = _check_pair(ar, gamma, pair)
+    return alpha, beta, _pair_table(ar, gamma)[alpha, beta]
 
 
 def _minimality_tag(ar, gamma, pair) -> Optional[str]:
@@ -372,34 +380,30 @@ def _nest_table(order: ConvexOrder, gamma: Root) -> tuple[int, ...]:
 
 def oracle_classify(ar: ARQuiver, gamma: Root, pair) -> PairVerdict:
     """Ground truth by exhausting every reading of Gamma_Q (small ranks only)."""
-    alpha, beta = _check_pair(ar, gamma, pair)
-    if _oracle_table(ar).get((gamma, alpha, beta), False):
-        return PairVerdict(gamma, alpha, beta, MINIMAL)
-    return PairVerdict(gamma, alpha, beta, NON_MINIMAL)
+    alpha, beta, _ = _oriented_pair(ar, gamma, pair)
+    if (gamma, alpha, beta) in _oracle(ar)[1]:
+        return PairVerdict(gamma, alpha, beta, NON_MINIMAL)
+    return PairVerdict(gamma, alpha, beta, MINIMAL)
 
 
 def reading_words(ar: ARQuiver) -> frozenset[WeylWord]:
-    """The words of every reading of Gamma_Q, from the walk that fills the oracle table."""
-    _oracle_table(ar)
-    return ar.reading_words
+    """The words of every reading of Gamma_Q, from the walk that serves the oracle."""
+    return _oracle(ar)[0]
 
 
-def _oracle_table(ar: ARQuiver) -> dict[tuple[Root, Root, Root], bool]:
-    """(gamma, alpha, beta) -> whether at least one reading makes the pair minimal.
+def _oracle(ar: ARQuiver) -> tuple[frozenset[WeylWord], frozenset[tuple[Root, Root, Root]]]:
+    """The reading words, and the (gamma, alpha, beta) of every pair no reading
+    makes minimal.
 
-    One walk over every reading fills this table and ``ar.reading_words``; it
-    keeps no order, so each reading's nest tables go with it.
+    One walk over every reading fills ``ar.oracle``, which is None until then;
+    it keeps no order, so each reading's nest tables go with it.
     """
-    if ar.reading_words:  # every quiver has a reading, so an empty set is no walk yet
-        return ar.oracle_cache
-    keys = [(gamma, *pair) for gamma, pair in all_pairs(ar)]
-    pending = keys
-    words = set()
-    for order in all_readings(ar):
-        words.add(order.word)
-        if pending:
-            pending = [(g, a, b) for g, a, b in pending if not minimal_wrt(order, (a, b), g)]
-    unwitnessed = set(pending)
-    ar.oracle_cache.update((key, key not in unwitnessed) for key in keys)
-    ar.reading_words = frozenset(words)
-    return ar.oracle_cache
+    if ar.oracle is None:
+        pending = [(gamma, *pair) for gamma, pair in all_pairs(ar)]
+        words = set()
+        for order in all_readings(ar):
+            words.add(order.word)
+            if pending:
+                pending = [(g, a, b) for g, a, b in pending if not minimal_wrt(order, (a, b), g)]
+        ar.oracle = (frozenset(words), frozenset(pending))
+    return ar.oracle

@@ -72,9 +72,6 @@ class SpectralParam(_SpectralFields):
     def negate(self) -> "SpectralParam":
         return SpectralParam(self.u + 4, self.p)
 
-    def same_up_to_sign(self, other: "SpectralParam") -> bool:
-        return self.p == other.p and (self.u - other.u) % 4 == 0
-
     def __str__(self) -> str:
         """(-q)^x if it is one, else [-][i*](-q^2)^x, else zeta8^u q^(p/2)."""
         if (self.u - 2 * self.p) % 8 == 0:
@@ -291,8 +288,8 @@ def dorey_D2(n: int, triple: HomTriple) -> DoreyVerdict:
     A ratio zeta8^u q^(p/2) is zeta8^(u-p) (-q^2)^(p/4), so it is read as
     (p, (u - p) mod 4): its quarter-unit exponent and its phase, which a
     row expects to be 0 for a (-q^2)-power or 2 for sqrt(-1) times one.
-    Reading the phase mod 4 is exactly SpectralParam.same_up_to_sign; it
-    absorbs the "up to sign" in case (i') and the +- sqrt(-1) choices in
+    Reading the phase mod 4 equates two parameters that differ by a sign;
+    it absorbs the "up to sign" in case (i') and the +- sqrt(-1) choices in
     (iii').
     """
     if n < 3:
@@ -354,18 +351,11 @@ def star_image(n: int, triple: HomTriple) -> HomTriple:
 # --- the bridge from Gamma_Q ------------------------------------------------------
 
 def pair_to_triple(ar: ARQuiver, gamma: Root, pair: tuple[Root, Root]) -> HomTriple:
-    """Candidate hom data of a pair: (level, (-q)^column) of beta, alpha, gamma."""
-    try:
-        known = pair in ar.pairs_cache[gamma]
-    except (KeyError, TypeError):  # no table yet, or a list
-        known = False
-    alpha, beta = pair
-    if not known:  # checked outside the handler, so its errors carry no lookup context
-        if tuple(a + b for a, b in zip(alpha, beta)) != tuple(gamma):
-            raise QAffineError(f"{alpha} + {beta} != {gamma}")
-        alpha, beta = orders.orient_pair(ar, alpha, beta)
-    # a table's pairs, and any pair orient_pair ordered, hold roots of this
-    # quiver; gamma is only the table's key, so it alone goes through coord_of
+    """Candidate hom data of a pair: (level, (-q)^column) of beta, alpha, gamma.
+    The pair is accepted as ``orders.classify_pair`` accepts it."""
+    alpha, beta, _ = orders._oriented_pair(ar, gamma, pair)
+    # an accepted pair holds roots of this quiver; gamma is only its table's
+    # key, so it alone goes through coord_of
     (bi, bp), (ai, ap) = ar.phi[beta], ar.phi[alpha]
     gi, gp = ar.coord_of(gamma)
     return HomTriple(bi, mq(bp), ai, mq(ap), gi, mq(gp))

@@ -28,7 +28,7 @@ from .ar_quiver import (
     check_nakayama,
     check_vertex_range,
 )
-from .orders import MINIMAL
+from .orders import MINIMAL, NON_MINIMAL
 from .quiver import (
     DynkinQuiver,
     VertexClass,
@@ -428,7 +428,7 @@ def check_pair_counts(ar: ARQuiver) -> Optional[str]:
         if len(pairs) != rs.ht(gamma) - 1:
             return f"{gamma} has {len(pairs)} pairs, expected ht-1 = {rs.ht(gamma) - 1}"
         verdicts = [orders.classify_pair(ar, gamma, pair).verdict for pair in pairs]
-        minimal = sum(v == orders.Verdict.MINIMAL for v in verdicts)
+        minimal = sum(v is MINIMAL for v in verdicts)
         nonmin = len(verdicts) - minimal
         # a positive root's coefficients are non-negative, so each support is a count
         support = len(gamma) - gamma.count(0)
@@ -452,7 +452,7 @@ def check_nonfree_counts(ar: ARQuiver) -> Optional[str]:
         eps = rs.epsilon_form(datum, gamma)
         b = eps.b_signed
         nonmin = sum(
-            orders.classify_pair(ar, gamma, pair).verdict == orders.Verdict.NON_MINIMAL
+            orders.classify_pair(ar, gamma, pair).verdict is NON_MINIMAL
             for pair in orders._pair_table(ar, gamma)
         )
         if b < 0 or b > n - 2 or nonmin != n - b - 1:

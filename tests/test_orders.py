@@ -154,6 +154,49 @@ def test_one_walk_serves_the_readings_and_the_oracle(monkeypatch):
     assert len(calls) == 8 and len(set(map(id, calls))) == 8
 
 
+def test_a_quiver_walks_its_readings_once(monkeypatch, example1_quiver):
+    ar = ar_quiver.build(example1_quiver, make_height_function(example1_quiver, 3, 0))
+    calls = []
+    real = orders.all_readings
+
+    def counted(ar):
+        calls.append(ar)
+        return real(ar)
+
+    monkeypatch.setattr(orders, "all_readings", counted)
+    assert ar.oracle is None
+    for _ in range(3):
+        for gamma, pair in orders.all_pairs(ar):
+            orders.oracle_classify(ar, gamma, pair)
+            orders.oracle_classify(ar, gamma, pair[::-1])
+        words = orders.reading_words(ar)
+    assert calls == [ar]
+    assert ar.oracle[0] is words and len(words) == 72
+
+
+def _reference_oracle_table(ar):
+    """The former ``orders._oracle_table``: (gamma, alpha, beta) -> whether at
+    least one reading makes the pair minimal, filled by a walk of every reading."""
+    keys = [(gamma, *pair) for gamma, pair in orders.all_pairs(ar)]
+    pending = keys
+    for order in orders.all_readings(ar):
+        if pending:
+            pending = [(g, a, b) for g, a, b in pending if not orders.minimal_wrt(order, (a, b), g)]
+    unwitnessed = set(pending)
+    return {key: key not in unwitnessed for key in keys}
+
+
+@pytest.mark.parametrize("diagram, ranks", [("D", (4,)), ("A", (2, 3, 4, 5))])
+def test_oracle_classify_equals_the_former_table(diagram, ranks):
+    for rank in ranks:
+        for ar in _every_orientation(diagram, rank):
+            table = _reference_oracle_table(ar)
+            for gamma, pair in orders.all_pairs(ar):
+                expected = Verdict.MINIMAL if table.get((gamma, *pair), False) else Verdict.NON_MINIMAL
+                for either in (pair, pair[::-1]):
+                    assert orders.oracle_classify(ar, gamma, either).verdict is expected
+
+
 def test_pairs_of_longest_root(example1_ar, d4):
     gamma = rs.parse_root(d4, "e1+e2")
     pairs = orders.pairs_of(example1_ar, gamma)
