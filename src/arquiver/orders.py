@@ -97,7 +97,7 @@ STRATEGIES = ("U1", "U2", "L1", "L2")
 
 
 def canonical_reading(ar: ARQuiver, strategy: str) -> ConvexOrder:
-    """One of the four canonical readings of Gamma_Q (type D).
+    """One of the four canonical readings of Gamma_Q (type D), named as in STRATEGIES.
 
     U-orders scan so that d(1,i) - p ascends, breaking ties by d(1,i)
     descending and then by level (U1 reads level n before n-1, U2 the
@@ -109,18 +109,15 @@ def canonical_reading(ar: ARQuiver, strategy: str) -> ConvexOrder:
     """
     try:
         return ar.readings_cache[strategy]
-    except (KeyError, TypeError):  # not built yet, or not in its stored spelling
+    except (KeyError, TypeError):  # not built yet, or unhashable
         pass
-    strategy = strategy.upper()
     if strategy not in STRATEGIES:
         raise OrderError(f"unknown strategy {strategy!r}")
-    order = ar.readings_cache.get(strategy)
-    if order is None:
-        coords = sorted(ar.root_at, key=_reading_key(ar, strategy))
-        word = tuple(c[0] for c in coords)
-        order = ConvexOrder(ar.datum, word, tuple(ar.root_at[c] for c in coords))
-        order.check_convexity()
-        ar.readings_cache[strategy] = order
+    coords = sorted(ar.root_at, key=_reading_key(ar, strategy))
+    word = tuple(c[0] for c in coords)
+    order = ConvexOrder(ar.datum, word, tuple(ar.root_at[c] for c in coords))
+    order.check_convexity()
+    ar.readings_cache[strategy] = order
     return order
 
 

@@ -154,13 +154,18 @@ class DenominatorPoly(NamedTuple):
         return self.roots.count(at)
 
 
+def _check_levels(n: int, levels: tuple[int, ...], family: str, least: int) -> None:
+    """Refuse a rank below the family's least and any level outside 1..n."""
+    if n < least:
+        raise QAffineError(f"{family} type D needs n >= {least}")
+    if not all(1 <= level <= n for level in levels):
+        raise QAffineError(f"levels {levels} out of range 1..{n}")
+
+
 @lru_cache(maxsize=None)
 def denom_D1(n: int, k: int, l: int) -> DenominatorPoly:
     """Zeros of d_{k,l}(z) for the untwisted type-D algebra of rank n."""
-    if n < 4:
-        raise QAffineError("untwisted type D needs n >= 4")
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise QAffineError(f"levels ({k},{l}) out of range 1..{n}")
+    _check_levels(n, (k, l), "untwisted", 4)
     k, l = min(k, l), max(k, l)
     zeros: list[SpectralParam] = []
     if l <= n - 2:
@@ -182,10 +187,7 @@ def denom_D1(n: int, k: int, l: int) -> DenominatorPoly:
 @lru_cache(maxsize=None)
 def denom_D2(n: int, k: int, l: int) -> DenominatorPoly:
     """Zeros of d_{k,l}(z) for the twisted algebra over the rank-(n+1) diagram."""
-    if n < 3:
-        raise QAffineError("twisted type D needs n >= 3")
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise QAffineError(f"levels ({k},{l}) out of range 1..{n}")
+    _check_levels(n, (k, l), "twisted", 3)
     k, l = min(k, l), max(k, l)
     zeros: list[SpectralParam] = []
     if l <= n - 1:
@@ -245,11 +247,8 @@ def _is_mq_power(param: SpectralParam) -> bool:
 @lru_cache(maxsize=None, typed=True)
 def dorey_D1(n: int, triple: HomTriple) -> DoreyVerdict:
     """Untwisted Dorey rule (an iff) for rank n >= 4; rows hold integer (-q)-exponents."""
-    if n < 4:
-        raise QAffineError("untwisted type D needs n >= 4")
     i, j, k = triple.i, triple.j, triple.k
-    if not all(1 <= lvl <= n for lvl in (i, j, k)):
-        raise QAffineError(f"levels {(i, j, k)} out of range 1..{n}")
+    _check_levels(n, (i, j, k), "untwisted", 4)
     for param in (triple.x, triple.y, triple.z):
         if not _is_mq_power(param):
             raise QAffineError(f"{param} is not an integer power of (-q)")
@@ -292,11 +291,8 @@ def dorey_D2(n: int, triple: HomTriple) -> DoreyVerdict:
     it absorbs the "up to sign" in case (i') and the +- sqrt(-1) choices in
     (iii').
     """
-    if n < 3:
-        raise QAffineError("twisted type D needs n >= 3")
     i, j, k = triple.i, triple.j, triple.k
-    if not all(1 <= lvl <= n for lvl in (i, j, k)):
-        raise QAffineError(f"levels {(i, j, k)} out of range 1..{n}")
+    _check_levels(n, (i, j, k), "twisted", 3)
     x, y, z = triple.x, triple.y, triple.z
     xp, yp = x.p - z.p, y.p - z.p
     ratios = ((xp, (x.u - z.u - xp) % 4), (yp, (y.u - z.u - yp) % 4))

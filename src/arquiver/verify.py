@@ -5,7 +5,7 @@ counterexample string; a check that raises is recorded as an error and the
 sweep goes on.  ``ORIENTATION_CHECKS`` and ``GLOBAL_CHECKS`` list the checks:
 a check's id is its function's name without ``check_``, and its docstring
 states the theorem it checks.  The runner owns all iteration: per-orientation
-checks sweep the 2^(n-1) orientations of each rank (height anchored at vertex
+checks sweep ``all_orientations`` of each D_n (height anchored at vertex
 n = 0), global checks run once.  Records are sorted by (rank, orientation,
 check), so a report is the same, apart from ``elapsed``, for any worker count.
 """
@@ -30,7 +30,6 @@ from .ar_quiver import (
 )
 from .orders import MINIMAL, NON_MINIMAL
 from .quiver import (
-    DynkinQuiver,
     VertexClass,
     all_orientations,
     classify_vertex,
@@ -661,8 +660,8 @@ def _run_check(check: Check, rank, orientation, *args) -> CheckRecord:
 
 
 def _run_orientation_task(args) -> list[CheckRecord]:
-    rank, mask, suites = args
-    quiver = DynkinQuiver.from_bitmask(CartanDatum("D", rank), mask)
+    quiver, suites = args
+    rank = quiver.datum.rank
     xi = make_height_function(quiver, rank, 0)
     spec = quiver.spec_string()
     records = []
@@ -688,7 +687,7 @@ def run_suite(
     suites: Optional[set[str]] = None,
     parallelism: int = 1,
 ) -> VerifyReport:
-    """Run the selected suites over every orientation for 4 <= n <= rank_max.
+    """Run the selected suites over every orientation of D_n for 4 <= n <= rank_max.
 
     ``suites=None`` selects every suite and an empty selection is an error;
     ``parallelism`` > 1 sweeps the orientations in a process pool of at most
@@ -696,10 +695,10 @@ def run_suite(
     so a serial sweep never loads ``concurrent.futures`` or
     ``multiprocessing``.
     """
-    if rank_max < 4:
-        raise VerifyError("rank_max must be at least 4")
-    if parallelism < 1:
-        raise VerifyError("parallelism must be at least 1")
+    if type(rank_max) is not int or rank_max < 4:  # 5.0 or True must not stand for 5 or 1
+        raise VerifyError(f"rank_max must be an int of at least 4, not {rank_max!r}")
+    if type(parallelism) is not int or parallelism < 1:
+        raise VerifyError(f"parallelism must be an int of at least 1, not {parallelism!r}")
     selected = set(SUITES) if suites is None else set(suites)
     if not selected:
         raise VerifyError("no suite selected; pass None for every suite")
@@ -707,9 +706,9 @@ def run_suite(
     if unknown:
         raise VerifyError(f"unknown suites {sorted(unknown)}")
     tasks = [
-        (rank, mask, tuple(sorted(selected)))
+        (quiver, selected)
         for rank in range(4, rank_max + 1)
-        for mask in range(1 << (rank - 1))
+        for quiver in all_orientations(CartanDatum("D", rank))
     ]
     records: list[CheckRecord] = []
     if parallelism > 1:

@@ -487,7 +487,8 @@ def test_a_kernel_that_never_turns_negative_fails_the_build(monkeypatch, example
     monkeypatch.setattr(ar_quiver.rs, "root_table", lambda datum: endless)
     with pytest.raises(ARQuiverError, match="still positive after 12 steps"):
         ar_quiver.build(example1_quiver, make_height_function(example1_quiver, 3, 0))
-    records = verify._run_orientation_task((4, 0, ("structure",)))
+    task = (DynkinQuiver.from_bitmask(CartanDatum("D", 4), 0), ("structure",))
+    records = verify._run_orientation_task(task)
     assert [(r.check_id, r.status) for r in records] == [("build", "fail")]
 
 

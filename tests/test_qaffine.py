@@ -180,7 +180,7 @@ def test_denominator_d2_examples():
         assert mixed.zero_multiplicity(root.negate()) == mixed.zero_multiplicity(root)
     with pytest.raises(QAffineError, match=r"^twisted type D needs n >= 3$"):
         denom_D2(2, 1, 1)
-    with pytest.raises(QAffineError, match=r"^levels \(1,4\) out of range 1..3$"):
+    with pytest.raises(QAffineError, match=r"^levels \(1, 4\) out of range 1..3$"):
         denom_D2(3, 1, 4)
 
 
@@ -1064,6 +1064,12 @@ def test_errors_are_never_cached_or_conflated():
         (dorey_D2, (3, HomTriple(4, mq(0), 1, mq(0), 1, mq(0))),
          r"levels \(4, 1, 1\) out of range 1..3"),
         (dorey_D2, (2, triple), "twisted type D needs n >= 3"),
+        (denom_D1, (3, 1, 1), "^untwisted type D needs n >= 4$"),
+        (denom_D1, (4, 0, 2), r"^levels \(0, 2\) out of range 1..4$"),
+        (denom_D1, (4, 1, 5), r"^levels \(1, 5\) out of range 1..4$"),
+        (denom_D2, (2, 1, 1), "^twisted type D needs n >= 3$"),
+        (denom_D2, (3, 0, 1), r"^levels \(0, 1\) out of range 1..3$"),
+        (denom_D2, (3, 2, 4), r"^levels \(2, 4\) out of range 1..3$"),
         (star_map, (3, 5, mq(0)), "level 5 out of range 1..4"),
         (star_map, (3, 0, SQRT_MINUS_ONE), "level 0 out of range 1..4"),
     ]

@@ -71,7 +71,9 @@ def test_seeded_high_rank_orientations_pass_every_suite():
         records = [
             record
             for mask in masks
-            for record in verify._run_orientation_task((rank, mask, suites))
+            for record in verify._run_orientation_task(
+                (DynkinQuiver.from_bitmask(CartanDatum("D", rank), mask), suites)
+            )
         ]
         assert [r for r in records if r.status != "pass"] == []
         assert {r.suite for r in records} == set(suites)
@@ -92,7 +94,8 @@ def test_run_suite_rank4_all_pass():
     assert len(orientations) == 8
     limited = {"readings_equal_class", "oracle_agreement"}
     for rank, recorded in ((4, limited), (5, set())):
-        records = verify._run_orientation_task((rank, 0, ("orders",)))
+        quiver = DynkinQuiver.from_bitmask(CartanDatum("D", rank), 0)
+        records = verify._run_orientation_task((quiver, ("orders",)))
         assert {r.check_id for r in records} & limited == recorded
 
 
@@ -210,6 +213,10 @@ def test_run_suite_validates_arguments():
         run_suite(4, suites={"nonsense"})
     with pytest.raises(ValueError):
         run_suite(4, parallelism=0)
+    # a float is no int, and is refused before any task is built
+    for bad in ({"rank_max": 5.0}, {"rank_max": 5, "parallelism": 2.0}):
+        with pytest.raises(verify.VerifyError, match="must be an int"):
+            run_suite(**bad)
     # only None selects every suite; an empty selection is no sweep at all
     for empty in (set(), frozenset(), ()):
         with pytest.raises(verify.VerifyError, match="no suite selected"):
